@@ -173,31 +173,26 @@ def cmd_closure_table(args) -> int:
     params = cfg.closure_params()
     r_values = np.linspace(args.r_min, args.r_max, args.r_count)
     q_values = np.linspace(args.q_min, args.q_max, args.q_count)
-    rows = []
-    for r in r_values:
-        for q in q_values:
-            point = closure.solve_Z(float(r), float(q), params)
-            if point.Z > 0.0:
-                dzr = closure.dZ_dR(point, params)
-                dzq = closure.dZ_dQ(point, params)
-            else:
-                dzr = dzq = math.nan
-            rows.append(
-                (
-                    point.R,
-                    point.Q,
-                    params.gamma_plus,
-                    params.gamma_minus,
-                    point.Z,
-                    point.alpha,
-                    closure.pressure(point.Z, params),
-                    dzr,
-                    dzq,
-                    closure.closure_residual(point.R, point.Q, point.Z, params),
-                )
-            )
+    R, Q = (a.ravel() for a in np.meshgrid(r_values, q_values, indexing="ij"))
+    Z, alpha = closure.solve_Z_field(R, Q, params)
+    dzr = np.full_like(Z, math.nan)
+    dzq = np.full_like(Z, math.nan)
+    pos = Z > 0.0
+    dzr[pos], dzq[pos] = closure.derivative_arrays(R[pos], Z[pos], params.gamma)
+    rows = zip(
+        R,
+        Q,
+        np.full_like(Z, params.gamma_plus),
+        np.full_like(Z, params.gamma_minus),
+        Z,
+        alpha,
+        closure.pressure(Z, params),
+        dzr,
+        dzq,
+        closure.closure_residual(R, Q, Z, params),
+    )
     iofmt.write_closure_table(out / "closure_table.csv", rows)
-    print(f"closure-table: {len(rows)} rows in {out / 'closure_table.csv'}")
+    print(f"closure-table: {Z.size} rows in {out / 'closure_table.csv'}")
     return 0
 
 

@@ -4,6 +4,12 @@ State variables are the conserved (R, Q, m) with m = (R+Q)u, advanced by a
 two-stage strong-stability-preserving Runge-Kutta (Heun) step. All flux
 divergences use the centered conservative form, so the discrete masses and
 total momentum telescope exactly on the periodic grid.
+
+The pointwise work on a state -- its velocity with the floor hits, and the
+implicit closure solve for Z and alpha -- is an ``Evaluation``. ``run``
+evaluates each state once and shares the result between the diagnostics
+row, ``stable_dt`` and stage 1 of the next step, so a free-stepping step
+solves the closure twice (stage 2 and the new state) instead of four times.
 """
 
 from __future__ import annotations
@@ -72,8 +78,28 @@ class State:
         hits = int(np.count_nonzero(rho < floor))
         return self.m / np.maximum(rho, floor), hits
 
+    def evaluate(self, params: SimParams) -> "Evaluation":
+        """Velocity, floor hits and closure solve of this state."""
+        u, hits = self.velocity(params.density_floor)
+        Z, alpha = closure.solve_Z_field(self.R, self.Q, params.closure)
+        return Evaluation(u, hits, Z, alpha)
+
     def copy(self) -> "State":
         return State(self.grid, self.R.copy(), self.Q.copy(), self.m.copy(), self.t)
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Pointwise quantities of one state, shared by everything that reads it.
+
+    Functions taking an optional ``ev`` use it in place of evaluating the
+    state themselves; it must be ``state.evaluate(params)`` of that state.
+    """
+
+    u: np.ndarray
+    floor_hits: int
+    Z: np.ndarray
+    alpha: np.ndarray
 
 
 @dataclass
@@ -92,7 +118,12 @@ class Tendencies:
 SourceFn = Callable[[State], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def rhs(state: State, params: SimParams, source: SourceFn | None = None) -> Tendencies:
+def rhs(
+    state: State,
+    params: SimParams,
+    source: SourceFn | None = None,
+    ev: Evaluation | None = None,
+) -> Tendencies:
     """Conservative right-hand side of the two-fluid system.
 
     dR/dt = -div(R u), dQ/dt = -div(Q u) and
@@ -104,11 +135,14 @@ def rhs(state: State, params: SimParams, source: SourceFn | None = None) -> Tend
     audit, the discrete viscous energy exchange is then exact, so the
     audited defect measures only advection, pressure and time-integration
     errors.
+
+    ``ev`` is the state's evaluation when the caller already has it.
     """
     g = state.grid
-    u, hits = state.velocity(params.density_floor)
-    Z, alpha = closure.solve_Z_field(state.R, state.Q, params.closure)
-    p = closure.pressure(Z, params.closure)
+    if ev is None:
+        ev = state.evaluate(params)
+    u = ev.u
+    p = closure.pressure(ev.Z, params.closure)
 
     dR = -grids.divergence(g, state.R * u)
     dQ = -grids.divergence(g, state.Q * u)
@@ -130,21 +164,24 @@ def rhs(state: State, params: SimParams, source: SourceFn | None = None) -> Tend
             raise ConsistencyError(
                 f"non-finite tendency {name} at index {loc}, t={state.t}"
             )
-    return Tendencies(dR, dQ, dm, Z, alpha, u, hits)
+    return Tendencies(dR, dQ, dm, ev.Z, ev.alpha, u, ev.floor_hits)
 
 
-def stable_dt(state: State, params: SimParams) -> float:
+def stable_dt(state: State, params: SimParams, ev: Evaluation | None = None) -> float:
     """Explicit-scheme time step limit.
 
     dt = cfl * min(dx/(max|u| + c_max), dx^2/(2 dim nu_max)) with the
     sound-speed proxy c_max = max sqrt(gamma_plus Z^(gamma_plus-1)
     max(|dZ/dR|, |dZ/dQ|)) taken pointwise over the grid.
+
+    ``ev`` is the state's evaluation when the caller already has it.
     """
     g = state.grid
-    u, _ = state.velocity(params.density_floor)
-    umax = float(np.max(grids.pointwise_magnitude(g, u)))
+    if ev is None:
+        ev = state.evaluate(params)
+    umax = float(np.max(grids.pointwise_magnitude(g, ev.u)))
 
-    Z, _ = closure.solve_Z_field(state.R, state.Q, params.closure)
+    Z = ev.Z
     pos = Z > 0.0
     c_max = 0.0
     if pos.any():
@@ -168,11 +205,19 @@ def stable_dt(state: State, params: SimParams) -> float:
 
 
 def step(
-    state: State, params: SimParams, dt: float, source: SourceFn | None = None
+    state: State,
+    params: SimParams,
+    dt: float,
+    source: SourceFn | None = None,
+    ev: Evaluation | None = None,
 ) -> State:
-    """One SSP-RK2 (Heun) update; the caller guarantees dt <= stable_dt."""
+    """One SSP-RK2 (Heun) update; the caller guarantees dt <= stable_dt.
+
+    Stage 1 uses ``ev`` when given, so a state already evaluated for its
+    step size is not solved again.
+    """
     g = state.grid
-    k1 = rhs(state, params, source)
+    k1 = rhs(state, params, source, ev)
     s1 = State(
         g,
         state.R + dt * k1.dR,
@@ -250,40 +295,27 @@ class Trajectory:
 ProbeFn = Callable[[int, State], State | None]
 
 
-@dataclass
-class _DiagRow:
-    t: float
-    mass_R: float
-    mass_Q: float
-    kinetic: float
-    internal: float
-    dissipation: float
-    min_R: float
-    min_Q: float
-    max_u: float
-    floor_hits: int
-
-    @property
-    def energy(self) -> float:
-        return self.kinetic + self.internal
-
-
-def _diag_row(state: State, params: SimParams) -> _DiagRow:
+def _record_diagnostics(
+    cols: dict[str, list], state: State, params: SimParams, ev: Evaluation
+) -> None:
+    """Append the DiagnosticSeries fields other than dt for one evaluated state."""
     g = state.grid
-    u, hits = state.velocity(params.density_floor)
-    report = energy.total_energy(state, params)
-    return _DiagRow(
+    report = energy.total_energy(state, params, ev)
+    row = dict(
         t=state.t,
         mass_R=grids.integrate(g, state.R),
         mass_Q=grids.integrate(g, state.Q),
-        kinetic=report.kinetic,
-        internal=report.internal,
+        energy=report.kinetic + report.internal,
         dissipation=report.dissipation_rate,
         min_R=float(np.min(state.R)),
         min_Q=float(np.min(state.Q)),
-        max_u=float(np.max(grids.pointwise_magnitude(g, u))),
-        floor_hits=hits,
+        max_u=float(np.max(grids.pointwise_magnitude(g, ev.u))),
+        floor_hits=ev.floor_hits,
+        kinetic=report.kinetic,
+        internal=report.internal,
     )
+    for name, value in row.items():
+        cols.setdefault(name, []).append(value)
 
 
 def run(
@@ -300,18 +332,25 @@ def run(
     runs onto a shared schedule); otherwise each step takes the stability
     limit clamped to land exactly on t_end. Time accumulation snaps onto
     t_end through the same code path either way, so replaying a recorded
-    schedule reproduces the recorded sample times bit for bit.
+    schedule reproduces the recorded sample times bit for bit. A schedule
+    that runs out before t_end raises ConsistencyError.
 
     ``probes`` are callables ``(step_index, state) -> State | None`` applied
     after every step; a returned state replaces the current one (experiment
     fixtures use this to inject controlled perturbations mid-run).
+
+    Each state is evaluated once, after the probes have run: the one
+    velocity and closure solve serve its diagnostics row, its ``stable_dt``
+    and stage 1 of its step.
 
     Identical inputs produce bit-identical trajectories. The floor-hit count
     reflects the velocity reconstruction of each recorded state.
     """
     eps_t = max(params.dt_min, 4.0 * np.finfo(float).eps * params.t_end)
     state = initial.copy()
-    rows = [_diag_row(state, params)]
+    ev = state.evaluate(params)
+    cols: dict[str, list] = {}
+    _record_diagnostics(cols, state, params, ev)
     snapshots = [state.copy()]
     snapshot_times = [state.t]
     dts: list[float] = []
@@ -324,11 +363,14 @@ def run(
             break
         if dt_schedule is not None:
             if k >= len(dt_schedule):
-                break
+                raise ConsistencyError(
+                    f"dt schedule of {len(dt_schedule)} steps ends at t={state.t} "
+                    f"before t_end={params.t_end}"
+                )
             dt = float(dt_schedule[k])
         else:
-            dt = min(stable_dt(state, params), remaining)
-        state = step(state, params, dt, source)
+            dt = min(stable_dt(state, params, ev), remaining)
+        state = step(state, params, dt, source, ev)
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
         k += 1
@@ -337,8 +379,9 @@ def run(
                 replacement = probe(k, state)
                 if replacement is not None:
                     state = replacement
+        ev = state.evaluate(params)
         dts.append(dt)
-        rows.append(_diag_row(state, params))
+        _record_diagnostics(cols, state, params, ev)
         due = params.output_interval == 0.0 or state.t >= next_output - 1e-12
         if due:
             snapshots.append(state.copy())
@@ -351,18 +394,8 @@ def run(
         snapshot_times.append(state.t)
 
     diag = DiagnosticSeries(
-        t=np.asarray([r.t for r in rows]),
         dt=np.asarray(dts + [0.0]),
-        mass_R=np.asarray([r.mass_R for r in rows]),
-        mass_Q=np.asarray([r.mass_Q for r in rows]),
-        energy=np.asarray([r.energy for r in rows]),
-        dissipation=np.asarray([r.dissipation for r in rows]),
-        min_R=np.asarray([r.min_R for r in rows]),
-        min_Q=np.asarray([r.min_Q for r in rows]),
-        max_u=np.asarray([r.max_u for r in rows]),
-        floor_hits=np.asarray([r.floor_hits for r in rows], dtype=int),
-        kinetic=np.asarray([r.kinetic for r in rows]),
-        internal=np.asarray([r.internal for r in rows]),
+        **{name: np.asarray(values) for name, values in cols.items()},
     )
     return Trajectory(
         grid=initial.grid,

@@ -56,15 +56,19 @@ def internal_energy_raw(state, params) -> float:
     return grids.integrate(state.grid, out)
 
 
-def total_energy(state, params) -> EnergyReport:
-    """Kinetic + internal energy of a state, with the dissipation rate."""
+def total_energy(state, params, ev=None) -> EnergyReport:
+    """Kinetic + internal energy of a state, with the dissipation rate.
+
+    ``ev`` is the state's ``Evaluation`` when the caller already has it.
+    """
     g = state.grid
-    u, _ = state.velocity(params.density_floor)
+    if ev is None:
+        ev = state.evaluate(params)
     rho = state.R + state.Q
-    mag2 = grids.pointwise_magnitude(g, u) ** 2
+    mag2 = grids.pointwise_magnitude(g, ev.u) ** 2
     kinetic = 0.5 * grids.integrate(g, rho * mag2)
 
-    Z, alpha = closure.solve_Z_field(state.R, state.Q, params.closure)
+    Z, alpha = ev.Z, ev.alpha
     defined = Z > 0.0
     if defined.any():
         a = alpha[defined]
@@ -77,14 +81,17 @@ def total_energy(state, params) -> EnergyReport:
         t=state.t,
         kinetic=kinetic,
         internal=internal,
-        dissipation_rate=dissipation(state, params),
+        dissipation_rate=dissipation(state, params, ev),
     )
 
 
-def dissipation(state, params) -> float:
-    """Viscous dissipation rate, integral of mu|grad u|^2 + (mu+lam)(div u)^2."""
+def dissipation(state, params, ev=None) -> float:
+    """Viscous dissipation rate, integral of mu|grad u|^2 + (mu+lam)(div u)^2.
+
+    Only the velocity is needed, so without ``ev`` no closure is solved.
+    """
     g = state.grid
-    u, _ = state.velocity(params.density_floor)
+    u = state.velocity(params.density_floor)[0] if ev is None else ev.u
     jac = grids.vector_gradient(g, u)
     div = grids.divergence(g, u)
     quad = params.mu * np.sum(jac * jac, axis=(0, 1)) + (

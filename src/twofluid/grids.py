@@ -113,11 +113,30 @@ def _space_axis(grid: PeriodicGrid, values: np.ndarray, i: int) -> int:
     return values.ndim - grid.dim + i
 
 
+# (out, values[j+1], values[j-1]) slices along one axis: the interior, then
+# the two end planes whose neighbour wraps around the period.
+_NEIGHBOUR_SLICES = (
+    (slice(1, -1), slice(2, None), slice(None, -2)),
+    (slice(None, 1), slice(1, 2), slice(-1, None)),
+    (slice(-1, None), slice(None, 1), slice(-2, -1)),
+)
+
+
+def _neighbours(op, values: np.ndarray, ax: int, out: np.ndarray) -> None:
+    """out[j] = op(values[j+1], values[j-1]) along axis ax, wrapping periodically.
+
+    This is op(np.roll(values, -1), np.roll(values, 1)) without the copies.
+    """
+    at = (slice(None),) * ax
+    for here, ahead, behind in _NEIGHBOUR_SLICES:
+        op(values[at + (ahead,)], values[at + (behind,)], out=out[at + (here,)])
+
+
 def _centered(grid: PeriodicGrid, values: np.ndarray, i: int) -> np.ndarray:
-    ax = _space_axis(grid, values, i)
-    return (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (
-        2.0 * grid.dx
-    )
+    out = np.empty(values.shape, np.result_type(values, 1.0))
+    _neighbours(np.subtract, values, _space_axis(grid, values, i), out)
+    out /= 2.0 * grid.dx
+    return out
 
 
 def gradient(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
@@ -141,10 +160,13 @@ def vector_gradient(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
 def laplacian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     """Nearest-neighbour Laplacian; applied per component to vector fields."""
     out = np.zeros_like(f)
+    pair = np.empty_like(out)
     for i in range(grid.dim):
-        ax = _space_axis(grid, f, i)
-        out += np.roll(f, -1, axis=ax) + np.roll(f, 1, axis=ax) - 2.0 * f
-    return out / grid.dx**2
+        _neighbours(np.add, f, _space_axis(grid, f, i), pair)
+        pair -= 2.0 * f
+        out += pair
+    out /= grid.dx**2
+    return out
 
 
 def grad_div(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:

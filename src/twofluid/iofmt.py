@@ -10,7 +10,7 @@ import numpy as np
 
 from .dynamics import DiagnosticSeries, Trajectory
 from .energy import EnergyAudit
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grids import PeriodicGrid
 from .gronwall import GronwallTrace
 from .twin import PairDiagnostics, SweepReport
@@ -37,6 +37,14 @@ def _write_rows(path, header: str, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def _float_table(path, data) -> np.ndarray:
+    """Rows of CSV cells as a float array; a non-numeric cell is a ConfigError."""
+    try:
+        return np.asarray(data, dtype=float)
+    except ValueError as err:
+        raise ConfigError(f"{path}: non-numeric cell: {err}") from err
+
+
 def write_diagnostics_csv(path, traj: Trajectory) -> None:
     d = traj.diagnostics
     cols = [getattr(d, name) for name in DiagnosticSeries.COLUMNS]
@@ -53,7 +61,7 @@ def read_diagnostics_csv(path) -> dict[str, np.ndarray]:
         raise ConfigError(f"{path}: no data rows")
     if any(len(row) != len(names) for row in data):
         raise ConfigError(f"{path}: ragged rows")
-    arr = np.asarray(data, dtype=float)
+    arr = _float_table(path, data)
     return {name: arr[:, j] for j, name in enumerate(names)}
 
 
@@ -96,7 +104,7 @@ def read_trace_csv(path) -> GronwallTrace:
         raise ConfigError(f"{path}: no data rows")
     if any(len(row) != 5 for row in data):
         raise ConfigError(f"{path}: ragged rows")
-    arr = np.asarray(data, dtype=float)
+    arr = _float_table(path, data)
     return GronwallTrace(
         t=arr[:, 0], f=arr[:, 1], gprime=arr[:, 2], alpha=arr[:, 3], beta=arr[:, 4]
     )
@@ -132,10 +140,13 @@ def read_field(path) -> tuple[PeriodicGrid, np.ndarray, float, str]:
         parts = header[2:].split()
         if len(parts) != 5:
             raise ConfigError(f"{path}: malformed field header {header!r}")
-        dim, n = int(parts[0]), int(parts[1])
-        length, t, name = float(parts[2]), float(parts[3]), parts[4]
-        values = np.asarray([float(line) for line in fh if line.strip()])
-    grid = PeriodicGrid(dim=dim, n=n, length=length)
+        try:
+            dim, n = int(parts[0]), int(parts[1])
+            length, t, name = float(parts[2]), float(parts[3]), parts[4]
+            values = np.asarray([float(line) for line in fh if line.strip()])
+            grid = PeriodicGrid(dim=dim, n=n, length=length)
+        except (ValueError, DomainError) as err:
+            raise ConfigError(f"{path}: malformed field dump: {err}") from err
     if values.size == grid.npoints:
         shaped = values.reshape(grid.shape)
     elif values.size == dim * grid.npoints:

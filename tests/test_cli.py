@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twofluid import cli, config, gronwall, iofmt
+from twofluid.errors import ConfigError
 from twofluid.grids import PeriodicGrid
 
 FAST = [
@@ -153,6 +154,14 @@ class TestGronwallCheck:
         path.write_text("nope\n")
         assert cli.main(["gronwall-check", "--trace", str(path)]) == 2
 
+    def test_non_numeric_cell_exits_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{iofmt.TRACE_HEADER}\n0,1,0,0,0\n0.5,abc,0,0,0\n")
+        assert cli.main(["gronwall-check", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err
+        assert "Traceback" not in err
+
 
 class TestEnergyAudit:
     def test_audit_of_simulated_diagnostics(self, tmp_path):
@@ -177,6 +186,31 @@ class TestEnergyAudit:
              "--out", str(tmp_path / "a"), "--defect-tol", "-1"]
         )
         assert code == 1
+
+    def test_non_numeric_cell_exits_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "diagnostics.csv"
+        path.write_text(f"{iofmt.DIAGNOSTICS_HEADER}\n0,0.1,1,1,2,0,1,1,0,0\n0.1,0,1,1,nan?,0,1,1,0,0\n")
+        code = cli.main(["energy-audit", "--diagnostics", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err
+        assert "Traceback" not in err
+
+
+class TestFieldDumpErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# 1 8 6.28 0 R\n" + "1\n" * 7 + "x\n",  # bad value line
+            "# 1 eight 6.28 0 R\n" + "1\n" * 8,  # bad header number
+            "# 1 7 6.28 0 R\n" + "1\n" * 7,  # header names no valid grid
+        ],
+    )
+    def test_malformed_dump_is_config_error(self, tmp_path, text):
+        path = tmp_path / "f.dat"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="f.dat"):
+            iofmt.read_field(path)
 
 
 class TestErrorPaths:

@@ -248,6 +248,32 @@ class TestProperties:
         assert abs(closure.dZ_dR(point, params)) <= 1.0 / gamma
         assert abs(closure.dZ_dQ(point, params)) <= point.Z ** (1.0 - gamma) / gamma
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(st.tuples(finite_density, finite_density), min_size=1, max_size=32),
+        pair=st.sampled_from(GAMMA_PAIRS + [(1.2, 5.0)]),
+    )
+    def test_field_solve_matches_scalar_solve_lane_by_lane(self, points, pair):
+        params = ClosureParams(*pair)
+        R = np.array([r for r, _ in points])
+        Q = np.array([q for _, q in points])
+        Z, alpha = closure.solve_Z_field(R, Q, params)
+        pos = Z > 0.0
+        dzr, dzq = closure.derivative_arrays(R[pos], Z[pos], params.gamma)
+        p = closure.pressure(Z, params)
+        res = closure.closure_residual(R, Q, Z, params)
+        j = 0
+        for k, (r, q) in enumerate(points):
+            point = closure.solve_Z(r, q, params)
+            assert Z[k] == point.Z
+            assert alpha[k] == point.alpha or (np.isnan(alpha[k]) and math.isnan(point.alpha))
+            assert p[k] == closure.pressure(point.Z, params)
+            assert res[k] == closure.closure_residual(r, q, point.Z, params)
+            if point.Z > 0.0:
+                assert dzr[j] == closure.dZ_dR(point, params)
+                assert dzq[j] == closure.dZ_dQ(point, params)
+                j += 1
+
 
 def test_pressure_lipschitz_constant_saturates():
     """Fitted C(M) in |p(Z) - p(Z~)| <= C(|R-R~| + |Q-Q~|) stabilizes."""

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from twofluid import dynamics, grids
+from conftest import cfg_at
+from twofluid import config, dynamics, energy, grids
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State
-from twofluid.errors import ConvergenceError, DomainError
+from twofluid.errors import ConsistencyError, ConvergenceError, DomainError
 from twofluid.grids import PeriodicGrid
 
 
@@ -291,6 +292,92 @@ class TestRun:
         u, hits = state.velocity(1e-10)
         assert hits == g.n
         assert np.all(np.abs(u) <= 1e-13 / 1e-10 + 1e-30)
+
+
+def reference_run(initial, params):
+    """run() without shared evaluations: each public call solves for itself."""
+    eps_t = max(params.dt_min, 4.0 * np.finfo(float).eps * params.t_end)
+    states = [initial.copy()]
+    dts = []
+    while params.t_end - states[-1].t > eps_t:
+        state = states[-1]
+        dt = min(dynamics.stable_dt(state, params), params.t_end - state.t)
+        state = dynamics.step(state, params, dt)
+        if abs(params.t_end - state.t) <= eps_t:
+            state.t = params.t_end
+        dts.append(dt)
+        states.append(state)
+    cols = {name: [] for name in dynamics.DiagnosticSeries.COLUMNS}
+    cols.update(kinetic=[], internal=[])
+    for s in states:
+        report = energy.total_energy(s, params)
+        u, hits = s.velocity(params.density_floor)
+        row = dict(
+            t=s.t,
+            dt=0.0,
+            mass_R=grids.integrate(s.grid, s.R),
+            mass_Q=grids.integrate(s.grid, s.Q),
+            energy=report.kinetic + report.internal,
+            dissipation=report.dissipation_rate,
+            min_R=float(np.min(s.R)),
+            min_Q=float(np.min(s.Q)),
+            max_u=float(np.max(grids.pointwise_magnitude(s.grid, u))),
+            floor_hits=hits,
+            kinetic=report.kinetic,
+            internal=report.internal,
+        )
+        for name, value in row.items():
+            cols[name].append(value)
+    cols["dt"] = dts + [0.0]
+    return {name: np.asarray(v) for name, v in cols.items()}, states[-1]
+
+
+def smooth_state(g):
+    x = g.coordinates()
+    R = 1 + 0.2 * np.sin(x[0]) * np.cos(x[-1])
+    Q = 1 + 0.15 * np.cos(x[0] + x[-1])
+    u = np.stack([0.1 * np.sin(x[(i + 1) % g.dim] + i) for i in range(g.dim)])
+    return State(g, R, Q, (R + Q) * u, 0.0)
+
+
+class TestSharedEvaluation:
+    """Sharing one evaluation per state changes no bit of a trajectory."""
+
+    @pytest.mark.parametrize("case", ["std1d-n64", "2d-n16", "3d-n8"])
+    def test_run_matches_unshared_reference_loop(self, case):
+        if case == "std1d-n64":
+            cfg = cfg_at(64)
+            initial, params = config.build_initial_state(cfg), cfg.sim_params()
+        else:
+            dim, n = (2, 16) if case == "2d-n16" else (3, 8)
+            initial = smooth_state(PeriodicGrid(dim, n))
+            params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=1.0)
+        traj = dynamics.run(initial, params)
+        cols, final = reference_run(initial, params)
+        assert len(traj.dts) > 3
+        for name, ref in cols.items():
+            got = getattr(traj.diagnostics, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        for name in ("R", "Q", "m"):
+            assert getattr(traj.final, name).tobytes() == getattr(final, name).tobytes()
+        assert traj.final.t == final.t
+
+    def test_evaluation_feeds_rhs_stable_dt_and_energy(self, std1d_initial, std1d_params):
+        ev = std1d_initial.evaluate(std1d_params)
+        assert dynamics.stable_dt(std1d_initial, std1d_params, ev) == dynamics.stable_dt(
+            std1d_initial, std1d_params
+        )
+        shared = dynamics.rhs(std1d_initial, std1d_params, ev=ev)
+        own = dynamics.rhs(std1d_initial, std1d_params)
+        for name in ("dR", "dQ", "dm", "Z", "alpha", "u"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name))
+        assert energy.total_energy(std1d_initial, std1d_params, ev) == energy.total_energy(
+            std1d_initial, std1d_params
+        )
+
+    def test_short_schedule_is_an_error(self, std1d_initial, std1d_params, traj128):
+        with pytest.raises(ConsistencyError, match="10 steps"):
+            dynamics.run(std1d_initial, std1d_params, dt_schedule=traj128.dts[:10])
 
 
 class Test3DSmoke:

@@ -99,6 +99,57 @@ class TestOperators:
         assert np.array_equal(jac[0, 1], grids.gradient(g, v[1])[0])
 
 
+def roll_centered(g, f, i):
+    ax = f.ndim - g.dim + i
+    return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * g.dx)
+
+
+def roll_gradient(g, f):
+    return np.stack([roll_centered(g, f, i) for i in range(g.dim)])
+
+
+def roll_divergence(g, v):
+    out = roll_centered(g, v[0], 0)
+    for i in range(1, g.dim):
+        out += roll_centered(g, v[i], i)
+    return out
+
+
+def roll_laplacian(g, f):
+    out = np.zeros_like(f)
+    for i in range(g.dim):
+        ax = f.ndim - g.dim + i
+        out += np.roll(f, -1, axis=ax) + np.roll(f, 1, axis=ax) - 2.0 * f
+    return out / g.dx**2
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+class TestSliceStencilsMatchRoll:
+    """The slice stencils do the arithmetic of the np.roll forms exactly."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_gradient_and_laplacian(self, dim, n, lead):
+        g = PeriodicGrid(dim, n)
+        f = np.random.default_rng(dim).normal(size=(*lead, *g.shape))
+        assert_same_bits(grids.gradient(g, f), roll_gradient(g, f))
+        assert_same_bits(grids.laplacian(g, f), roll_laplacian(g, f))
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_divergence_and_jacobian(self, dim, n, lead):
+        g = PeriodicGrid(dim, n)
+        v = np.random.default_rng(10 + dim).normal(size=(dim, *lead, *g.shape))
+        assert_same_bits(grids.divergence(g, v), roll_divergence(g, v))
+        jac = np.stack([roll_gradient(g, v[j]) for j in range(dim)], axis=1)
+        assert_same_bits(grids.vector_gradient(g, v), jac)
+
+
 class TestIntegrals:
     def test_constant_integral(self):
         g = PeriodicGrid(1, 32)

@@ -14,7 +14,7 @@ from .closure import (
 from .dynamics import SimParams, State, Trajectory, rhs, run, stable_dt, step
 from .energy import audit_energy, dissipation, total_energy
 from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError
-from .grids import PeriodicGrid, ScalarField, VectorField
+from .grids import PeriodicGrid
 from .gronwall import (
     GronwallTrace,
     check_conclusion,

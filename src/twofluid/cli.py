@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +74,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _require_density_check_applies(target: str, deltas) -> None:
+    """Density stability needs equal initial densities: no density perturbation.
+
+    Checked before integrating, since the check would fail only afterwards.
+    """
+    if target != "velocity" and any(d != 0.0 for d in deltas):
+        raise ConfigError(
+            f"perturbation target {target!r} with nonzero delta changes the "
+            "initial densities, but the density-stability check needs them "
+            "identical; use target = velocity or delta = 0"
+        )
+
+
 def cmd_compare(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     p = cfg.perturbation
+    _require_density_check_applies(p.target, [p.delta])
+    out = _outdir(args)
     result = twin.run_twin(
         config.build_initial_state(cfg),
         cfg.sim_params(),
@@ -106,73 +119,60 @@ def cmd_compare(args) -> int:
     return 0 if ok else 1
 
 
-def _sweep_worker(payload) -> tuple[float, float, float, float, bool]:
-    text, delta = payload
-    cfg = config.parse_config(text)
-    p = cfg.perturbation
-    result = twin.run_twin(
-        config.build_initial_state(cfg),
-        cfg.sim_params(),
-        delta=delta,
-        target=p.target,
-        wavevector=p.wavevector,
-        phase=p.phase,
-    )
-    stability = twin.check_density_stability(result.diag)
-    sup = result.sup_distance
-    ratio = sup / delta if delta != 0.0 else math.nan
-    return delta, sup, ratio, stability.fitted_C, stability.verdict
+def _parse_deltas(text: str) -> list[float]:
+    try:
+        deltas = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as err:
+        raise ConfigError(f"cannot parse --deltas {text!r}: {err}") from err
+    if not deltas:
+        raise ConfigError("--deltas must name at least one perturbation size")
+    if not all(math.isfinite(d) for d in deltas):
+        raise ConfigError(f"--deltas must be finite, got {text!r}")
+    return deltas
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    deltas = _parse_deltas(args.deltas)
+    p = cfg.perturbation
+    _require_density_check_applies(p.target, deltas)
     out = _outdir(args)
-    try:
-        deltas = [float(v) for v in args.deltas.split(",") if v.strip()]
-    except ValueError as err:
-        raise ConfigError(f"cannot parse --deltas {args.deltas!r}: {err}") from err
-    if not deltas:
-        raise ConfigError("--deltas must name at least one perturbation size")
-
-    verdicts: list[bool] = []
-    rows: list[twin.SweepRow] = []
-    if args.jobs > 1:
-        text = config.serialize_config(cfg)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for delta, sup, ratio, fitted, verdict in pool.map(
-                _sweep_worker, [(text, d) for d in deltas]
-            ):
-                rows.append(twin.SweepRow(delta, sup, ratio, fitted))
-                verdicts.append(verdict)
-    else:
-        p = cfg.perturbation
-        report = twin.stability_sweep(
-            config.build_initial_state(cfg),
-            cfg.sim_params(),
-            deltas,
-            target=p.target,
-            wavevector=p.wavevector,
-            phase=p.phase,
-        )
-        rows = report.rows
-        verdicts = [
-            twin.check_density_stability(r.diag).verdict for r in report.results
-        ]
-    iofmt.write_sweep_csv(out / "sweep.csv", twin.SweepReport(rows=rows, results=[]))
-    for row in rows:
+    report = twin.stability_sweep(
+        config.build_initial_state(cfg),
+        cfg.sim_params(),
+        deltas,
+        target=p.target,
+        wavevector=p.wavevector,
+        phase=p.phase,
+    )
+    iofmt.write_sweep_csv(out / "sweep.csv", report)
+    for row in report.rows:
         print(
             f"delta={row.delta:g} sup_distance={row.sup_distance:.6e} "
             f"ratio={row.ratio:.6g} fitted_C={row.fitted_C:.6g}"
         )
-    return 0 if all(verdicts) else 1
+    return 0 if all(row.verdict for row in report.rows) else 1
+
+
+def _table_axis(args, axis: str) -> np.ndarray:
+    """The --{axis}-min/max/count sample points of the closure table."""
+    lo, hi, count = (getattr(args, f"{axis}_{k}") for k in ("min", "max", "count"))
+    if count < 1:
+        raise ConfigError(f"--{axis}-count must be at least 1, got {count}")
+    for bound, value in (("min", lo), ("max", hi)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(
+                f"--{axis}-{bound} must be finite and nonnegative, got {value!r}"
+            )
+    return np.linspace(lo, hi, count)
 
 
 def cmd_closure_table(args) -> int:
     cfg = _load(args)
+    r_values = _table_axis(args, "r")
+    q_values = _table_axis(args, "q")
     out = _outdir(args)
     params = cfg.closure_params()
-    r_values = np.linspace(args.r_min, args.r_max, args.r_count)
-    q_values = np.linspace(args.q_min, args.q_max, args.q_count)
     R, Q = (a.ravel() for a in np.meshgrid(r_values, q_values, indexing="ij"))
     Z, alpha = closure.solve_Z_field(R, Q, params)
     dzr = np.full_like(Z, math.nan)
@@ -237,7 +237,6 @@ def cmd_energy_audit(args) -> int:
 def _add_common(parser) -> None:
     parser.add_argument("--config", help="config file path (defaults to std1d)")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel runs for sweep")
     parser.add_argument(
         "--set",
         action="append",

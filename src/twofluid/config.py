@@ -22,6 +22,7 @@ from .closure import ClosureParams
 from .dynamics import SimParams, State
 from .errors import ConfigError, DomainError
 from .grids import PeriodicGrid
+from .twin import PERTURBATION_TARGETS
 
 _COMPONENTS = ("x", "y", "z")
 
@@ -257,45 +258,31 @@ def _field_spec(raw, section, dim, constant_key="constant", mode_key="mode") -> 
     return FieldSpec(constant=constant, modes=modes)
 
 
+def _checked(build, *args, **kwargs):
+    """Construct a grid or parameter type, whose range checks raise ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except DomainError as err:
+        raise ConfigError(str(err)) from err
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a config, applying std1d defaults."""
+    """Parse and fully validate a config, applying std1d defaults.
+
+    Value ranges are checked once, by ``PeriodicGrid``, ``ClosureParams``
+    and ``SimParams``; this function checks only what they cannot see.
+    """
     raw = _merged_raw(text)
 
     dim = _to_int("grid", "dim", raw["grid"]["dim"][0])
     n = _to_int("grid", "n", raw["grid"]["n"][0])
     length = _to_float("grid", "length", raw["grid"]["length"][0])
-    try:
-        grid = PeriodicGrid(dim=dim, n=n, length=length)
-    except DomainError as err:
-        raise ConfigError(f"[grid]: {err}") from err
-
-    gp = _to_float("physics", "gamma_plus", raw["physics"]["gamma_plus"][0])
-    gm = _to_float("physics", "gamma_minus", raw["physics"]["gamma_minus"][0])
-    if gp <= 1.0:
-        raise ConfigError("gamma_plus must exceed 1")
-    if gm <= 1.0:
-        raise ConfigError("gamma_minus must exceed 1")
-    mu = _to_float("physics", "mu", raw["physics"]["mu"][0])
-    lam = _to_float("physics", "lambda", raw["physics"]["lambda"][0])
-    if mu <= 0.0:
-        raise ConfigError("mu must be positive")
-    if mu + lam < 0.0:
-        raise ConfigError("mu + lambda must be nonnegative")
-
-    t_end = _to_float("time", "t_end", raw["time"]["t_end"][0])
-    cfl = _to_float("time", "cfl", raw["time"]["cfl"][0])
-    density_floor = _to_float("time", "density_floor", raw["time"]["density_floor"][0])
-    output_interval = _to_float(
-        "time", "output_interval", raw["time"]["output_interval"][0]
-    )
-    if t_end < 0.0:
-        raise ConfigError("t_end must be nonnegative")
-    if not (0.0 < cfl <= 1.0):
-        raise ConfigError("cfl must lie in (0, 1]")
-    if density_floor < 0.0:
-        raise ConfigError("density_floor must be nonnegative")
-    if output_interval < 0.0:
-        raise ConfigError("output_interval must be nonnegative")
+    grid = _checked(PeriodicGrid, dim=dim, n=n, length=length)
+    num = {
+        key: _to_float(section, key, raw[section][key][0])
+        for section in ("physics", "time")
+        for key in _SCALAR_KEYS[section]
+    }
 
     initial_R = _field_spec(raw, "initial_R", dim)
     initial_Q = _field_spec(raw, "initial_Q", dim)
@@ -322,7 +309,7 @@ def parse_config(text: str) -> RunConfig:
         wavevector=_to_int("perturbation", "wavevector", pt["wavevector"][0]),
         phase=_to_float("perturbation", "phase", pt["phase"][0]),
     )
-    if perturbation.target not in ("velocity", "densities", "all"):
+    if perturbation.target not in PERTURBATION_TARGETS:
         raise ConfigError(
             "perturbation target must be velocity, densities or all, "
             f"got {perturbation.target!r}"
@@ -338,20 +325,21 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(
         grid=grid,
-        gamma_plus=gp,
-        gamma_minus=gm,
-        mu=mu,
-        lam=lam,
-        t_end=t_end,
-        cfl=cfl,
-        density_floor=density_floor,
-        output_interval=output_interval,
+        gamma_plus=num["gamma_plus"],
+        gamma_minus=num["gamma_minus"],
+        mu=num["mu"],
+        lam=num["lambda"],
+        t_end=num["t_end"],
+        cfl=num["cfl"],
+        density_floor=num["density_floor"],
+        output_interval=num["output_interval"],
         initial_R=initial_R,
         initial_Q=initial_Q,
         initial_u=tuple(components),
         perturbation=perturbation,
         emit=emit,
     )
+    _checked(cfg.sim_params)
     _validate_positivity(cfg)
     return cfg
 
@@ -374,11 +362,6 @@ def _validate_positivity(cfg: RunConfig):
                 f"{name} is not positive everywhere: constant minus mode "
                 f"amplitudes (and density perturbation) is {budget}"
             )
-
-
-def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 def default_config() -> RunConfig:

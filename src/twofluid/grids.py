@@ -17,7 +17,7 @@ dumps flatten in C order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,44 +68,6 @@ class PeriodicGrid:
         """Point coordinates, shape (dim, *shape)."""
         axes = np.meshgrid(*([self.axis_coords()] * self.dim), indexing="ij")
         return np.stack(axes)
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """One value per grid point, shape ``grid.shape``."""
-
-    grid: PeriodicGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise DomainError(
-                f"scalar field shape {self.values.shape} does not match grid "
-                f"{self.grid.shape}"
-            )
-
-    def validate_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("scalar field contains non-finite values")
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """dim components per grid point, shape ``(dim, *grid.shape)``."""
-
-    grid: PeriodicGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.dim, *self.grid.shape):
-            raise DomainError(
-                f"vector field shape {self.values.shape} does not match grid "
-                f"({self.grid.dim}, *{self.grid.shape})"
-            )
-
-    def validate_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("vector field contains non-finite values")
 
 
 def _space_axis(grid: PeriodicGrid, values: np.ndarray, i: int) -> int:

@@ -434,6 +434,13 @@ class TwinResult:
         return float(np.max(self.diag.norm_frakR + self.diag.norm_calQ + self.diag.norm_wU))
 
 
+def _weak_member(initial, strong, ref, params, delta, target, wavevector, phase):
+    """Perturb the initial state, replay the strong run's schedule, compare."""
+    weak_initial = perturb_state(initial, delta, target, wavevector, phase)
+    weak = dynamics.run(weak_initial, params, dt_schedule=strong.dts)
+    return TwinResult(strong=strong, weak=weak, diag=compare(weak, strong), ref=ref)
+
+
 def run_twin(
     initial: State,
     params: SimParams,
@@ -441,16 +448,11 @@ def run_twin(
     target: str = "velocity",
     wavevector: int = 2,
     phase: float = 0.0,
-    strong: Trajectory | None = None,
 ) -> TwinResult:
     """Run the reference and its delta-perturbed twin on a shared schedule."""
-    if strong is None:
-        strong = dynamics.run(initial, params)
-    weak_initial = perturb_state(initial, delta, target, wavevector, phase)
-    weak = dynamics.run(weak_initial, params, dt_schedule=strong.dts)
-    diag = compare(weak, strong)
+    strong = dynamics.run(initial, params)
     ref = reference_series(strong, params)
-    return TwinResult(strong=strong, weak=weak, diag=diag, ref=ref)
+    return _weak_member(initial, strong, ref, params, delta, target, wavevector, phase)
 
 
 @dataclass
@@ -459,6 +461,7 @@ class SweepRow:
     sup_distance: float
     ratio: float
     fitted_C: float
+    verdict: bool  # the density-stability verdict of this member
 
 
 @dataclass
@@ -481,17 +484,18 @@ def stability_sweep(
     rows: list[SweepRow] = []
     results: list[TwinResult] = []
     for delta in deltas:
-        weak_initial = perturb_state(initial, delta, target, wavevector, phase)
-        weak = dynamics.run(weak_initial, params, dt_schedule=strong.dts)
-        diag = compare(weak, strong)
-        result = TwinResult(strong=strong, weak=weak, diag=diag, ref=ref)
+        result = _weak_member(
+            initial, strong, ref, params, delta, target, wavevector, phase
+        )
+        stability = check_density_stability(result.diag)
         sup = result.sup_distance
         rows.append(
             SweepRow(
                 delta=float(delta),
                 sup_distance=sup,
                 ratio=sup / delta if delta != 0.0 else math.nan,
-                fitted_C=check_density_stability(diag).fitted_C,
+                fitted_C=stability.fitted_C,
+                verdict=stability.verdict,
             )
         )
         results.append(result)

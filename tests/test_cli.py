@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twofluid import cli, config, gronwall, iofmt
+from twofluid import cli, config, dynamics, gronwall, iofmt, twin
 from twofluid.errors import ConfigError
 from twofluid.grids import PeriodicGrid
 
@@ -13,6 +13,13 @@ FAST = [
 
 def read_lines(path):
     return path.read_text().strip().splitlines()
+
+
+def assert_one_line_config_error(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestSimulate:
@@ -88,12 +95,53 @@ class TestSweep:
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 1e-2
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        argv = ["sweep", *FAST, "--deltas", "1e-2,1e-3"]
-        assert cli.main([*argv, "--out", str(serial)]) == 0
-        assert cli.main([*argv, "--out", str(parallel), "--jobs", "2"]) == 0
-        assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()
+    @pytest.mark.parametrize("deltas", ["nan", "inf", "1e-3,-inf"])
+    def test_non_finite_deltas_exit_2(self, tmp_path, capsys, deltas):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--out", str(out), *FAST, "--deltas", deltas]) == 2
+        assert_one_line_config_error(capsys, "--deltas must be finite")
+        assert not out.exists()
+
+    def test_verdicts_come_from_the_sweep_rows(self, tmp_path, monkeypatch):
+        real = twin.stability_sweep
+
+        def failing(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.rows[-1].verdict = False
+            return report
+
+        monkeypatch.setattr(twin, "stability_sweep", failing)
+        code = cli.main(["sweep", "--out", str(tmp_path / "s"), *FAST, "--deltas", "1e-2,1e-3"])
+        assert code == 1
+
+
+class TestDensityTargets:
+    @pytest.mark.parametrize("target", ["densities", "all"])
+    @pytest.mark.parametrize(
+        "command,extra",
+        [("compare", []), ("sweep", ["--deltas", "0,1e-3"])],
+    )
+    def test_density_perturbation_rejected_before_integrating(
+        self, tmp_path, capsys, monkeypatch, command, extra, target
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated a run the check rejects")
+
+        monkeypatch.setattr(dynamics, "run", no_run)
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), *FAST, "--set", f"perturbation.target={target}"]
+        assert cli.main(argv + extra) == 2
+        assert_one_line_config_error(capsys, f"perturbation target '{target}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["densities", "all"])
+    def test_zero_delta_density_target_still_runs(self, tmp_path, target):
+        density = ["--set", f"perturbation.target={target}"]
+        compare = ["compare", "--out", str(tmp_path / "c"), *FAST, *density,
+                   "--set", "perturbation.delta=0"]
+        assert cli.main(compare) == 0
+        sweep = ["sweep", "--out", str(tmp_path / "s"), *FAST, *density, "--deltas", "0"]
+        assert cli.main(sweep) == 0
 
 
 class TestClosureTable:
@@ -126,6 +174,26 @@ class TestClosureTable:
         lines = read_lines(out / "closure_table.csv")
         value = lines[1].split(",")[4]
         assert float(iofmt.fmt(float(value))) == float(value)
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--r-count", "-1", "--r-count must be at least 1"),
+            ("--r-count", "0", "--r-count must be at least 1"),
+            ("--q-count", "0", "--q-count must be at least 1"),
+            ("--r-min", "-1", "--r-min must be finite and nonnegative"),
+            ("--r-max", "inf", "--r-max must be finite and nonnegative"),
+            ("--r-max", "nan", "--r-max must be finite and nonnegative"),
+            ("--q-min", "-0.5", "--q-min must be finite and nonnegative"),
+            ("--q-max", "-inf", "--q-max must be finite and nonnegative"),
+            ("--q-max", "nan", "--q-max must be finite and nonnegative"),
+        ],
+    )
+    def test_bad_axis_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "tab"
+        assert cli.main(["closure-table", "--out", str(out), f"{flag}={value}"]) == 2
+        assert_one_line_config_error(capsys, message)
+        assert not out.exists()
 
 
 class TestGronwallCheck:
@@ -218,6 +286,13 @@ class TestErrorPaths:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[physics]\ngamma_plus = 0.5\n")
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_out_of_range_override_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--out", str(out), "--set", "time.cfl=0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cfl must lie in (0, 1]")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bad_override_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--set", "x=1"]) == 2

@@ -74,6 +74,36 @@ class TestValidation:
         with pytest.raises(ConfigError, match="gamma_plus must exceed 1"):
             config.parse_config("[physics]\ngamma_plus = 0.5\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[physics]\ngamma_minus = 1\n", "gamma_minus must exceed 1"),
+            ("[physics]\ngamma_minus = 0.5\n", "gamma_minus must exceed 1"),
+            ("[physics]\nmu = 0\n", "mu must be positive"),
+            ("[physics]\nmu = -0.1\n", "mu must be positive"),
+            ("[physics]\nmu = 0.1\nlambda = -0.2\n", "mu \\+ lambda must be nonnegative"),
+            ("[time]\nt_end = -1e-3\n", "t_end must be nonnegative"),
+            ("[time]\ncfl = 0\n", "cfl must lie in \\(0, 1\\]"),
+            ("[time]\ncfl = 1.5\n", "cfl must lie in \\(0, 1\\]"),
+            ("[time]\ndensity_floor = -1e-12\n", "density_floor must be nonnegative"),
+            ("[time]\noutput_interval = -0.1\n", "output_interval must be nonnegative"),
+        ],
+    )
+    def test_parameter_ranges(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            config.parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[physics]\ngamma_minus = 1.0000001\n",
+            "[physics]\nmu = 0.1\nlambda = -0.1\n",
+            "[time]\nt_end = 0\ncfl = 1\ndensity_floor = 0\noutput_interval = 0\n",
+        ],
+    )
+    def test_parameter_range_edges_accepted(self, text):
+        config.parse_config(text)
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             config.parse_config("[grid]\nwat = 3\n")

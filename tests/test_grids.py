@@ -5,7 +5,7 @@ import pytest
 
 from twofluid import grids
 from twofluid.errors import DomainError
-from twofluid.grids import PeriodicGrid, ScalarField, VectorField
+from twofluid.grids import PeriodicGrid
 
 
 def trig_field(grid, k=1, phase=0.0):
@@ -27,18 +27,6 @@ class TestGridType:
     def test_invalid_grids(self, dim, n, L):
         with pytest.raises(DomainError):
             PeriodicGrid(dim, n, L)
-
-    def test_field_wrappers_validate_shapes(self):
-        g = PeriodicGrid(2, 8)
-        ScalarField(g, np.zeros((8, 8)))
-        VectorField(g, np.zeros((2, 8, 8)))
-        with pytest.raises(DomainError):
-            ScalarField(g, np.zeros(8))
-        with pytest.raises(DomainError):
-            VectorField(g, np.zeros((3, 8, 8)))
-        bad = ScalarField(g, np.full((8, 8), np.nan))
-        with pytest.raises(DomainError):
-            bad.validate_finite()
 
 
 class TestOperators:

@@ -279,3 +279,15 @@ class TestSweep:
         assert math.isnan(report.rows[0].ratio)
         r1, r2 = report.rows[1].ratio, report.rows[2].ratio
         assert max(r1, r2) / min(r1, r2) <= 2.0
+
+    def test_rows_carry_the_density_stability_verdict(self, sweep128):
+        for row, result in zip(sweep128.rows, sweep128.results):
+            report = twin.check_density_stability(result.diag)
+            assert (row.fitted_C, row.verdict) == (report.fitted_C, report.verdict)
+
+    def test_run_twin_equals_the_sweep_member(self, std1d_initial, std1d_params, sweep128):
+        single = twin.run_twin(std1d_initial, std1d_params, delta=1e-3)
+        member = sweep128.results[1]
+        for name in twin.PairDiagnostics.COLUMNS:
+            assert np.array_equal(getattr(single.diag, name), getattr(member.diag, name)), name
+        assert np.array_equal(single.weak.final.m, member.weak.final.m)

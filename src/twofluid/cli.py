@@ -212,24 +212,29 @@ def cmd_gronwall_check(args) -> int:
 
 
 def cmd_energy_audit(args) -> int:
-    out = _outdir(args)
-    cols = iofmt.read_diagnostics_csv(args.diagnostics)
-    if "energy" in cols and "dissipation" in cols:
-        e, d = cols["energy"], cols["dissipation"]
-        kin = cols.get("kinetic")
-        inte = cols.get("internal")
-    elif "kinetic" in cols and "internal" in cols:
-        kin, inte = cols["kinetic"], cols["internal"]
-        e = kin + inte
-        d = cols["dissipation_rate"]
+    path = args.diagnostics
+    cols = iofmt.read_diagnostics_csv(path)
+    for used in (("t", "energy", "dissipation"), ("t", "kinetic", "internal", "dissipation_rate")):
+        if cols.keys() >= set(used):
+            break
     else:
         raise ConfigError(
-            f"{args.diagnostics}: need energy/dissipation or kinetic/internal columns"
+            f"{path}: need t with energy/dissipation or kinetic/internal/dissipation_rate columns"
         )
+    for name in used:
+        if not np.all(np.isfinite(cols[name])):
+            raise ConfigError(f"{path}: column {name} has a non-finite cell")
+    kin, inte = cols.get("kinetic"), cols.get("internal")
+    if "energy" in used:
+        e, d = cols["energy"], cols["dissipation"]
+    else:
+        e, d = kin + inte, cols["dissipation_rate"]
+    out = _outdir(args)
     audit = energy.audit_series(cols["t"], e, d)
     iofmt.write_energy_csv(out / "energy_audit.csv", audit, kinetic=kin, internal=inte)
     print(f"energy-audit: max defect={audit.max_defect:.6e}")
-    if args.defect_tol is not None and audit.max_defect > args.defect_tol:
+    # Written so that a NaN defect fails the gate instead of passing it.
+    if args.defect_tol is not None and not audit.max_defect <= args.defect_tol:
         return 1
     return 0
 

@@ -14,7 +14,7 @@ a section it replaces that field's default mode list instead of extending it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,18 +42,18 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    target: str = "velocity"
-    delta: float = 1e-3
-    wavevector: int = 2
-    phase: float = 0.0
+    target: str
+    delta: float
+    wavevector: int
+    phase: float
 
 
 @dataclass(frozen=True)
 class EmitFlags:
-    fields: bool = False
-    diagnostics: bool = True
-    energy: bool = True
-    comparison: bool = True
+    fields: bool
+    diagnostics: bool
+    energy: bool
+    comparison: bool
 
 
 @dataclass(frozen=True)
@@ -135,81 +135,6 @@ energy = true
 comparison = true
 """
 
-_SCALAR_KEYS = {
-    "grid": ("dim", "n", "length"),
-    "physics": ("gamma_plus", "gamma_minus", "mu", "lambda"),
-    "time": ("t_end", "cfl", "density_floor", "output_interval"),
-    "initial_R": ("constant",),
-    "initial_Q": ("constant",),
-    "initial_u": tuple(f"constant_{c}" for c in _COMPONENTS),
-    "perturbation": ("target", "delta", "wavevector", "phase"),
-    "output": ("fields", "diagnostics", "energy", "comparison"),
-}
-_MODE_KEYS = {
-    "initial_R": ("mode",),
-    "initial_Q": ("mode",),
-    "initial_u": tuple(f"mode_{c}" for c in _COMPONENTS),
-}
-
-
-def _parse_raw(text: str) -> dict[str, dict[str, list[str]]]:
-    """Text to {section: {key: [values...]}} with line-number errors."""
-    raw: dict[str, dict[str, list[str]]] = {}
-    section: str | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip()
-            if section not in _SCALAR_KEYS:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            raw.setdefault(section, {})
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        if section is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        scalar = key in _SCALAR_KEYS[section]
-        modal = key in _MODE_KEYS.get(section, ())
-        if not scalar and not modal:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        bucket = raw[section].setdefault(key, [])
-        if scalar and bucket:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
-        bucket.append(value)
-    return raw
-
-
-def _merged_raw(text: str) -> dict[str, dict[str, list[str]]]:
-    """User raw values on top of the std1d defaults.
-
-    Scalar keys override individually; the presence of any mode key in a
-    section drops that section's default modes. The std1d default modes are
-    one-dimensional, so changing the grid dimension drops every default mode
-    the user did not replace.
-    """
-    merged = _parse_raw(_DEFAULT_TEXT)
-    user = _parse_raw(text)
-    for section, entries in user.items():
-        mode_keys = _MODE_KEYS.get(section, ())
-        if any(k in mode_keys for k in entries):
-            for k in mode_keys:
-                merged[section].pop(k, None)
-        for key, values in entries.items():
-            merged[section][key] = list(values)
-    dim_value = merged["grid"]["dim"][0].strip()
-    if dim_value != "1":
-        for section, mode_keys in _MODE_KEYS.items():
-            user_keys = user.get(section, {})
-            for k in mode_keys:
-                if k not in user_keys:
-                    merged[section].pop(k, None)
-    return merged
-
 
 def _to_float(section, key, value) -> float:
     try:
@@ -229,11 +154,9 @@ def _to_int(section, key, value) -> int:
 
 
 def _to_bool(section, key, value) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
+    v = value.lower()
+    if v in ("true", "yes", "1", "false", "no", "0"):
+        return v in ("true", "yes", "1")
     raise ConfigError(f"[{section}] {key}: expected true/false, got {value!r}")
 
 
@@ -249,13 +172,108 @@ def _to_mode(section, key, value, dim) -> FourierMode:
     return FourierMode(amplitude=amplitude, wavevector=wavevector, phase=phase)
 
 
-def _field_spec(raw, section, dim, constant_key="constant", mode_key="mode") -> FieldSpec:
+# Each scalar key with the parser of its value.
+_SCALAR_KEYS = {
+    "grid": {"dim": _to_int, "n": _to_int, "length": _to_float},
+    "physics": dict.fromkeys(("gamma_plus", "gamma_minus", "mu", "lambda"), _to_float),
+    "time": dict.fromkeys(("t_end", "cfl", "density_floor", "output_interval"), _to_float),
+    "initial_R": {"constant": _to_float},
+    "initial_Q": {"constant": _to_float},
+    "initial_u": dict.fromkeys((f"constant_{c}" for c in _COMPONENTS), _to_float),
+    "perturbation": {
+        "target": lambda section, key, value: value,
+        "delta": _to_float,
+        "wavevector": _to_int,
+        "phase": _to_float,
+    },
+    "output": dict.fromkeys((f.name for f in fields(EmitFlags)), _to_bool),
+}
+_MODE_KEYS = {
+    "initial_R": ("mode",),
+    "initial_Q": ("mode",),
+    "initial_u": tuple(f"mode_{c}" for c in _COMPONENTS),
+}
+# Keys whose RunConfig field has another name.
+_FIELD_NAMES = {"lambda": "lam"}
+
+
+def _check_key(where: str, section: str, key: str | None = None) -> None:
+    """Reject an unknown section, or an unknown key of a known section.
+
+    ``where`` opens the message: a config-file line or an override.
+    """
+    if section not in _SCALAR_KEYS:
+        raise ConfigError(f"{where} unknown section [{section}]")
+    if key is not None and key not in (*_SCALAR_KEYS[section], *_MODE_KEYS.get(section, ())):
+        raise ConfigError(f"{where} unknown key {key!r} in [{section}]")
+
+
+def _parse_raw(text: str) -> dict[str, dict[str, list[str]]]:
+    """Text to {section: {key: [values...]}} with line-number errors."""
+    raw: dict[str, dict[str, list[str]]] = {}
+    section: str | None = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped.startswith("[") and stripped.endswith("]"):
+            section = stripped[1:-1].strip()
+            _check_key(f"line {lineno}:", section)
+            raw.setdefault(section, {})
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        if section is None:
+            raise ConfigError(f"line {lineno}: key outside any [section]")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        _check_key(f"line {lineno}:", section, key)
+        bucket = raw[section].setdefault(key, [])
+        if bucket and key in _SCALAR_KEYS[section]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
+        bucket.append(value.strip())
+    return raw
+
+
+def _merged_raw(text: str) -> dict[str, dict[str, list[str]]]:
+    """User raw values on top of the std1d defaults.
+
+    Scalar keys override individually; the presence of any mode key in a
+    section drops that section's default modes. The std1d default modes are
+    one-dimensional, so changing the grid dimension drops every default mode
+    the user did not replace.
+    """
+    merged = _parse_raw(_DEFAULT_TEXT)
+    user = _parse_raw(text)
+    dim_changed = user.get("grid", {}).get("dim", ["1"])[0] != "1"
+    for section, mode_keys in _MODE_KEYS.items():
+        if dim_changed or any(k in user.get(section, {}) for k in mode_keys):
+            for k in mode_keys:
+                merged[section].pop(k, None)
+    for section, entries in user.items():
+        merged[section].update(entries)
+    return merged
+
+
+def _scalars(raw, section) -> dict:
+    """A section's scalar keys, parsed, keyed by the name of the field they fill."""
+    return {
+        _FIELD_NAMES.get(key, key): parse(section, key, raw[section][key][0])
+        for key, parse in _SCALAR_KEYS[section].items()
+    }
+
+
+def _field_spec(raw, section, suffix, dim) -> FieldSpec:
+    """R or Q (suffix ""), or one velocity component (suffix "_x", "_y", "_z")."""
     entries = raw[section]
-    constant = _to_float(section, constant_key, entries[constant_key][0])
-    modes = tuple(
-        _to_mode(section, mode_key, v, dim) for v in entries.get(mode_key, [])
+    key = f"constant{suffix}"
+    return FieldSpec(
+        constant=_to_float(section, key, entries.get(key, ["0"])[0]),
+        modes=tuple(
+            _to_mode(section, f"mode{suffix}", v, dim)
+            for v in entries.get(f"mode{suffix}", [])
+        ),
     )
-    return FieldSpec(constant=constant, modes=modes)
 
 
 def _checked(build, *args, **kwargs):
@@ -273,71 +291,29 @@ def parse_config(text: str) -> RunConfig:
     and ``SimParams``; this function checks only what they cannot see.
     """
     raw = _merged_raw(text)
-
-    dim = _to_int("grid", "dim", raw["grid"]["dim"][0])
-    n = _to_int("grid", "n", raw["grid"]["n"][0])
-    length = _to_float("grid", "length", raw["grid"]["length"][0])
-    grid = _checked(PeriodicGrid, dim=dim, n=n, length=length)
-    num = {
-        key: _to_float(section, key, raw[section][key][0])
-        for section in ("physics", "time")
-        for key in _SCALAR_KEYS[section]
-    }
-
-    initial_R = _field_spec(raw, "initial_R", dim)
-    initial_Q = _field_spec(raw, "initial_Q", dim)
-
-    u_entries = raw["initial_u"]
-    components: list[FieldSpec] = []
-    for c in _COMPONENTS[:dim]:
-        constant = _to_float(
-            "initial_u", f"constant_{c}", u_entries.get(f"constant_{c}", ["0"])[0]
-        )
-        modes = tuple(
-            _to_mode("initial_u", f"mode_{c}", v, dim)
-            for v in u_entries.get(f"mode_{c}", [])
-        )
-        components.append(FieldSpec(constant=constant, modes=modes))
+    grid = _checked(PeriodicGrid, **_scalars(raw, "grid"))
+    dim = grid.dim
+    initial_R = _field_spec(raw, "initial_R", "", dim)
+    initial_Q = _field_spec(raw, "initial_Q", "", dim)
+    initial_u = tuple(_field_spec(raw, "initial_u", f"_{c}", dim) for c in _COMPONENTS[:dim])
     for c in _COMPONENTS[dim:]:
-        if f"constant_{c}" in u_entries or f"mode_{c}" in u_entries:
+        if f"constant_{c}" in raw["initial_u"] or f"mode_{c}" in raw["initial_u"]:
             raise ConfigError(f"velocity component {c!r} exceeds grid dimension {dim}")
-
-    pt = raw["perturbation"]
-    perturbation = PerturbationSpec(
-        target=pt["target"][0].strip(),
-        delta=_to_float("perturbation", "delta", pt["delta"][0]),
-        wavevector=_to_int("perturbation", "wavevector", pt["wavevector"][0]),
-        phase=_to_float("perturbation", "phase", pt["phase"][0]),
-    )
+    perturbation = PerturbationSpec(**_scalars(raw, "perturbation"))
     if perturbation.target not in PERTURBATION_TARGETS:
         raise ConfigError(
             "perturbation target must be velocity, densities or all, "
             f"got {perturbation.target!r}"
         )
-
-    out = raw["output"]
-    emit = EmitFlags(
-        fields=_to_bool("output", "fields", out["fields"][0]),
-        diagnostics=_to_bool("output", "diagnostics", out["diagnostics"][0]),
-        energy=_to_bool("output", "energy", out["energy"][0]),
-        comparison=_to_bool("output", "comparison", out["comparison"][0]),
-    )
-
     cfg = RunConfig(
         grid=grid,
-        gamma_plus=num["gamma_plus"],
-        gamma_minus=num["gamma_minus"],
-        mu=num["mu"],
-        lam=num["lambda"],
-        t_end=num["t_end"],
-        cfl=num["cfl"],
-        density_floor=num["density_floor"],
-        output_interval=num["output_interval"],
+        **_scalars(raw, "physics"),
+        **_scalars(raw, "time"),
         initial_R=initial_R,
         initial_Q=initial_Q,
-        initial_u=tuple(components),
+        initial_u=initial_u,
         perturbation=perturbation,
-        emit=emit,
+        emit=EmitFlags(**_scalars(raw, "output")),
     )
     _checked(cfg.sim_params)
     _validate_positivity(cfg)
@@ -350,11 +326,7 @@ def _validate_positivity(cfg: RunConfig):
     When the perturbation targets densities the perturbation size counts
     against the budget as well.
     """
-    extra = (
-        abs(cfg.perturbation.delta)
-        if cfg.perturbation.target in ("densities", "all")
-        else 0.0
-    )
+    extra = abs(cfg.perturbation.delta) if cfg.perturbation.target != "velocity" else 0.0
     for name, spec in (("initial_R", cfg.initial_R), ("initial_Q", cfg.initial_Q)):
         budget = spec.constant - sum(abs(m.amplitude) for m in spec.modes) - extra
         if budget <= 0.0:
@@ -370,95 +342,75 @@ def default_config() -> RunConfig:
 
 
 def apply_overrides(text: str, overrides) -> str:
-    """Append ``--set section.key=value`` pairs to a config text.
+    """Write ``--set section.key=value`` pairs into a config text.
 
-    Later lines win for scalar keys by replacing the earlier value, so the
-    override is implemented by re-serializing the merged raw mapping.
+    Each pair acts as the line ``key = value`` under ``[section]`` would:
+    it replaces the value (for a mode key, every value) the text gives that
+    key, or adds the key. The result holds only the user's own entries, so
+    ``parse_config`` merges the defaults once, and a changed ``grid.dim``
+    drops the 1D default modes just as it does in a config file.
     """
-    raw = _merged_raw(text)
+    raw = _parse_raw(text)
     for item in overrides:
-        if "=" not in item:
+        dotted, eq, value = item.partition("=")
+        section, dot, key = dotted.strip().partition(".")
+        if not (eq and dot):
             raise ConfigError(f"override {item!r} must look like section.key=value")
-        dotted, _, value = item.partition("=")
-        if "." not in dotted:
-            raise ConfigError(f"override {item!r} must look like section.key=value")
-        section, _, key = dotted.strip().partition(".")
-        value = value.strip()
-        if section not in _SCALAR_KEYS:
-            raise ConfigError(f"override names unknown section [{section}]")
-        if key in _SCALAR_KEYS[section]:
-            raw[section][key] = [value]
-        elif key in _MODE_KEYS.get(section, ()):
-            raw[section][key] = [value]
-        else:
-            raise ConfigError(f"override names unknown key {key!r} in [{section}]")
+        _check_key("override names", section, key)
+        raw.setdefault(section, {})[key] = [value.strip()]
     return _serialize_raw(raw)
 
 
 def _serialize_raw(raw) -> str:
     lines = []
-    for section in _SCALAR_KEYS:
+    for section, scalar_keys in _SCALAR_KEYS.items():
+        if section not in raw:
+            continue
         lines.append(f"[{section}]")
-        for key in _SCALAR_KEYS[section]:
-            if key in raw[section]:
-                lines.append(f"{key} = {raw[section][key][0]}")
-        for key in _MODE_KEYS.get(section, ()):
-            for value in raw[section].get(key, []):
-                lines.append(f"{key} = {value}")
+        for key in (*scalar_keys, *_MODE_KEYS.get(section, ())):
+            lines.extend(f"{key} = {value}" for value in raw[section].get(key, []))
         lines.append("")
     return "\n".join(lines)
 
 
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _field_raw(spec: FieldSpec, suffix: str) -> dict[str, list[str]]:
+    """Inverse of ``_field_spec``."""
+    modes = [
+        f"{_fmt(m.amplitude)} {' '.join(map(str, m.wavevector))} {_fmt(m.phase)}"
+        for m in spec.modes
+    ]
+    return {f"constant{suffix}": [_fmt(spec.constant)], f"mode{suffix}": modes}
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) reproduces cfg exactly."""
-
-    def mode_str(m: FourierMode) -> str:
-        ks = " ".join(str(k) for k in m.wavevector)
-        return f"{_fmt(m.amplitude)} {ks} {_fmt(m.phase)}"
-
-    raw = {
-        "grid": {
-            "dim": [str(cfg.grid.dim)],
-            "n": [str(cfg.grid.n)],
-            "length": [_fmt(cfg.grid.length)],
-        },
-        "physics": {
-            "gamma_plus": [_fmt(cfg.gamma_plus)],
-            "gamma_minus": [_fmt(cfg.gamma_minus)],
-            "mu": [_fmt(cfg.mu)],
-            "lambda": [_fmt(cfg.lam)],
-        },
-        "time": {
-            "t_end": [_fmt(cfg.t_end)],
-            "cfl": [_fmt(cfg.cfl)],
-            "density_floor": [_fmt(cfg.density_floor)],
-            "output_interval": [_fmt(cfg.output_interval)],
-        },
-        "initial_R": {
-            "constant": [_fmt(cfg.initial_R.constant)],
-            "mode": [mode_str(m) for m in cfg.initial_R.modes],
-        },
-        "initial_Q": {
-            "constant": [_fmt(cfg.initial_Q.constant)],
-            "mode": [mode_str(m) for m in cfg.initial_Q.modes],
-        },
-        "initial_u": {},
-        "perturbation": {
-            "target": [cfg.perturbation.target],
-            "delta": [_fmt(cfg.perturbation.delta)],
-            "wavevector": [str(cfg.perturbation.wavevector)],
-            "phase": [_fmt(cfg.perturbation.phase)],
-        },
-        "output": {
-            "fields": ["true" if cfg.emit.fields else "false"],
-            "diagnostics": ["true" if cfg.emit.diagnostics else "false"],
-            "energy": ["true" if cfg.emit.energy else "false"],
-            "comparison": ["true" if cfg.emit.comparison else "false"],
-        },
+    owners = {
+        "grid": cfg.grid,
+        "physics": cfg,
+        "time": cfg,
+        "perturbation": cfg.perturbation,
+        "output": cfg.emit,
     }
-    for i, c in enumerate(_COMPONENTS[: cfg.grid.dim]):
-        raw["initial_u"][f"constant_{c}"] = [_fmt(cfg.initial_u[i].constant)]
-        raw["initial_u"][f"mode_{c}"] = [mode_str(m) for m in cfg.initial_u[i].modes]
+    raw = {
+        section: {
+            key: [_text(getattr(owner, _FIELD_NAMES.get(key, key)))]
+            for key in _SCALAR_KEYS[section]
+        }
+        for section, owner in owners.items()
+    }
+    raw["initial_R"] = _field_raw(cfg.initial_R, "")
+    raw["initial_Q"] = _field_raw(cfg.initial_Q, "")
+    raw["initial_u"] = {}
+    for c, spec in zip(_COMPONENTS, cfg.initial_u):
+        raw["initial_u"].update(_field_raw(spec, f"_{c}"))
     return _serialize_raw(raw)
 
 
@@ -467,9 +419,7 @@ def evaluate_field_spec(grid: PeriodicGrid, spec: FieldSpec) -> np.ndarray:
     coords = grid.coordinates()
     out = np.full(grid.shape, float(spec.constant))
     for m in spec.modes:
-        arg = np.zeros(grid.shape)
-        for d in range(grid.dim):
-            arg += m.wavevector[d] * coords[d]
+        arg = sum(k * x for k, x in zip(m.wavevector, coords))
         out += m.amplitude * np.sin((2.0 * math.pi / grid.length) * arg + m.phase)
     return out
 

@@ -104,15 +104,12 @@ class Evaluation:
 
 @dataclass
 class Tendencies:
-    """Time derivatives of (R, Q, m) plus reusable byproducts."""
+    """Time derivatives of (R, Q, m) and the velocity they were built from."""
 
     dR: np.ndarray
     dQ: np.ndarray
     dm: np.ndarray
-    Z: np.ndarray
-    alpha: np.ndarray
     u: np.ndarray
-    floor_hits: int
 
 
 SourceFn = Callable[[State], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -164,7 +161,7 @@ def rhs(
             raise ConsistencyError(
                 f"non-finite tendency {name} at index {loc}, t={state.t}"
             )
-    return Tendencies(dR, dQ, dm, ev.Z, ev.alpha, u, ev.floor_hits)
+    return Tendencies(dR, dQ, dm, u)
 
 
 def stable_dt(state: State, params: SimParams, ev: Evaluation | None = None) -> float:

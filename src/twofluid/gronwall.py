@@ -61,7 +61,7 @@ class GronwallTrace:
             raise DomainError("trace needs at least two samples")
         if self.t[0] != 0.0:
             raise DomainError("trace time must start at 0")
-        if np.any(np.diff(self.t) <= 0.0):
+        if not np.all(np.diff(self.t) > 0.0):
             raise DomainError("trace times must be strictly increasing")
         for name in ("f", "gprime", "alpha", "beta"):
             a = getattr(self, name)

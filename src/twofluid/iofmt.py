@@ -105,9 +105,12 @@ def read_trace_csv(path) -> GronwallTrace:
     if any(len(row) != 5 for row in data):
         raise ConfigError(f"{path}: ragged rows")
     arr = _float_table(path, data)
-    return GronwallTrace(
-        t=arr[:, 0], f=arr[:, 1], gprime=arr[:, 2], alpha=arr[:, 3], beta=arr[:, 4]
-    )
+    try:
+        return GronwallTrace(
+            t=arr[:, 0], f=arr[:, 1], gprime=arr[:, 2], alpha=arr[:, 3], beta=arr[:, 4]
+        )
+    except DomainError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def write_sweep_csv(path, report: SweepReport) -> None:

@@ -467,7 +467,19 @@ class SweepRow:
 @dataclass
 class SweepReport:
     rows: list[SweepRow]
-    results: list[TwinResult]
+
+
+def _sweep_row(delta, result: TwinResult) -> SweepRow:
+    """One sweep row; ratio is sup_distance / |delta|, NaN at delta = 0."""
+    stability = check_density_stability(result.diag)
+    sup = result.sup_distance
+    return SweepRow(
+        delta=float(delta),
+        sup_distance=sup,
+        ratio=sup / abs(delta) if delta != 0.0 else math.nan,
+        fitted_C=stability.fitted_C,
+        verdict=stability.verdict,
+    )
 
 
 def stability_sweep(
@@ -478,25 +490,18 @@ def stability_sweep(
     wavevector: int = 2,
     phase: float = 0.0,
 ) -> SweepReport:
-    """Twin experiments over a perturbation-size sweep, sharing the reference."""
+    """Twin experiments over a perturbation-size sweep, sharing the reference.
+
+    Each member's weak trajectory is dropped once its row is built.
+    """
     strong = dynamics.run(initial, params)
     ref = reference_series(strong, params)
-    rows: list[SweepRow] = []
-    results: list[TwinResult] = []
-    for delta in deltas:
-        result = _weak_member(
-            initial, strong, ref, params, delta, target, wavevector, phase
-        )
-        stability = check_density_stability(result.diag)
-        sup = result.sup_distance
-        rows.append(
-            SweepRow(
-                delta=float(delta),
-                sup_distance=sup,
-                ratio=sup / delta if delta != 0.0 else math.nan,
-                fitted_C=stability.fitted_C,
-                verdict=stability.verdict,
+    return SweepReport(
+        rows=[
+            _sweep_row(
+                delta,
+                _weak_member(initial, strong, ref, params, delta, target, wavevector, phase),
             )
-        )
-        results.append(result)
-    return SweepReport(rows=rows, results=results)
+            for delta in deltas
+        ]
+    )

@@ -32,9 +32,9 @@ def sweep128(std1d_initial, std1d_params):
 
 
 @pytest.fixture(scope="session")
-def twin128(sweep128):
-    """The delta = 1e-3 member of the std1d sweep."""
-    return sweep128.results[1]
+def twin128(std1d_initial, std1d_params):
+    """The std1d twin at delta = 1e-3, the middle member of ``sweep128``."""
+    return twin.run_twin(std1d_initial, std1d_params, delta=1e-3)
 
 
 def cfg_at(n: int, **overrides) -> config.RunConfig:

@@ -58,6 +58,17 @@ class TestSimulate:
         assert (out / "diagnostics.csv").exists()
         assert not (out / "energy.csv").exists()
 
+    def test_dimension_override_acts_like_the_config_line(self, tmp_path):
+        lines = ["grid.dim=2", "grid.n=16", "time.t_end=0.01"]
+        cfg_path = tmp_path / "case.cfg"
+        cfg_path.write_text("[grid]\ndim = 2\nn = 16\n[time]\nt_end = 0.01\n")
+        by_file, by_set = tmp_path / "file", tmp_path / "set"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(by_file)]) == 0
+        sets = [arg for line in lines for arg in ("--set", line)]
+        assert cli.main(["simulate", "--out", str(by_set), *sets]) == 0
+        for name in ("diagnostics.csv", "energy.csv"):
+            assert (by_set / name).read_bytes() == (by_file / name).read_bytes()
+
 
 class TestCompare:
     def test_zero_delta_all_zero_columns(self, tmp_path):
@@ -113,6 +124,14 @@ class TestSweep:
         monkeypatch.setattr(twin, "stability_sweep", failing)
         code = cli.main(["sweep", "--out", str(tmp_path / "s"), *FAST, "--deltas", "1e-2,1e-3"])
         assert code == 1
+
+    def test_negative_delta_ratio_uses_its_size(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--out", str(out), *FAST, "--deltas=-1e-3,1e-3"]) == 0
+        assert "ratio=-" not in capsys.readouterr().out
+        rows = [[float(v) for v in line.split(",")] for line in read_lines(out / "sweep.csv")[1:]]
+        for delta, sup, ratio, _ in rows:
+            assert ratio == sup / abs(delta) > 0.0
 
 
 class TestDensityTargets:
@@ -222,6 +241,22 @@ class TestGronwallCheck:
         path.write_text("nope\n")
         assert cli.main(["gronwall-check", "--trace", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("0,1,0,0,0\n", "trace needs at least two samples"),
+            ("0,1,0,0,0\n0.5,-1,0,0,0\n", "trace field f must be nonnegative"),
+            ("0.1,1,0,0,0\n0.5,1,0,0,0\n", "trace time must start at 0"),
+            ("0,1,0,0,0\n0.5,1,0,0,0\n0.5,1,0,0,0\n", "trace times must be strictly increasing"),
+            ("0,1,0,0,0\nnan,1,0,0,0\n1,1,0,0,0\n", "trace times must be strictly increasing"),
+        ],
+    )
+    def test_trace_rejected_by_the_trace_type_exits_2(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{iofmt.TRACE_HEADER}\n{rows}")
+        assert cli.main(["gronwall-check", "--trace", str(path)]) == 2
+        assert_one_line_config_error(capsys, f"{path}: {message}")
+
     def test_non_numeric_cell_exits_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         path.write_text(f"{iofmt.TRACE_HEADER}\n0,1,0,0,0\n0.5,abc,0,0,0\n")
@@ -263,6 +298,32 @@ class TestEnergyAudit:
         err = capsys.readouterr().err
         assert "configuration error" in err and str(path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t,kinetic,internal\n0,1,1\n0.1,1,1\n", "need t with energy/dissipation"),
+            ("t,energy,dissipation\n0,1,0\n0.1,nan,0\n0.2,5,0\n", "column energy has a non-finite"),
+            ("t,kinetic,internal,dissipation_rate\n0,1,1,0\n0.1,1,1,inf\n",
+             "column dissipation_rate has a non-finite"),
+        ],
+    )
+    def test_unusable_columns_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "diagnostics.csv"
+        path.write_text(text)
+        out = tmp_path / "o"
+        args = ["energy-audit", "--diagnostics", str(path), "--out", str(out), "--defect-tol", "1e-6"]
+        assert cli.main(args) == 2
+        assert_one_line_config_error(capsys, f"{path}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_nan_defect_fails_the_gate(self, tmp_path):
+        # kinetic + internal overflows to inf, so the defect is inf - inf = nan
+        path = tmp_path / "diagnostics.csv"
+        path.write_text("t,kinetic,internal,dissipation_rate\n0,1e308,1e308,0\n0.1,1e308,1e308,0\n")
+        args = ["energy-audit", "--diagnostics", str(path), "--out", str(tmp_path / "o")]
+        assert cli.main([*args, "--defect-tol", "1e-6"]) == 1
 
 
 class TestFieldDumpErrors:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twofluid import config
 from twofluid.errors import ConfigError
@@ -193,3 +194,125 @@ class TestInitialData:
         x = cfg.grid.coordinates()
         assert np.allclose(state.R, 2 + 0.25 * np.sin(x[0] + x[1]), atol=1e-14)
         assert np.allclose(state.Q, 2 + 0.1 * np.sin(2 * x[1] + math.pi / 2), atol=1e-14)
+
+
+def edit_lines(text, overrides):
+    """The config text with each ``section.key=value`` written in as a line.
+
+    The line replaces every line of that key in the section, or is added at
+    the section's end; a missing section is appended.
+    """
+    lines = text.splitlines()
+    for item in overrides:
+        dotted, _, value = item.partition("=")
+        section, _, key = dotted.partition(".")
+        if f"[{section}]" not in lines:
+            lines.append(f"[{section}]")
+        start = lines.index(f"[{section}]") + 1
+        end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+        body = [line for line in lines[start:end] if line.partition("=")[0].strip() != key]
+        lines[start:end] = body + [f"{key} = {value}"]
+    return "\n".join(lines)
+
+
+def outcome(text):
+    try:
+        return config.parse_config(text)
+    except ConfigError as err:
+        return f"ConfigError: {err}"
+
+
+def number(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def mode(dim):
+    ints = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    return st.tuples(number(-0.3, 0.3), ints, number(-3.0, 3.0)).map(
+        lambda m: " ".join([m[0], *map(str, m[1]), m[2]])
+    )
+
+
+def overrides(dim):
+    """``section.key=value`` pairs drawn from valid values of the scalar and mode keys."""
+    values = {
+        "grid.n": st.sampled_from(["8", "16", "32"]),
+        "grid.length": number(0.5, 10.0),
+        "physics.gamma_plus": number(1.01, 4.0),
+        "physics.gamma_minus": number(1.01, 4.0),
+        "physics.mu": number(0.01, 1.0),
+        "physics.lambda": number(0.0, 1.0),
+        "time.t_end": number(0.0, 1.0),
+        "time.cfl": number(0.05, 1.0),
+        "time.density_floor": number(0.0, 1e-6),
+        "time.output_interval": number(0.0, 0.1),
+        "initial_R.constant": number(1.5, 3.0),
+        "initial_Q.constant": number(1.5, 3.0),
+        "initial_R.mode": mode(dim),
+        "initial_Q.mode": mode(dim),
+        "perturbation.target": st.sampled_from(["velocity", "densities", "all"]),
+        "perturbation.delta": number(-0.1, 0.1),
+        "perturbation.wavevector": st.integers(1, 4).map(str),
+        "perturbation.phase": number(-3.0, 3.0),
+        "output.fields": st.sampled_from(["true", "false", "yes", "0"]),
+        "output.diagnostics": st.sampled_from(["true", "false"]),
+    }
+    for c in "xyz"[:dim]:
+        values[f"initial_u.constant_{c}"] = number(-1.0, 1.0)
+        values[f"initial_u.mode_{c}"] = mode(dim)
+    pair = st.sampled_from(sorted(values)).flatmap(
+        lambda key: values[key].map(lambda v: f"{key}={v}")
+    )
+    return st.lists(pair, max_size=8).flatmap(
+        lambda ovs: st.integers(0, len(ovs)).map(
+            lambda i: [*ovs[:i], f"grid.dim={dim}", *ovs[i:]]
+        )
+    )
+
+
+BASE_TEXTS = [
+    "",
+    "[grid]\nn = 16\n[physics]\nmu = 0.2",
+    "[initial_R]\nconstant = 2\nmode = 0.1 1 0\nmode = 0.1 2 1\n[time]\nt_end = 0.1",
+    "[grid]\ndim = 2\n[initial_u]\nconstant_x = 0.1\nmode_y = 0.05 0 1 0",
+]
+
+
+class TestConfigProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), base=st.sampled_from(BASE_TEXTS), dim=st.sampled_from([1, 2, 3]))
+    def test_overrides_act_like_edited_lines(self, data, base, dim):
+        ovs = data.draw(overrides(dim))
+        via_set = outcome(config.apply_overrides(base, ovs))
+        assert via_set == outcome(edit_lines(base, ovs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2, 3]))
+    def test_serialize_round_trips(self, data, dim):
+        cfg = outcome(edit_lines("", data.draw(overrides(dim))))
+        assume(isinstance(cfg, config.RunConfig))
+        assert config.parse_config(config.serialize_config(cfg)) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [f"[{s}]" for s in ("grid", "physics", "time", "initial_R", "initial_u",
+                                        "perturbation", "output", "grud")]
+                ),
+                st.tuples(
+                    st.sampled_from(["dim", "n", "length", "mu", "cfl", "mode", "mode_y",
+                                     "constant_z", "target", "fields", "wat"]),
+                    st.one_of(st.text(max_size=12), st.sampled_from(["0", "2", "-8", "nan", "1e400"])),
+                ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+                st.text(max_size=20),
+            ),
+            max_size=12,
+        )
+    )
+    def test_fuzzed_text_raises_only_config_errors(self, lines):
+        try:
+            config.parse_config("\n".join(lines))
+        except ConfigError:
+            pass

@@ -280,14 +280,24 @@ class TestSweep:
         r1, r2 = report.rows[1].ratio, report.rows[2].ratio
         assert max(r1, r2) / min(r1, r2) <= 2.0
 
-    def test_rows_carry_the_density_stability_verdict(self, sweep128):
-        for row, result in zip(sweep128.rows, sweep128.results):
-            report = twin.check_density_stability(result.diag)
-            assert (row.fitted_C, row.verdict) == (report.fitted_C, report.verdict)
+    def test_rows_carry_the_density_stability_verdict(self, sweep128, twin128):
+        report = twin.check_density_stability(twin128.diag)
+        row = sweep128.rows[1]
+        assert (row.fitted_C, row.verdict) == (report.fitted_C, report.verdict)
 
-    def test_run_twin_equals_the_sweep_member(self, std1d_initial, std1d_params, sweep128):
-        single = twin.run_twin(std1d_initial, std1d_params, delta=1e-3)
-        member = sweep128.results[1]
-        for name in twin.PairDiagnostics.COLUMNS:
-            assert np.array_equal(getattr(single.diag, name), getattr(member.diag, name)), name
-        assert np.array_equal(single.weak.final.m, member.weak.final.m)
+    def test_run_twin_equals_the_sweep_member(self, sweep128, twin128):
+        report = twin.check_density_stability(twin128.diag)
+        sup = twin128.sup_distance
+        expected = twin.SweepRow(1e-3, sup, sup / 1e-3, report.fitted_C, report.verdict)
+        assert sweep128.rows[1] == expected
+
+    def test_ratio_divides_by_the_size_of_delta(self):
+        g = PeriodicGrid(1, 32)
+        x = g.axis_coords()
+        R = 1 + 0.2 * np.sin(x)
+        Q = 1 + 0.2 * np.cos(x)
+        initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
+        params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.05)
+        report = twin.stability_sweep(initial, params, deltas=(-1e-3, 1e-3))
+        for row in report.rows:
+            assert row.ratio == row.sup_distance / 1e-3 > 0.0

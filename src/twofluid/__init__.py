@@ -3,8 +3,6 @@
 from .closure import (
     ClosureParams,
     ClosurePoint,
-    dZ_dQ,
-    dZ_dR,
     phase_swap_transform,
     pressure,
     solve_Z,
@@ -25,11 +23,9 @@ from .twin import (
     PairDiagnostics,
     build_gronwall_trace,
     check_density_stability,
-    check_transport_rates,
     check_mean_velocity,
     compare,
     fit_gronwall_constant,
-    restrict_state,
     run_twin,
     stability_sweep,
 )

@@ -9,6 +9,7 @@ human-readable status goes to stdout and errors to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -53,7 +54,10 @@ def _emit_fields(out: Path, state, tag: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    traj = dynamics.run(config.build_initial_state(cfg), cfg.sim_params())
+    # Only the initial and final states are written, so no other is kept.
+    params = cfg.sim_params()
+    params = dataclasses.replace(params, output_interval=params.t_end)
+    traj = dynamics.run(config.build_initial_state(cfg), params)
     if cfg.emit.diagnostics:
         iofmt.write_diagnostics_csv(out / "diagnostics.csv", traj)
     if cfg.emit.energy:

@@ -250,34 +250,30 @@ def derivative_arrays(R, Z, gamma):
     For gamma <= 1 the exact inequalities |dZ/dR| <= 1/gamma and
     |dZ/dQ| <= Z**(1-gamma)/gamma hold in real arithmetic; rounding can
     overshoot them by an ulp, so the values are clipped to the bounds.
+
+    At subnormal points gamma*Z - (gamma-1)*R can underflow; those lanes
+    divide by its alpha = R/Z form, gamma - (gamma-1)*alpha, instead.
     """
+    R = np.asarray(R, dtype=float)
+    Z = np.asarray(Z, dtype=float)
     denom = gamma * Z - (gamma - 1.0) * R
-    dzr = Z / denom
-    dzq = np.power(Z, 2.0 - gamma) / denom
+    under = np.abs(denom) < np.finfo(float).tiny
+    if under.any():
+        scaled = np.where(under, gamma - (gamma - 1.0) * (R / Z), 1.0)
+        denom = np.where(under, 1.0, denom)
+        dzr = np.where(under, 1.0 / scaled, Z / denom)
+        dzq = np.where(
+            under,
+            np.power(Z, 1.0 - gamma) / scaled,
+            np.power(Z, 2.0 - gamma) / denom,
+        )
+    else:
+        dzr = Z / denom
+        dzq = np.power(Z, 2.0 - gamma) / denom
     if gamma <= 1.0:
         dzr = np.minimum(dzr, 1.0 / gamma)
         dzq = np.minimum(dzq, np.power(Z, 1.0 - gamma) / gamma)
     return dzr, dzq
-
-
-def dZ_dR(point: ClosurePoint, params: ClosureParams) -> float:
-    """Derivative of Z with respect to R at a solved closure point."""
-    if not point.Z > 0.0:
-        raise DomainError("dZ_dR undefined at vacuum (Z = 0)")
-    dzr, _ = derivative_arrays(
-        np.asarray(point.R), np.asarray(point.Z), params.gamma
-    )
-    return float(dzr)
-
-
-def dZ_dQ(point: ClosurePoint, params: ClosureParams) -> float:
-    """Derivative of Z with respect to Q at a solved closure point."""
-    if not point.Z > 0.0:
-        raise DomainError("dZ_dQ undefined at vacuum (Z = 0)")
-    _, dzq = derivative_arrays(
-        np.asarray(point.R), np.asarray(point.Z), params.gamma
-    )
-    return float(dzq)
 
 
 def phase_swap_transform(R, Q, params: ClosureParams):

@@ -352,6 +352,8 @@ def apply_overrides(text: str, overrides) -> str:
     """
     raw = _parse_raw(text)
     for item in overrides:
+        if len(item.splitlines()) > 1:
+            raise ConfigError(f"override {item!r} must be one line")
         dotted, eq, value = item.partition("=")
         section, dot, key = dotted.strip().partition(".")
         if not (eq and dot):

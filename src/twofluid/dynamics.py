@@ -15,7 +15,7 @@ solves the closure twice (stage 2 and the new state) instead of four times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,16 +269,24 @@ class DiagnosticSeries:
 
 @dataclass
 class Trajectory:
-    """Everything one run produced, kept in memory for diagnostics."""
+    """Everything one run produced: its diagnostics rows and sampled states."""
 
-    grid: PeriodicGrid
     params: SimParams
     diagnostics: DiagnosticSeries
     snapshots: list[State]
-    snapshot_times: np.ndarray
-    dts: np.ndarray
-    total_floor_hits: int
-    negative_density_steps: int
+
+    @property
+    def grid(self) -> PeriodicGrid:
+        return self.snapshots[0].grid
+
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        return np.asarray([s.t for s in self.snapshots])
+
+    @property
+    def dts(self) -> np.ndarray:
+        """The step sizes taken; the diagnostics' dt column ends with a 0."""
+        return self.diagnostics.dt[:-1]
 
     @property
     def initial(self) -> State:
@@ -287,9 +295,6 @@ class Trajectory:
     @property
     def final(self) -> State:
         return self.snapshots[-1]
-
-
-ProbeFn = Callable[[int, State], State | None]
 
 
 def _record_diagnostics(
@@ -321,7 +326,6 @@ def run(
     *,
     dt_schedule: Sequence[float] | None = None,
     source: SourceFn | None = None,
-    probes: Sequence[ProbeFn] | None = None,
 ) -> Trajectory:
     """Advance the state to t_end, collecting diagnostics and snapshots.
 
@@ -332,77 +336,47 @@ def run(
     schedule reproduces the recorded sample times bit for bit. A schedule
     that runs out before t_end raises ConsistencyError.
 
-    ``probes`` are callables ``(step_index, state) -> State | None`` applied
-    after every step; a returned state replaces the current one (experiment
-    fixtures use this to inject controlled perturbations mid-run).
-
-    Each state is evaluated once, after the probes have run: the one
-    velocity and closure solve serve its diagnostics row, its ``stable_dt``
-    and stage 1 of its step.
+    Each state is evaluated once: the one velocity and closure solve serve
+    its diagnostics row, its ``stable_dt`` and stage 1 of its step. Every
+    state gets a diagnostics row; ``snapshots`` keeps the initial state, one
+    state per ``output_interval`` (every state when it is 0) and the final
+    state.
 
     Identical inputs produce bit-identical trajectories. The floor-hit count
     reflects the velocity reconstruction of each recorded state.
     """
     eps_t = max(params.dt_min, 4.0 * np.finfo(float).eps * params.t_end)
     state = initial.copy()
-    ev = state.evaluate(params)
-    cols: dict[str, list] = {}
-    _record_diagnostics(cols, state, params, ev)
-    snapshots = [state.copy()]
-    snapshot_times = [state.t]
+    snapshots = []
     dts: list[float] = []
-    next_output = state.t + params.output_interval
-
-    k = 0
+    cols: dict[str, list] = {}
+    next_output = state.t
     while True:
+        ev = state.evaluate(params)
+        _record_diagnostics(cols, state, params, ev)
         remaining = params.t_end - state.t
         if remaining <= eps_t:
             break
+        if params.output_interval == 0.0 or state.t >= next_output - 1e-12:
+            snapshots.append(state)
+            while params.output_interval > 0.0 and next_output <= state.t + 1e-12:
+                next_output += params.output_interval
         if dt_schedule is not None:
-            if k >= len(dt_schedule):
+            if len(dts) >= len(dt_schedule):
                 raise ConsistencyError(
                     f"dt schedule of {len(dt_schedule)} steps ends at t={state.t} "
                     f"before t_end={params.t_end}"
                 )
-            dt = float(dt_schedule[k])
+            dt = float(dt_schedule[len(dts)])
         else:
             dt = min(stable_dt(state, params, ev), remaining)
+        dts.append(dt)
         state = step(state, params, dt, source, ev)
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
-        k += 1
-        if probes:
-            for probe in probes:
-                replacement = probe(k, state)
-                if replacement is not None:
-                    state = replacement
-        ev = state.evaluate(params)
-        dts.append(dt)
-        _record_diagnostics(cols, state, params, ev)
-        due = params.output_interval == 0.0 or state.t >= next_output - 1e-12
-        if due:
-            snapshots.append(state.copy())
-            snapshot_times.append(state.t)
-            while params.output_interval > 0.0 and next_output <= state.t + 1e-12:
-                next_output += params.output_interval
-
-    if snapshot_times[-1] != state.t:
-        snapshots.append(state.copy())
-        snapshot_times.append(state.t)
-
+    snapshots.append(state)
     diag = DiagnosticSeries(
         dt=np.asarray(dts + [0.0]),
         **{name: np.asarray(values) for name, values in cols.items()},
     )
-    return Trajectory(
-        grid=initial.grid,
-        params=params,
-        diagnostics=diag,
-        snapshots=snapshots,
-        snapshot_times=np.asarray(snapshot_times),
-        dts=np.asarray(dts),
-        total_floor_hits=int(diag.floor_hits.sum()),
-        negative_density_steps=int(
-            np.count_nonzero((diag.min_R < 0.0) | (diag.min_Q < 0.0))
-        ),
-    )
+    return Trajectory(params=params, diagnostics=diag, snapshots=snapshots)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import closure, grids
 from .errors import ConsistencyError
+from .gronwall import cumulative_trapezoid
 
 ALPHA_TOL = 1e-12
 
@@ -124,8 +125,7 @@ def audit_series(t, energy_series, dissipation_series) -> EnergyAudit:
     t = np.asarray(t, dtype=float)
     e = np.asarray(energy_series, dtype=float)
     d = np.asarray(dissipation_series, dtype=float)
-    dt = np.diff(t)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * dt)))
+    cum = cumulative_trapezoid(t, d)
     defect = np.maximum(0.0, e + cum - e[0])
     return EnergyAudit(
         t=t,

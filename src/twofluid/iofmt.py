@@ -15,7 +15,7 @@ from .grids import PeriodicGrid
 from .gronwall import GronwallTrace
 from .twin import PairDiagnostics, SweepReport
 
-DIAGNOSTICS_HEADER = "t,dt,mass_R,mass_Q,energy,dissipation,min_R,min_Q,max_u,floor_hits"
+DIAGNOSTICS_HEADER = ",".join(DiagnosticSeries.COLUMNS)
 ENERGY_HEADER = "t,kinetic,internal,dissipation_rate,cumulative_dissipation,defect"
 COMPARE_HEADER = ",".join(PairDiagnostics.COLUMNS)
 TRACE_HEADER = "t,f,gprime,alpha,beta"
@@ -37,10 +37,26 @@ def _write_rows(path, header: str, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _float_table(path, data) -> np.ndarray:
-    """Rows of CSV cells as a float array; a non-numeric cell is a ConfigError."""
+def _read_table(path, header: str | None = None) -> tuple[list[str], np.ndarray]:
+    """Column names and float rows of a CSV; ``header``, if given, must match.
+
+    Every defect of the file's content is a ConfigError naming the file.
+    """
     try:
-        return np.asarray(data, dtype=float)
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline().strip()
+            if header is not None and first != header:
+                raise ConfigError(f"{path}: expected header {header!r}, got {first!r}")
+            data = [line.strip().split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
+    names = first.split(",")
+    if not data:
+        raise ConfigError(f"{path}: no data rows")
+    if any(len(row) != len(names) for row in data):
+        raise ConfigError(f"{path}: ragged rows")
+    try:
+        return names, np.asarray(data, dtype=float)
     except ValueError as err:
         raise ConfigError(f"{path}: non-numeric cell: {err}") from err
 
@@ -53,15 +69,7 @@ def write_diagnostics_csv(path, traj: Trajectory) -> None:
 
 def read_diagnostics_csv(path) -> dict[str, np.ndarray]:
     """Columns of a diagnostics CSV, keyed by header name."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        names = header.split(",")
-        data = [line.strip().split(",") for line in fh if line.strip()]
-    if not data:
-        raise ConfigError(f"{path}: no data rows")
-    if any(len(row) != len(names) for row in data):
-        raise ConfigError(f"{path}: ragged rows")
-    arr = _float_table(path, data)
+    names, arr = _read_table(path)
     return {name: arr[:, j] for j, name in enumerate(names)}
 
 
@@ -93,18 +101,7 @@ def write_trace_csv(path, trace: GronwallTrace) -> None:
 
 
 def read_trace_csv(path) -> GronwallTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ConfigError(
-                f"{path}: expected header {TRACE_HEADER!r}, got {header!r}"
-            )
-        data = [line.strip().split(",") for line in fh if line.strip()]
-    if not data:
-        raise ConfigError(f"{path}: no data rows")
-    if any(len(row) != 5 for row in data):
-        raise ConfigError(f"{path}: ragged rows")
-    arr = _float_table(path, data)
+    _, arr = _read_table(path, TRACE_HEADER)
     try:
         return GronwallTrace(
             t=arr[:, 0], f=arr[:, 1], gprime=arr[:, 2], alpha=arr[:, 3], beta=arr[:, 4]

@@ -63,11 +63,7 @@ class ReferenceSeries:
     t: np.ndarray
     grad_u_2: np.ndarray
     grad_u_inf: np.ndarray
-    grad_R_3: np.ndarray
-    grad_Q_3: np.ndarray
     material_3: np.ndarray  # ||du/dt + (u.grad)u||_3
-    sup_R: np.ndarray
-    sup_Q: np.ndarray
 
 
 def perturb_state(
@@ -110,29 +106,6 @@ def perturb_state(
     return State(g, R, Q, m, state.t)
 
 
-def restrict_state(state: State, factor: int) -> State:
-    """Sample a finer-grid state onto a grid coarsened by ``factor``.
-
-    Grid points of the coarse grid coincide with every ``factor``-th point
-    of the fine grid, so restriction is plain subsampling. This supports
-    using a higher-resolution run as the reference in final-time
-    discretization-independence checks; mid-run samples of runs on
-    different grids do not share a step schedule.
-    """
-    g = state.grid
-    if factor < 1 or g.n % factor != 0 or g.n // factor < 8:
-        raise DomainError(f"cannot coarsen n={g.n} by factor {factor}")
-    coarse = grids.PeriodicGrid(g.dim, g.n // factor, g.length)
-    sel = (slice(None, None, factor),) * g.dim
-    return State(
-        coarse,
-        state.R[sel].copy(),
-        state.Q[sel].copy(),
-        state.m[(slice(None), *sel)].copy(),
-        state.t,
-    )
-
-
 def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
     """Difference norms of two trajectories on matched grids and samples."""
     if weak.grid != strong.grid:
@@ -146,7 +119,7 @@ def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
     floor = weak.params.density_floor
     n = len(weak.snapshots)
     cols = {name: np.zeros(n) for name in PairDiagnostics.COLUMNS}
-    cols["t"] = weak.snapshot_times.copy()
+    cols["t"] = weak.snapshot_times
     for k, (w, s) in enumerate(zip(weak.snapshots, strong.snapshots)):
         U = w.velocity(floor)[0] - s.velocity(floor)[0]
         frakR = w.R - s.R
@@ -177,18 +150,7 @@ def reference_series(traj: Trajectory, params: SimParams) -> ReferenceSeries:
     g = traj.grid
     floor = params.density_floor
     n = len(traj.snapshots)
-    out = {
-        name: np.zeros(n)
-        for name in (
-            "grad_u_2",
-            "grad_u_inf",
-            "grad_R_3",
-            "grad_Q_3",
-            "material_3",
-            "sup_R",
-            "sup_Q",
-        )
-    }
+    out = {name: np.zeros(n) for name in ("grad_u_2", "grad_u_inf", "material_3")}
     for k, s in enumerate(traj.snapshots):
         ten = dynamics.rhs(s, params)
         u = ten.u
@@ -199,11 +161,7 @@ def reference_series(traj: Trajectory, params: SimParams) -> ReferenceSeries:
         out["material_3"][k] = grids.lp_norm(g, dtu + conv, 3)
         out["grad_u_2"][k] = grids.lp_norm(g, jac, 2)
         out["grad_u_inf"][k] = grids.lp_norm(g, jac, math.inf)
-        out["grad_R_3"][k] = grids.lp_norm(g, grids.gradient(g, s.R), 3)
-        out["grad_Q_3"][k] = grids.lp_norm(g, grids.gradient(g, s.Q), 3)
-        out["sup_R"][k] = float(np.max(np.abs(s.R)))
-        out["sup_Q"][k] = float(np.max(np.abs(s.Q)))
-    return ReferenceSeries(t=traj.snapshot_times.copy(), **out)
+    return ReferenceSeries(t=traj.snapshot_times, **out)
 
 
 @dataclass
@@ -307,52 +265,13 @@ def check_mean_velocity(
             fitted = max(fitted, diag.mean_U[k] * m0_s / bracket)
     verdict = bool(np.all(residual <= rtol * np.maximum(scale, 1e-300)))
     return MeanVelocityReport(
-        t=weak.snapshot_times.copy(),
+        t=weak.snapshot_times,
         residual=residual,
         scale=scale,
         rtol=rtol,
         verdict=verdict,
         fitted_C=fitted,
     )
-
-
-@dataclass
-class RateReport:
-    """Transport-rate inequality check for one density difference."""
-
-    t: np.ndarray
-    lhs: np.ndarray  # d/dt of the difference norm
-    rhs: np.ndarray  # structural right-hand side with constant 1
-    fitted_C: float
-
-
-def check_transport_rates(
-    diag: PairDiagnostics, ref: ReferenceSeries
-) -> tuple[RateReport, RateReport]:
-    """Fit the constants in the density-difference transport estimates.
-
-    d/dt ||frakR|| is estimated by centered differences of the sampled norm
-    and compared against (sup R + sup R~)||grad U|| + ||grad u~||_inf ||frakR||
-    + ||grad R~||_3 ||U||_6; the fitted constant is the largest ratio. Same
-    for calQ.
-    """
-    reports = []
-    for norm_diff, grad_ref in (
-        (diag.norm_frakR, ref.grad_R_3),
-        (diag.norm_calQ, ref.grad_Q_3),
-    ):
-        lhs = np.gradient(norm_diff, diag.t)
-        rhs = (
-            (diag.sup_R + ref.sup_R) * diag.norm_gradU
-            + ref.grad_u_inf * norm_diff
-            + grad_ref * diag.norm_U6
-        )
-        valid = rhs > EPS_DIV
-        fitted = float(np.max(lhs[valid] / rhs[valid])) if valid.any() else 0.0
-        reports.append(
-            RateReport(t=diag.t.copy(), lhs=lhs, rhs=rhs, fitted_C=fitted)
-        )
-    return reports[0], reports[1]
 
 
 def _trace_ingredients(diag, ref, params, mu_weighted):

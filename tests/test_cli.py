@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twofluid import cli, config, dynamics, gronwall, iofmt, twin
 from twofluid.errors import ConfigError
@@ -68,6 +70,21 @@ class TestSimulate:
         assert cli.main(["simulate", "--out", str(by_set), *sets]) == 0
         for name in ("diagnostics.csv", "energy.csv"):
             assert (by_set / name).read_bytes() == (by_file / name).read_bytes()
+
+
+    def test_keeps_only_the_initial_and_final_states(self, tmp_path, monkeypatch):
+        kept = []
+        run = dynamics.run
+
+        def capture(*args, **kwargs):
+            kept.append(run(*args, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr(dynamics, "run", capture)
+        assert cli.main(["simulate", "--out", str(tmp_path), *FAST]) == 0
+        (traj,) = kept
+        assert len(traj.snapshots) == 2 < len(traj.diagnostics.t)
+        assert traj.initial.t == 0.0 and traj.final.t == 0.05
 
 
 class TestCompare:
@@ -355,6 +372,12 @@ class TestErrorPaths:
         assert err.startswith("configuration error: cfl must lie in (0, 1]")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_multi_line_override_exits_2(self, tmp_path, capsys):
+        value = "physics.mu=0.2\n[grid]\nn = 16"
+        code = cli.main(["simulate", "--out", str(tmp_path), "--set", value])
+        assert code == 2
+        assert_one_line_config_error(capsys, f"override {value!r} must be one line")
+
     def test_bad_override_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--set", "x=1"]) == 2
 
@@ -371,3 +394,147 @@ class TestErrorPaths:
              "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+# Each example rewrites the same files under tmp_path.
+SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+TINY = np.finfo(float).tiny
+HUGE = np.finfo(float).max
+EDGES = [0.0, -0.0, 5e-324, -5e-324, TINY, np.nextafter(TINY, 0.0), HUGE, -HUGE, 1e-300, 1e300, 0.1]
+finite = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+nonnegative = st.one_of(
+    st.sampled_from([e for e in EDGES if not e < 0.0]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRoundTrips:
+    @settings(max_examples=40, **SETTINGS)
+    @given(rows=st.lists(st.lists(finite, min_size=10, max_size=10), min_size=1, max_size=6))
+    def test_csv_rows(self, tmp_path, rows):
+        path = tmp_path / "table.csv"
+        iofmt.write_closure_table(path, rows)
+        cols = iofmt.read_diagnostics_csv(path)
+        assert list(cols) == iofmt.CLOSURE_TABLE_HEADER.split(",")
+        assert same_bits(np.column_stack(list(cols.values())), rows)
+
+    @settings(max_examples=40, **SETTINGS)
+    @given(
+        times=st.lists(
+            st.floats(min_value=5e-324, max_value=HUGE), min_size=1, max_size=6, unique=True
+        ),
+        data=st.data(),
+    )
+    def test_trace(self, tmp_path, times, data):
+        t = np.array([0.0, *sorted(times)])
+        cols = [data.draw(st.lists(nonnegative, min_size=len(t), max_size=len(t))) for _ in range(4)]
+        trace = gronwall.GronwallTrace(t, *map(np.array, cols))
+        path = tmp_path / "trace.csv"
+        iofmt.write_trace_csv(path, trace)
+        back = iofmt.read_trace_csv(path)
+        for name in ("t", "f", "gprime", "alpha", "beta"):
+            assert same_bits(getattr(back, name), getattr(trace, name))
+
+    @settings(max_examples=30, **SETTINGS)
+    @given(
+        dim=st.integers(1, 3),
+        vector=st.booleans(),
+        length=st.one_of(st.sampled_from([5e-324, 1e-300, 1e300, HUGE]), st.floats(1e-3, 1e3)),
+        t=finite,
+        name=st.sampled_from(["R", "Q", "m"]),
+        data=st.data(),
+    )
+    def test_field(self, tmp_path, dim, vector, length, t, name, data):
+        grid = PeriodicGrid(dim, 8, length)
+        shape = (dim, *grid.shape) if vector and dim > 1 else grid.shape
+        values = data.draw(arrays(np.float64, shape, elements=finite))
+        path = tmp_path / "field.dat"
+        iofmt.write_field(path, grid, values, t, name)
+        back_grid, back, back_t, back_name = iofmt.read_field(path)
+        assert back_grid == grid and back_name == name
+        assert same_bits(back, values) and same_bits(back_t, t)
+
+
+TRACE_TEXT = f"{iofmt.TRACE_HEADER}\n0,1,0.5,0.25,0\n0.5,1.5,0.5,0.25,0\n1,2,0.5,0.25,0\n"
+DIAGNOSTICS_TEXT = (
+    f"{iofmt.DIAGNOSTICS_HEADER}\n"
+    "0,0.5,1,2,3,0.25,0.5,0.5,0.1,0\n"
+    "0.5,0.5,1,2,2.9,0.25,0.5,0.5,0.1,0\n"
+    "1,0,1,2,2.8,0.25,0.5,0.5,0.1,0\n"
+)
+
+
+def run_on(tmp_path, capsys, command, payload: bytes):
+    """Exit code of gronwall-check or energy-audit on a file holding ``payload``."""
+    capsys.readouterr()  # drop what earlier examples printed
+    path = tmp_path / "input.csv"
+    path.write_bytes(payload)
+    if command == "gronwall-check":
+        return cli.main(["gronwall-check", "--trace", str(path)])
+    return cli.main(["energy-audit", "--diagnostics", str(path), "--out", str(tmp_path / "o")])
+
+
+inputs = st.sampled_from([("gronwall-check", TRACE_TEXT), ("energy-audit", DIAGNOSTICS_TEXT)])
+
+
+@st.composite
+def mangled(draw, text: str) -> bytes:
+    """The text with random bytes cut out, overwritten or inserted."""
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        data[i:j] = draw(st.binary(max_size=8))
+    return bytes(data)
+
+
+@st.composite
+def invalid(draw, text: str) -> bytes:
+    """The text with a defect no reader may accept."""
+    lines = text.splitlines()
+    row = draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = draw(st.integers(0, len(cells) - 1))
+    kind = draw(st.sampled_from(["bad cell", "extra cell", "lost cell", "not utf-8"]))
+    if kind == "bad cell":
+        cells[col] = draw(st.sampled_from(["", "abc", "1e", "--1", "0x10", "1.2.3", "\x00"]))
+    elif kind == "extra cell":
+        cells.insert(col, "1")
+    elif kind == "lost cell":
+        del cells[col]
+    lines[row] = ",".join(cells)
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "not utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    return data
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=60, **SETTINGS)
+    @given(case=inputs, data=st.data())
+    def test_mangled_file_exits_cleanly(self, tmp_path, capsys, case, data):
+        command, text = case
+        code = run_on(tmp_path, capsys, command, data.draw(mangled(text)))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert_one_line_config_error(capsys, "")
+
+    @settings(max_examples=40, **SETTINGS)
+    @given(case=inputs, data=st.data())
+    def test_invalid_file_exits_2_with_one_line(self, tmp_path, capsys, case, data):
+        command, text = case
+        assert run_on(tmp_path, capsys, command, data.draw(invalid(text))) == 2
+        assert_one_line_config_error(capsys, "")
+
+    @settings(max_examples=20, **SETTINGS)
+    @given(case=inputs, payload=st.binary(min_size=1, max_size=64))
+    def test_binary_file_exits_2_with_one_line(self, tmp_path, capsys, case, payload):
+        assert run_on(tmp_path, capsys, case[0], b"\xff" + payload) == 2
+        assert_one_line_config_error(capsys, "")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twofluid import closure
 from twofluid.closure import ClosureParams
@@ -98,17 +98,23 @@ class TestPressure:
         )
 
 
+def derivatives_at(point, params):
+    """(dZ/dR, dZ/dQ) at one solved closure point."""
+    dzr, dzq = closure.derivative_arrays(np.array([point.R]), np.array([point.Z]), params.gamma)
+    return float(dzr[0]), float(dzq[0])
+
+
 class TestDerivatives:
     def test_gamma_one_gives_unit_derivatives(self):
         params = ClosureParams(2.0, 2.0)
-        point = closure.solve_Z(0.7, 1.3, params)
-        assert closure.dZ_dR(point, params) == pytest.approx(1.0, rel=1e-12)
-        assert closure.dZ_dQ(point, params) == pytest.approx(1.0, rel=1e-12)
+        dzr, dzq = derivatives_at(closure.solve_Z(0.7, 1.3, params), params)
+        assert dzr == pytest.approx(1.0, rel=1e-12)
+        assert dzq == pytest.approx(1.0, rel=1e-12)
 
     def test_r_zero_collapses_to_inverse_gamma(self):
         params = ClosureParams(1.5, 3.0)
-        point = closure.solve_Z(0.0, 4.0, params)
-        assert closure.dZ_dR(point, params) == pytest.approx(2.0, rel=1e-14)
+        dzr, _ = derivatives_at(closure.solve_Z(0.0, 4.0, params), params)
+        assert dzr == pytest.approx(2.0, rel=1e-14)
 
     def test_finite_difference_agreement(self):
         params = ClosureParams(1.5, 3.0)
@@ -122,16 +128,22 @@ class TestDerivatives:
             closure.solve_Z(1.0, 1.0 + h, params).Z
             - closure.solve_Z(1.0, 1.0 - h, params).Z
         ) / (2 * h)
-        assert closure.dZ_dR(point, params) == pytest.approx(fd_r, rel=1e-6)
-        assert closure.dZ_dQ(point, params) == pytest.approx(fd_q, rel=1e-6)
+        dzr, dzq = derivatives_at(point, params)
+        assert dzr == pytest.approx(fd_r, rel=1e-6)
+        assert dzq == pytest.approx(fd_q, rel=1e-6)
 
-    def test_vacuum_rejected(self):
-        params = ClosureParams(1.5, 3.0)
-        point = closure.solve_Z(0.0, 0.0, params)
-        with pytest.raises(DomainError):
-            closure.dZ_dR(point, params)
-        with pytest.raises(DomainError):
-            closure.dZ_dQ(point, params)
+    @pytest.mark.parametrize("R", [5e-324, 0.0])
+    def test_subnormal_point_keeps_exact_values(self, R):
+        # gamma*Z - (gamma-1)*R underflows to 0 at Z = 5e-324; the exact
+        # values are 1/(gamma - (gamma-1) alpha) and Z**(1-gamma) times it
+        Z, gamma = 5e-324, 0.5
+        alpha = R / Z
+        with np.errstate(divide="raise", invalid="raise"):
+            dzr, dzq = closure.derivative_arrays(np.array([R, 1.0]), np.array([Z, 2.0]), gamma)
+        assert dzr[0] == 1.0 / (gamma - (gamma - 1.0) * alpha)
+        assert dzq[0] == pytest.approx(Z ** (1.0 - gamma) / (gamma - (gamma - 1.0) * alpha), rel=1e-15)
+        # the lane beside it keeps the plain form, bit for bit
+        assert dzr[1] == 2.0 / (gamma * 2.0 - (gamma - 1.0) * 1.0)
 
 
 class TestField:
@@ -245,14 +257,16 @@ class TestProperties:
         params = ClosureParams(*pair)
         point = closure.solve_Z(R, Q, params)
         gamma = params.gamma
-        assert abs(closure.dZ_dR(point, params)) <= 1.0 / gamma
-        assert abs(closure.dZ_dQ(point, params)) <= point.Z ** (1.0 - gamma) / gamma
+        dzr, dzq = derivatives_at(point, params)
+        assert abs(dzr) <= 1.0 / gamma
+        assert abs(dzq) <= point.Z ** (1.0 - gamma) / gamma
 
     @settings(max_examples=100, deadline=None)
     @given(
         points=st.lists(st.tuples(finite_density, finite_density), min_size=1, max_size=32),
         pair=st.sampled_from(GAMMA_PAIRS + [(1.2, 5.0)]),
     )
+    @example(points=[(5e-324, 0.0), (1.0, 1.0)], pair=(1.5, 3.0))
     def test_field_solve_matches_scalar_solve_lane_by_lane(self, points, pair):
         params = ClosureParams(*pair)
         R = np.array([r for r, _ in points])
@@ -270,8 +284,7 @@ class TestProperties:
             assert p[k] == closure.pressure(point.Z, params)
             assert res[k] == closure.closure_residual(r, q, point.Z, params)
             if point.Z > 0.0:
-                assert dzr[j] == closure.dZ_dR(point, params)
-                assert dzq[j] == closure.dZ_dQ(point, params)
+                assert (dzr[j], dzq[j]) == derivatives_at(point, params)
                 j += 1
 
 

@@ -173,6 +173,10 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             config.apply_overrides("", ["mu=0.2"])
 
+    def test_value_cannot_carry_further_lines(self):
+        with pytest.raises(ConfigError, match="must be one line"):
+            config.apply_overrides("", ["physics.mu=0.2\n[grid]\nn = 16"])
+
 
 class TestInitialData:
     def test_multi_mode_2d_field(self):
@@ -270,6 +274,10 @@ def overrides(dim):
     )
 
 
+# str.splitlines() breaks a line at each of these
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+
+
 BASE_TEXTS = [
     "",
     "[grid]\nn = 16\n[physics]\nmu = 0.2",
@@ -285,6 +293,15 @@ class TestConfigProperties:
         ovs = data.draw(overrides(dim))
         via_set = outcome(config.apply_overrides(base, ovs))
         assert via_set == outcome(edit_lines(base, ovs))
+        # a line break with text after it would write a further config line
+        i = data.draw(st.integers(0, len(ovs) - 1))
+        cut = data.draw(st.integers(0, len(ovs[i])))
+        extra = data.draw(st.sampled_from(LINE_BREAKS)) + data.draw(
+            st.sampled_from(["[grid]", "n = 16", "mu = 0.2", "x"])
+        )
+        ovs[i] = ovs[i][:cut] + extra + ovs[i][cut:]
+        with pytest.raises(ConfigError, match="must be one line"):
+            config.apply_overrides(base, ovs)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2, 3]))

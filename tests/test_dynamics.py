@@ -265,21 +265,6 @@ class TestRun:
         assert traj.snapshot_times[0] == 0.0
         assert traj.snapshot_times[-1] == traj.final.t
 
-    def test_probe_can_replace_state(self, std1d_initial, std1d_params):
-        calls = []
-
-        def probe(k, state):
-            calls.append(k)
-            if k == 3:
-                bumped = state.copy()
-                bumped.m = bumped.m * 1.5
-                return bumped
-            return None
-
-        params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.05)
-        traj = dynamics.run(std1d_initial, params, probes=[probe])
-        assert calls == list(range(1, len(traj.dts) + 1))
-
     def test_floor_hits_counted(self):
         g = PeriodicGrid(1, 32)
         state = State(

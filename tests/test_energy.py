@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,16 +112,25 @@ class TestAudit:
         audit = energy.audit_energy(traj128)
         assert audit.max_defect <= 1e-5
 
-    def test_injected_energy_is_flagged(self, std1d_initial, std1d_params):
-        def inject(k, state):
-            if k == 40:
-                bumped = state.copy()
-                bumped.m = bumped.m * 1.01
-                return bumped
-            return None
-
-        traj = dynamics.run(std1d_initial, std1d_params, probes=[inject])
-        audit = energy.audit_energy(traj)
+    def test_injected_energy_is_flagged(self, std1d_initial, std1d_params, traj128):
+        # leg 1 replays the first 40 steps; leg 2 restarts from that state
+        # with its momentum bumped 1 %, and the audit sees the joined series
+        t40 = traj128.diagnostics.t[40]
+        leg1 = dynamics.run(
+            std1d_initial,
+            dataclasses.replace(std1d_params, t_end=t40),
+            dt_schedule=traj128.dts[:40],
+        )
+        s = leg1.final
+        assert s.t == t40
+        bumped = State(s.grid, s.R, s.Q, 1.01 * s.m, s.t)
+        leg2 = dynamics.run(bumped, std1d_params).diagnostics
+        d1 = leg1.diagnostics
+        audit = energy.audit_series(
+            np.concatenate((d1.t[:-1], leg2.t)),
+            np.concatenate((d1.energy[:-1], leg2.energy)),
+            np.concatenate((d1.dissipation[:-1], leg2.dissipation)),
+        )
         assert audit.max_defect > 1e-5
 
     def test_audit_series_matches_trapezoid(self):

@@ -133,21 +133,6 @@ class TestMeanVelocity:
             twin.check_mean_velocity(t1, t0, d)
 
 
-class TestTransportRates:
-    def test_zero_twin_fits_zero(self, std1d_initial, std1d_params):
-        result = twin.run_twin(std1d_initial, std1d_params, delta=0.0)
-        rep_R, rep_Q = twin.check_transport_rates(result.diag, result.ref)
-        assert np.all(rep_R.lhs == 0.0)
-        assert rep_R.fitted_C == 0.0
-        assert rep_Q.fitted_C == 0.0
-
-    def test_std1d_rates_are_bounded(self, twin128):
-        rep_R, rep_Q = twin.check_transport_rates(twin128.diag, twin128.ref)
-        assert np.isfinite(rep_R.fitted_C)
-        assert np.isfinite(rep_Q.fitted_C)
-        # the one-sided estimate must actually dominate somewhere reasonable
-        assert rep_R.fitted_C <= 10.0
-        assert rep_Q.fitted_C <= 10.0
 
     def test_frozen_velocity_transport_constant_stable_under_dt(self):
         # difference transport with U = 0: d/dt ||frakR|| <= C ||grad u~||_inf ||frakR||
@@ -235,31 +220,24 @@ class TestHorizonMonotonicity:
 
 
 class TestRestrictedReference:
-    def test_restriction_subsamples_exactly(self, std1d_initial):
-        coarse = twin.restrict_state(std1d_initial, 4)
-        assert coarse.grid.n == 32
-        assert np.array_equal(coarse.R, std1d_initial.R[::4])
-        with pytest.raises(DomainError):
-            twin.restrict_state(std1d_initial, 3)
-
     def test_fine_reference_agrees_at_final_time(self, std1d_cfg, traj128):
-        # a restricted higher-resolution run is a valid reference at t_end:
-        # the coarse run must approach it at the discretization order
+        # a higher-resolution run restricted to the coarse grid points (every
+        # other fine point) is a valid reference at t_end: the coarse run
+        # must approach it at the discretization order
         from twofluid import config as cfgmod
 
         errs = []
         for n in (128, 256):
             cfg = cfgmod.parse_config(f"[grid]\nn = {2 * n}\n")
             fine = dynamics.run(cfgmod.build_initial_state(cfg), cfg.sim_params())
-            restricted = twin.restrict_state(fine.final, 2)
             coarse_cfg = cfgmod.parse_config(f"[grid]\nn = {n}\n")
             coarse = dynamics.run(
                 cfgmod.build_initial_state(coarse_cfg), coarse_cfg.sim_params()
             )
-            assert restricted.t == coarse.final.t == 0.5
+            assert fine.final.t == coarse.final.t == 0.5
             errs.append(
-                grids.lp_norm(coarse_cfg.grid, coarse.final.R - restricted.R, 2)
-                + grids.lp_norm(coarse_cfg.grid, coarse.final.Q - restricted.Q, 2)
+                grids.lp_norm(coarse_cfg.grid, coarse.final.R - fine.final.R[::2], 2)
+                + grids.lp_norm(coarse_cfg.grid, coarse.final.Q - fine.final.Q[::2], 2)
             )
         assert math.log2(errs[0] / errs[1]) >= 1.5
 

@@ -10,7 +10,16 @@ the partial derivatives of Z with respect to either density.
 Every solve is bracketed: F(Z) = Z**gamma - R*Z**(gamma-1) is strictly
 increasing on [R, inf) with F(R) = 0, and the root never exceeds
 max(2R, (2Q)**(1/gamma)), so a Newton iteration with bisection fallback
-cannot escape and always converges.
+cannot escape the bracket. A point converges when its residual meets the
+tolerance, or when its bracket holds no double strictly inside: where
+Z**gamma >> Q the residual's rounding exceeds the absolute tolerance, and
+the collapsed bracket pins the root as closely as doubles can. Only a point
+that runs out of ``max_iter`` first raises ConvergenceError.
+
+Newton starts at the bracket midpoint, or at a caller's ``guess`` clipped
+into the bracket (time integration passes the previous state's Z, which
+saves two of the five Newton steps of a cold start), and one clipped Newton
+polish step after convergence pushes the residual to the rounding floor.
 """
 
 from __future__ import annotations
@@ -101,24 +110,39 @@ def _residual_slope(R, Q, z, gamma):
     return f, fp
 
 
-def _bracketed_newton(R, Q, gamma, tol_abs, tol_rel, max_iter):
+def _pinned(z, lo, hi):
+    """Lanes whose bracket has collapsed onto a finite z.
+
+    After the first update z lies strictly inside its bracket, as a Newton
+    point or as the midpoint, unless no double lies strictly inside: then
+    the midpoint rounds onto an end and z can never move again. A midpoint
+    that overflows to inf is not pinned; that lane exhausts its budget.
+    """
+    return ((z <= lo) | (z >= hi)) & (z < np.inf)
+
+
+def _bracketed_newton(R, Q, gamma, tol_abs, tol_rel, max_iter, guess=None):
     """Vectorised safeguarded Newton on flat arrays with R > 0, Q > 0.
 
-    Lanes whose residual meets tol_abs + tol_rel*max(1, Q) drop out of the
-    working set. Two clipped polish steps afterwards push residuals to the
-    rounding floor, well below the advertised tolerance.
+    Lanes whose residual meets tol_abs + tol_rel*max(1, Q), or that are
+    pinned by a collapsed bracket, drop out of the working set. A pinned
+    lane can never move, so the second test only stops lanes that would
+    otherwise exhaust ``max_iter``. One clipped polish step afterwards pushes
+    residuals to the rounding floor, well below the tolerance.
     """
     lo0 = np.maximum(R, Z_EPS)
     hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
-    z_out = 0.5 * (lo0 + hi0)
+    z_out = 0.5 * (lo0 + hi0) if guess is None else np.clip(guess, lo0, hi0)
 
     idx = np.arange(z_out.size)
     R_, Q_, z_ = R.copy(), Q.copy(), z_out.copy()
     lo_, hi_ = lo0.copy(), hi0.copy()
     ftol_ = tol_abs + tol_rel * np.maximum(1.0, Q_)
-    for _ in range(max_iter):
+    for k in range(max_iter):
         f, fp = _residual_slope(R_, Q_, z_, gamma)
         conv = np.abs(f) <= ftol_
+        if k:  # a clipped guess may start on an end of an open bracket
+            conv |= _pinned(z_, lo_, hi_)
         if conv.any():
             z_out[idx[conv]] = z_[conv]
             keep = ~conv
@@ -136,7 +160,7 @@ def _bracketed_newton(R, Q, gamma, tol_abs, tol_rel, max_iter):
     else:
         # Lanes updated on the last sweep never saw a convergence test.
         f, _ = _residual_slope(R_, Q_, z_, gamma)
-        conv = np.abs(f) <= ftol_
+        conv = (np.abs(f) <= ftol_) | _pinned(z_, lo_, hi_)
         z_out[idx[conv]] = z_[conv]
         if not conv.all():
             stuck = ~conv
@@ -149,15 +173,13 @@ def _bracketed_newton(R, Q, gamma, tol_abs, tol_rel, max_iter):
                 index=i,
             )
 
-    for _ in range(2):
-        f, fp = _residual_slope(R, Q, z_out, gamma)
-        z_new = np.clip(z_out - f / fp, lo0, hi0)
-        f_new, _ = _residual_slope(R, Q, z_new, gamma)
-        z_out = np.where(np.abs(f_new) < np.abs(f), z_new, z_out)
-    return z_out
+    f, fp = _residual_slope(R, Q, z_out, gamma)
+    z_new = np.clip(z_out - f / fp, lo0, hi0)
+    f_new, _ = _residual_slope(R, Q, z_new, gamma)
+    return np.where(np.abs(f_new) < np.abs(f), z_new, z_out)
 
 
-def _solve_z_arrays(R, Q, gamma, tol_abs, tol_rel, max_iter):
+def _solve_z_arrays(R, Q, gamma, tol_abs, tol_rel, max_iter, guess=None):
     """Dispatch degenerate branches, then Newton on the rest. Flat arrays."""
     Z = np.empty_like(R)
     q_zero = Q == 0.0
@@ -166,8 +188,9 @@ def _solve_z_arrays(R, Q, gamma, tol_abs, tol_rel, max_iter):
     Z[q_zero] = R[q_zero]  # F(R) = 0 and F strictly increasing, so Z = R
     Z[r_zero] = np.power(Q[r_zero], 1.0 / gamma)
     if general.any():
+        start = None if guess is None else guess[general]
         Z[general] = _bracketed_newton(
-            R[general], Q[general], gamma, tol_abs, tol_rel, max_iter
+            R[general], Q[general], gamma, tol_abs, tol_rel, max_iter, start
         )
     return Z
 
@@ -214,20 +237,30 @@ def solve_Z_field(
     tol_abs: float = TOL_ABS,
     tol_rel: float = TOL_REL,
     max_iter: int = MAX_ITER,
+    guess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise closure solve over matching arrays; returns (Z, alpha).
 
     alpha is NaN wherever Z = 0. Points are independent, so the result does
     not depend on evaluation order.
+
+    ``guess``, a finite array of R's shape such as the Z of a nearby state,
+    starts Newton there instead of at the bracket midpoint. It changes the
+    root by a few ulp at most, not the bracket or the tolerance.
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if R.shape != Q.shape:
         raise DomainError(f"field shapes differ: {R.shape} vs {Q.shape}")
     _validate_inputs(R, Q)
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != R.shape or not np.all(np.isfinite(guess)):
+            raise DomainError(f"guess must be a finite array of shape {R.shape}")
+        guess = guess.ravel()
     try:
         Z = _solve_z_arrays(
-            R.ravel(), Q.ravel(), params.gamma, tol_abs, tol_rel, max_iter
+            R.ravel(), Q.ravel(), params.gamma, tol_abs, tol_rel, max_iter, guess
         ).reshape(R.shape)
     except ConvergenceError as err:
         if err.index is not None and R.ndim > 0:

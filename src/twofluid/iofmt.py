@@ -2,9 +2,13 @@
 
 Every float is written with 17 significant digits, which round-trips 64-bit
 values exactly. Column names and order are part of the interface contract.
+Writers format up to ``CHUNK`` values with one ``%`` operation, which
+prints the bytes of one ``fmt`` call per value at about half the cost.
 """
 
 from __future__ import annotations
+
+from itertools import chain, islice
 
 import numpy as np
 
@@ -22,19 +26,43 @@ TRACE_HEADER = "t,f,gprime,alpha,beta"
 SWEEP_HEADER = "delta,sup_distance,ratio,fitted_C"
 CLOSURE_TABLE_HEADER = "R,Q,gamma_plus,gamma_minus,Z,alpha,p,dZdR,dZdQ,residual"
 
+CHUNK = 4096  # values per % operation, which bounds the text held in memory
+_INTS = (int, np.integer)
+
 
 def fmt(x) -> str:
     """One value, 17 significant digits for floats."""
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, _INTS):
         return str(int(x))
     return f"{float(x):.17g}"
 
 
+def _spec(x) -> str:
+    """The ``%`` conversion that prints x exactly as ``fmt`` does."""
+    return "%d" if isinstance(x, _INTS) else "%.17g"
+
+
+def _format_rows(rows: list[tuple]) -> str:
+    """The lines ``",".join(fmt(v) for v in row)`` of all rows, from one ``%``."""
+    specs = []
+    for column in zip(*rows):
+        ints = {issubclass(t, _INTS) for t in set(map(type, column))}
+        if len(ints) > 1:  # ints and floats in one column: a spec per cell
+            template = "".join(",".join(map(_spec, row)) + "\n" for row in rows)
+            break
+        specs.append("%d" if ints.pop() else "%.17g")
+    else:
+        template = (",".join(specs) + "\n") * len(rows)
+    return template % tuple(chain.from_iterable(rows))
+
+
 def _write_rows(path, header: str, rows) -> None:
+    rows = iter(rows)
+    per_chunk = max(1, CHUNK // (header.count(",") + 1))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        while chunk := [tuple(row) for row in islice(rows, per_chunk)]:
+            fh.write(_format_rows(chunk))
 
 
 def _read_table(path, header: str | None = None) -> tuple[list[str], np.ndarray]:
@@ -125,16 +153,24 @@ def write_closure_table(path, rows) -> None:
 def write_field(path, grid: PeriodicGrid, values: np.ndarray, t: float, name: str) -> None:
     """Dump one field: header '# dim n L t name', then row-major values."""
     flat = np.asarray(values).ravel(order="C")
+    line = "%d\n" if flat.dtype.kind in "biu" else "%.17g\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {grid.dim} {grid.n} {fmt(grid.length)} {fmt(t)} {name}\n")
-        for v in flat:
-            fh.write(fmt(v) + "\n")
+        for start in range(0, flat.size, CHUNK):
+            chunk = flat[start : start + CHUNK].tolist()
+            fh.write(line * len(chunk) % tuple(chunk))
 
 
 def read_field(path) -> tuple[PeriodicGrid, np.ndarray, float, str]:
-    """Inverse of write_field; vector fields come back with the leading axis."""
+    """Inverse of write_field; vector fields come back with the leading axis.
+
+    Every defect of the file's content is a ConfigError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
         if not header.startswith("# "):
             raise ConfigError(f"{path}: missing field header")
         parts = header[2:].split()
@@ -145,7 +181,7 @@ def read_field(path) -> tuple[PeriodicGrid, np.ndarray, float, str]:
             length, t, name = float(parts[2]), float(parts[3]), parts[4]
             values = np.asarray([float(line) for line in fh if line.strip()])
             grid = PeriodicGrid(dim=dim, n=n, length=length)
-        except (ValueError, DomainError) as err:
+        except (ValueError, DomainError) as err:  # UnicodeDecodeError included
             raise ConfigError(f"{path}: malformed field dump: {err}") from err
     if values.size == grid.npoints:
         shaped = values.reshape(grid.shape)

@@ -211,6 +211,17 @@ class TestClosureTable:
         value = lines[1].split(",")[4]
         assert float(iofmt.fmt(float(value))) == float(value)
 
+    def test_large_gamma_ratio_at_moderate_density_exits_0(self, tmp_path):
+        # gamma = 2: at R = 100, Q = 0.6 the residual rounds above its tolerance
+        out = tmp_path / "tab"
+        code = cli.main(
+            ["closure-table", "--out", str(out),
+             "--set", "physics.gamma_plus=3", "--set", "physics.gamma_minus=1.5",
+             "--r-max", "1000", "--q-max", "1"]
+        )
+        assert code == 0
+        assert len(read_lines(out / "closure_table.csv")) > 1
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [
@@ -358,6 +369,13 @@ class TestFieldDumpErrors:
         with pytest.raises(ConfigError, match="f.dat"):
             iofmt.read_field(path)
 
+    @pytest.mark.parametrize("payload", [b"# 1 8 6.28 0 R\n\xff", b"\xff# 1 8 6.28 0 R\n" + b"1\n" * 8])
+    def test_non_utf8_dump_is_config_error(self, tmp_path, payload):
+        path = tmp_path / "f.dat"
+        path.write_bytes(payload)
+        with pytest.raises(ConfigError, match="f.dat"):
+            iofmt.read_field(path)
+
 
 class TestErrorPaths:
     def test_bad_config_exits_2(self, tmp_path):
@@ -459,6 +477,51 @@ class TestRoundTrips:
         back_grid, back, back_t, back_name = iofmt.read_field(path)
         assert back_grid == grid and back_name == name
         assert same_bits(back, values) and same_bits(back_t, t)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(TINY, 0.0), np.inf, -np.inf, np.nan]
+cell = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+)
+
+
+def per_value(header, rows) -> str:
+    """What the writers printed before bulk formatting: one fmt call per value."""
+    return header + "\n" + "".join(",".join(iofmt.fmt(v) for v in row) + "\n" for row in rows)
+
+
+class TestBulkWriter:
+    """Formatting a chunk with one % writes the bytes of one fmt call per value."""
+
+    @settings(max_examples=30, **SETTINGS)
+    @given(
+        rows=st.lists(st.lists(cell, min_size=10, max_size=10), min_size=1, max_size=8),
+        repeat=st.sampled_from([1, 600]),  # 600 rows span two chunks
+    )
+    def test_rows(self, tmp_path, rows, repeat):
+        rows = rows * repeat
+        path = tmp_path / "table.csv"
+        iofmt.write_closure_table(path, rows)
+        assert path.read_bytes() == per_value(iofmt.CLOSURE_TABLE_HEADER, rows).encode()
+
+    @settings(max_examples=30, **SETTINGS)
+    @given(
+        values=st.one_of(
+            arrays(np.float64, st.integers(1, 64), elements=st.sampled_from(SPECIAL) | st.floats()),
+            arrays(np.int64, st.integers(1, 64)),
+        ),
+        repeat=st.sampled_from([1, 130]),  # 130 copies span two chunks
+    )
+    def test_field(self, tmp_path, values, repeat):
+        values = np.tile(values, repeat)
+        path = tmp_path / "field.dat"
+        iofmt.write_field(path, PeriodicGrid(1, 8), values, 0.5, "R")
+        expected = per_value("# 1 8 6.2831853071795862 0.5 R", [[v] for v in values])
+        assert path.read_bytes() == expected.encode()
 
 
 TRACE_TEXT = f"{iofmt.TRACE_HEADER}\n0,1,0.5,0.25,0\n0.5,1.5,0.5,0.25,0\n1,2,0.5,0.25,0\n"

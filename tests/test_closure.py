@@ -183,6 +183,95 @@ class TestField:
         assert "(1, 2)" in str(err.value)
 
 
+def collapse_bisection(R, Q, gamma):
+    """Lane-wise bisection on the residual until no double lies inside.
+
+    Returns the upper end: the smallest double seen where the residual is
+    not negative.
+    """
+    lo = R.copy()
+    hi = np.maximum(2.0 * R, (2.0 * Q) ** (1.0 / gamma))
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (mid > lo) & (mid < hi)
+        if not open_.any():
+            return hi
+        neg = (1.0 - R / mid) * mid**gamma - Q < 0.0
+        lo = np.where(open_ & neg, mid, lo)
+        hi = np.where(open_ & ~neg, mid, hi)
+
+
+def ulp_distance(a, b):
+    """Doubles between two positive finite arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+# R and Q from 1e-2 to 10**6.75 in quarter decades: where Z**gamma >> Q the
+# rounding of the residual exceeds its absolute tolerance.
+QUARTER_DECADES = 10.0 ** (np.arange(-8, 28) / 4.0)
+
+
+class TestCollapsedBracket:
+    @pytest.mark.parametrize("pair", [(1.4, 1.1), (3.0, 1.5), (5.0, 1.4)])
+    def test_quarter_decade_scan_converges_next_to_bisection(self, pair):
+        params = ClosureParams(*pair)
+        R, Q = (a.ravel() for a in np.meshgrid(QUARTER_DECADES, QUARTER_DECADES))
+        Z, _ = closure.solve_Z_field(R, Q, params)
+        assert np.all(ulp_distance(Z, collapse_bisection(R, Q, params.gamma)) <= 2)
+
+    def test_reported_failure_point_converges(self):
+        point = closure.solve_Z(100.0, 0.6, ClosureParams(3.0, 1.5))
+        assert point.Z == pytest.approx(100.00599964004319, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("R,Q", [(1e308, 1.0), (8e307, 1.0), (1.0, 1e308)])
+    def test_overflowing_bracket_still_raises(self, R, Q):
+        # the midpoint overflows to inf, which must not count as pinned
+        with pytest.raises(ConvergenceError):
+            closure.solve_Z(R, Q, ClosureParams(1.5, 3.0))
+
+
+class TestGuess:
+    @pytest.mark.parametrize("pair", GAMMA_PAIRS)
+    @pytest.mark.parametrize("scale", [1.0, 1.001, 0.99, 0.0, 1e300])
+    def test_any_guess_meets_the_tolerance_within_ulps_of_cold(self, pair, scale):
+        rng = np.random.default_rng(11)
+        params = ClosureParams(*pair)
+        R = rng.uniform(0.0, 1.0, (32, 32))
+        Q = rng.uniform(0.0, 1.0, (32, 32))
+        cold, _ = closure.solve_Z_field(R, Q, params)
+        warm, _ = closure.solve_Z_field(R, Q, params, guess=np.minimum(cold * scale, 1e300))
+        res = np.abs(closure.closure_residual(R, Q, warm, params))
+        assert np.all(res <= 1e-12 * np.maximum(1.0, Q))
+        assert np.all((R <= warm) & (warm <= closure.z_upper_bound(R, Q, params)))
+        assert np.all(np.abs(warm - cold) <= 1e-14 * cold)
+
+    def test_good_guess_saves_residual_evaluations(self, monkeypatch):
+        calls = []
+        slope = closure._residual_slope
+
+        def counted(*args):
+            calls.append(1)
+            return slope(*args)
+
+        monkeypatch.setattr(closure, "_residual_slope", counted)
+        rng = np.random.default_rng(3)
+        params = ClosureParams(1.5, 3.0)
+        R, Q = rng.uniform(0.5, 1.5, (2, 256))
+        Z, _ = closure.solve_Z_field(R, Q, params)
+        cold = len(calls)
+        calls.clear()
+        closure.solve_Z_field(R * 1.001, Q, params, guess=Z)
+        assert len(calls) < cold
+
+    def test_guess_must_be_finite_and_match_shape(self):
+        params = ClosureParams(1.5, 3.0)
+        with pytest.raises(DomainError):
+            closure.solve_Z_field(np.ones(4), np.ones(4), params, guess=np.ones(5))
+        with pytest.raises(DomainError):
+            closure.solve_Z_field(np.ones(4), np.ones(4), params, guess=np.full(4, np.nan))
+
+
 class TestSwap:
     def test_symmetric_exponents(self):
         params = ClosureParams(2.0, 2.0)

@@ -279,23 +279,38 @@ class TestRun:
         assert np.all(np.abs(u) <= 1e-13 / 1e-10 + 1e-30)
 
 
-def reference_run(initial, params):
-    """run() without shared evaluations: each public call solves for itself."""
+def reference_run(initial, params, warm=True):
+    """run() without shared evaluations: each public call solves for itself.
+
+    With ``warm`` each call gets its own evaluation started from the guess
+    run() uses (the previous state's Z, and the step's own Z for stage 2);
+    without it every solve is cold.
+    """
     eps_t = max(params.dt_min, 4.0 * np.finfo(float).eps * params.t_end)
+
+    def evaluation(s, guess):
+        return s.evaluate(params, guess=guess) if warm else None
+
     states = [initial.copy()]
+    guesses = [None]
     dts = []
     while params.t_end - states[-1].t > eps_t:
-        state = states[-1]
-        dt = min(dynamics.stable_dt(state, params), params.t_end - state.t)
-        state = dynamics.step(state, params, dt)
+        state, guess = states[-1], guesses[-1]
+        dt = min(
+            dynamics.stable_dt(state, params, evaluation(state, guess)),
+            params.t_end - state.t,
+        )
+        ev = evaluation(state, guess)
+        state = dynamics.step(state, params, dt, ev=ev)
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
         dts.append(dt)
         states.append(state)
+        guesses.append(None if ev is None else ev.Z)
     cols = {name: [] for name in dynamics.DiagnosticSeries.COLUMNS}
     cols.update(kinetic=[], internal=[])
-    for s in states:
-        report = energy.total_energy(s, params)
+    for s, guess in zip(states, guesses):
+        report = energy.total_energy(s, params, evaluation(s, guess))
         u, hits = s.velocity(params.density_floor)
         row = dict(
             t=s.t,
@@ -325,18 +340,29 @@ def smooth_state(g):
     return State(g, R, Q, (R + Q) * u, 0.0)
 
 
+def shared_evaluation_case(case):
+    """(initial state, params) of the std1d-n64, 2d-n16 and 3d-n8 runs."""
+    if case == "std1d-n64":
+        cfg = cfg_at(64)
+        return config.build_initial_state(cfg), cfg.sim_params()
+    dim, n = (2, 16) if case == "2d-n16" else (3, 8)
+    params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=1.0)
+    return smooth_state(PeriodicGrid(dim, n)), params
+
+
+CASES = ["std1d-n64", "2d-n16", "3d-n8"]
+
+# Warm-started closure solves move Z by a few ulp; over these runs the
+# diagnostics and final states drift by at most 6e-15 relative.
+WARM_COLD_RTOL = 1e-13
+
+
 class TestSharedEvaluation:
     """Sharing one evaluation per state changes no bit of a trajectory."""
 
-    @pytest.mark.parametrize("case", ["std1d-n64", "2d-n16", "3d-n8"])
+    @pytest.mark.parametrize("case", CASES)
     def test_run_matches_unshared_reference_loop(self, case):
-        if case == "std1d-n64":
-            cfg = cfg_at(64)
-            initial, params = config.build_initial_state(cfg), cfg.sim_params()
-        else:
-            dim, n = (2, 16) if case == "2d-n16" else (3, 8)
-            initial = smooth_state(PeriodicGrid(dim, n))
-            params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=1.0)
+        initial, params = shared_evaluation_case(case)
         traj = dynamics.run(initial, params)
         cols, final = reference_run(initial, params)
         assert len(traj.dts) > 3
@@ -346,6 +372,20 @@ class TestSharedEvaluation:
         for name in ("R", "Q", "m"):
             assert getattr(traj.final, name).tobytes() == getattr(final, name).tobytes()
         assert traj.final.t == final.t
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_warm_started_run_stays_within_rtol_of_cold_loop(self, case):
+        initial, params = shared_evaluation_case(case)
+        traj = dynamics.run(initial, params)
+        cols, final = reference_run(initial, params, warm=False)
+        assert np.array_equal(traj.diagnostics.floor_hits, cols["floor_hits"])
+        got = {name: getattr(traj.diagnostics, name) for name in cols}
+        got.update((name, getattr(traj.final, name)) for name in ("R", "Q", "m"))
+        cols.update((name, getattr(final, name)) for name in ("R", "Q", "m"))
+        for name, ref in cols.items():
+            assert got[name].shape == ref.shape, name
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got[name] - ref)) <= WARM_COLD_RTOL * scale, name
 
     def test_evaluation_feeds_rhs_stable_dt_and_energy(self, std1d_initial, std1d_params):
         ev = std1d_initial.evaluate(std1d_params)

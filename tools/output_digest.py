@@ -1,10 +1,12 @@
 """Print a digest of what a fixed set of twofluid commands write.
 
     PYTHONPATH=src python3 tools/output_digest.py --n 128 > digest.txt
+    PYTHONPATH=src python3 tools/output_digest.py --n 128 --keep out-128
 
 Each command runs through ``twofluid.cli.main`` in one fresh temporary
-directory, with relative output paths, so the digest does not depend on
-where it ran. For each command it prints the exit code and the sha256 of
+directory, or in the new or empty directory ``--keep`` names, which then
+keeps the outputs, with relative output paths, so the digest does not
+depend on where it ran. For each command it prints the exit code and the sha256 of
 what it printed on stdout and stderr, then ``sha256  path`` for every file
 the command created or changed. Two source trees with equal digests give
 the same exit codes, the same printed lines and the same file bytes. The
@@ -68,11 +70,19 @@ def _files() -> dict[str, str]:
     }
 
 
-def digest(n: int) -> list[str]:
-    """The digest lines of every command at grid size ``n``."""
+def digest(n: int, keep: Path | None = None) -> list[str]:
+    """The digest lines of every command at grid size ``n``.
+
+    The commands write into ``keep`` when given (created if missing, and it
+    must be empty), else into a temporary directory deleted afterwards.
+    """
     lines = [f"twofluid output digest, n={n}"]
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    if keep is not None:
+        keep.mkdir(parents=True, exist_ok=True)
+        if any(keep.iterdir()):
+            raise FileExistsError(f"--keep directory {keep} is not empty")
+    with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for label, argv in commands(n):
@@ -97,8 +107,9 @@ def digest(n: int) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=128, help="grid points per axis")
+    parser.add_argument("--keep", type=Path, help="new or empty directory that keeps the outputs")
     args = parser.parse_args(argv)
-    print("\n".join(digest(args.n)))
+    print("\n".join(digest(args.n, args.keep)))
     return 0
 
 

@@ -78,29 +78,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _require_density_check_applies(target: str, deltas) -> None:
-    """Density stability needs equal initial densities: no density perturbation.
-
-    Checked before integrating, since the check would fail only afterwards.
-    """
-    if target != "velocity" and any(d != 0.0 for d in deltas):
-        raise ConfigError(
-            f"perturbation target {target!r} with nonzero delta changes the "
-            "initial densities, but the density-stability check needs them "
-            "identical; use target = velocity or delta = 0"
-        )
-
-
 def cmd_compare(args) -> int:
     cfg = _load(args)
     p = cfg.perturbation
-    _require_density_check_applies(p.target, [p.delta])
     out = _outdir(args)
     result = twin.run_twin(
         config.build_initial_state(cfg),
         cfg.sim_params(),
         delta=p.delta,
-        target=p.target,
         wavevector=p.wavevector,
         phase=p.phase,
     )
@@ -139,23 +124,21 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     deltas = _parse_deltas(args.deltas)
     p = cfg.perturbation
-    _require_density_check_applies(p.target, deltas)
     out = _outdir(args)
-    report = twin.stability_sweep(
+    rows = twin.stability_sweep(
         config.build_initial_state(cfg),
         cfg.sim_params(),
         deltas,
-        target=p.target,
         wavevector=p.wavevector,
         phase=p.phase,
     )
-    iofmt.write_sweep_csv(out / "sweep.csv", report)
-    for row in report.rows:
+    iofmt.write_sweep_csv(out / "sweep.csv", rows)
+    for row in rows:
         print(
             f"delta={row.delta:g} sup_distance={row.sup_distance:.6e} "
             f"ratio={row.ratio:.6g} fitted_C={row.fitted_C:.6g}"
         )
-    return 0 if all(row.verdict for row in report.rows) else 1
+    return 0 if all(row.verdict for row in rows) else 1
 
 
 def _table_axis(args, axis: str) -> np.ndarray:
@@ -216,6 +199,9 @@ def cmd_gronwall_check(args) -> int:
 
 
 def cmd_energy_audit(args) -> int:
+    tol = args.defect_tol
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--defect-tol must be finite and nonnegative, got {tol!r}")
     path = args.diagnostics
     cols = iofmt.read_diagnostics_csv(path)
     for used in (("t", "energy", "dissipation"), ("t", "kinetic", "internal", "dissipation_rate")):
@@ -238,14 +224,18 @@ def cmd_energy_audit(args) -> int:
     iofmt.write_energy_csv(out / "energy_audit.csv", audit, kinetic=kin, internal=inte)
     print(f"energy-audit: max defect={audit.max_defect:.6e}")
     # Written so that a NaN defect fails the gate instead of passing it.
-    if args.defect_tol is not None and not audit.max_defect <= args.defect_tol:
+    if tol is not None and not audit.max_defect <= tol:
         return 1
     return 0
 
 
+def _add_out(parser) -> None:
+    parser.add_argument("--out", default="out", help="output directory")
+
+
 def _add_common(parser) -> None:
     parser.add_argument("--config", help="config file path (defaults to std1d)")
-    parser.add_argument("--out", default="out", help="output directory")
+    _add_out(parser)
     parser.add_argument(
         "--set",
         action="append",
@@ -255,8 +245,15 @@ def _add_common(parser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a one-line configuration error (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twofluid",
         description="Two-fluid flow laboratory: simulation and stability diagnostics",
     )
@@ -286,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_closure_table)
 
     p = sub.add_parser("gronwall-check", help="verify a trace CSV")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--trace", required=True, help="trace CSV path")
     p.set_defaults(fn=cmd_gronwall_check)
 
     p = sub.add_parser("energy-audit", help="recompute defects from a diagnostics CSV")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--diagnostics", required=True, help="diagnostics CSV path")
     p.add_argument("--defect-tol", type=float, default=None)
     p.set_defaults(fn=cmd_energy_audit)
@@ -300,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

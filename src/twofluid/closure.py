@@ -14,7 +14,7 @@ cannot escape the bracket. A point converges when its residual meets the
 tolerance, or when its bracket holds no double strictly inside: where
 Z**gamma >> Q the residual's rounding exceeds the absolute tolerance, and
 the collapsed bracket pins the root as closely as doubles can. Only a point
-that runs out of ``max_iter`` first raises ConvergenceError.
+that runs out of ``MAX_ITER`` iterations first raises ConvergenceError.
 
 Newton starts at the bracket midpoint, or at a caller's ``guess`` clipped
 into the bracket (time integration passes the previous state's Z, which
@@ -121,13 +121,13 @@ def _pinned(z, lo, hi):
     return ((z <= lo) | (z >= hi)) & (z < np.inf)
 
 
-def _bracketed_newton(R, Q, gamma, tol_abs, tol_rel, max_iter, guess=None):
+def _bracketed_newton(R, Q, gamma, guess=None):
     """Vectorised safeguarded Newton on flat arrays with R > 0, Q > 0.
 
-    Lanes whose residual meets tol_abs + tol_rel*max(1, Q), or that are
+    Lanes whose residual meets TOL_ABS + TOL_REL*max(1, Q), or that are
     pinned by a collapsed bracket, drop out of the working set. A pinned
     lane can never move, so the second test only stops lanes that would
-    otherwise exhaust ``max_iter``. One clipped polish step afterwards pushes
+    otherwise exhaust ``MAX_ITER``. One clipped polish step afterwards pushes
     residuals to the rounding floor, well below the tolerance.
     """
     lo0 = np.maximum(R, Z_EPS)
@@ -137,8 +137,8 @@ def _bracketed_newton(R, Q, gamma, tol_abs, tol_rel, max_iter, guess=None):
     idx = np.arange(z_out.size)
     R_, Q_, z_ = R.copy(), Q.copy(), z_out.copy()
     lo_, hi_ = lo0.copy(), hi0.copy()
-    ftol_ = tol_abs + tol_rel * np.maximum(1.0, Q_)
-    for k in range(max_iter):
+    ftol_ = TOL_ABS + TOL_REL * np.maximum(1.0, Q_)
+    for k in range(MAX_ITER):
         f, fp = _residual_slope(R_, Q_, z_, gamma)
         conv = np.abs(f) <= ftol_
         if k:  # a clipped guess may start on an end of an open bracket
@@ -166,7 +166,7 @@ def _bracketed_newton(R, Q, gamma, tol_abs, tol_rel, max_iter, guess=None):
             stuck = ~conv
             i = int(idx[stuck][0])
             raise ConvergenceError(
-                f"closure solve exhausted {max_iter} iterations at flat index {i} "
+                f"closure solve exhausted {MAX_ITER} iterations at flat index {i} "
                 f"(R={R_[stuck][0]!r}, Q={Q_[stuck][0]!r}, "
                 f"bracket=[{lo_[stuck][0]!r}, {hi_[stuck][0]!r}])",
                 bracket=(float(lo_[stuck][0]), float(hi_[stuck][0])),
@@ -179,7 +179,7 @@ def _bracketed_newton(R, Q, gamma, tol_abs, tol_rel, max_iter, guess=None):
     return np.where(np.abs(f_new) < np.abs(f), z_new, z_out)
 
 
-def _solve_z_arrays(R, Q, gamma, tol_abs, tol_rel, max_iter, guess=None):
+def _solve_z_arrays(R, Q, gamma, guess=None):
     """Dispatch degenerate branches, then Newton on the rest. Flat arrays."""
     Z = np.empty_like(R)
     q_zero = Q == 0.0
@@ -189,9 +189,7 @@ def _solve_z_arrays(R, Q, gamma, tol_abs, tol_rel, max_iter, guess=None):
     Z[r_zero] = np.power(Q[r_zero], 1.0 / gamma)
     if general.any():
         start = None if guess is None else guess[general]
-        Z[general] = _bracketed_newton(
-            R[general], Q[general], gamma, tol_abs, tol_rel, max_iter, start
-        )
+        Z[general] = _bracketed_newton(R[general], Q[general], gamma, start)
     return Z
 
 
@@ -206,15 +204,7 @@ def _validate_inputs(R, Q):
         )
 
 
-def solve_Z(
-    R: float,
-    Q: float,
-    params: ClosureParams,
-    *,
-    tol_abs: float = TOL_ABS,
-    tol_rel: float = TOL_REL,
-    max_iter: int = MAX_ITER,
-) -> ClosurePoint:
+def solve_Z(R: float, Q: float, params: ClosureParams) -> ClosurePoint:
     """Solve the closure for a single (R, Q) pair.
 
     Degenerate cases resolve without iteration: Q = 0 gives Z = R,
@@ -224,7 +214,7 @@ def solve_Z(
     Ra = np.asarray([R], dtype=float)
     Qa = np.asarray([Q], dtype=float)
     _validate_inputs(Ra, Qa)
-    z = float(_solve_z_arrays(Ra, Qa, params.gamma, tol_abs, tol_rel, max_iter)[0])
+    z = float(_solve_z_arrays(Ra, Qa, params.gamma)[0])
     alpha = R / z if z > 0.0 else math.nan
     return ClosurePoint(R=float(R), Q=float(Q), Z=z, alpha=alpha)
 
@@ -234,9 +224,6 @@ def solve_Z_field(
     Q: np.ndarray,
     params: ClosureParams,
     *,
-    tol_abs: float = TOL_ABS,
-    tol_rel: float = TOL_REL,
-    max_iter: int = MAX_ITER,
     guess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise closure solve over matching arrays; returns (Z, alpha).
@@ -259,9 +246,7 @@ def solve_Z_field(
             raise DomainError(f"guess must be a finite array of shape {R.shape}")
         guess = guess.ravel()
     try:
-        Z = _solve_z_arrays(
-            R.ravel(), Q.ravel(), params.gamma, tol_abs, tol_rel, max_iter, guess
-        ).reshape(R.shape)
+        Z = _solve_z_arrays(R.ravel(), Q.ravel(), params.gamma, guess).reshape(R.shape)
     except ConvergenceError as err:
         if err.index is not None and R.ndim > 0:
             loc = np.unravel_index(err.index, R.shape)

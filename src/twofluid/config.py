@@ -22,7 +22,6 @@ from .closure import ClosureParams
 from .dynamics import SimParams, State
 from .errors import ConfigError, DomainError
 from .grids import PeriodicGrid
-from .twin import PERTURBATION_TARGETS
 
 _COMPONENTS = ("x", "y", "z")
 
@@ -42,7 +41,6 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    target: str
     delta: float
     wavevector: int
     phase: float
@@ -123,7 +121,6 @@ constant_x = 0
 mode_x = 0.1 1 0
 
 [perturbation]
-target = velocity
 delta = 0.001
 wavevector = 2
 phase = 0
@@ -181,7 +178,6 @@ _SCALAR_KEYS = {
     "initial_Q": {"constant": _to_float},
     "initial_u": dict.fromkeys((f"constant_{c}" for c in _COMPONENTS), _to_float),
     "perturbation": {
-        "target": lambda section, key, value: value,
         "delta": _to_float,
         "wavevector": _to_int,
         "phase": _to_float,
@@ -299,12 +295,6 @@ def parse_config(text: str) -> RunConfig:
     for c in _COMPONENTS[dim:]:
         if f"constant_{c}" in raw["initial_u"] or f"mode_{c}" in raw["initial_u"]:
             raise ConfigError(f"velocity component {c!r} exceeds grid dimension {dim}")
-    perturbation = PerturbationSpec(**_scalars(raw, "perturbation"))
-    if perturbation.target not in PERTURBATION_TARGETS:
-        raise ConfigError(
-            "perturbation target must be velocity, densities or all, "
-            f"got {perturbation.target!r}"
-        )
     cfg = RunConfig(
         grid=grid,
         **_scalars(raw, "physics"),
@@ -312,7 +302,7 @@ def parse_config(text: str) -> RunConfig:
         initial_R=initial_R,
         initial_Q=initial_Q,
         initial_u=initial_u,
-        perturbation=perturbation,
+        perturbation=PerturbationSpec(**_scalars(raw, "perturbation")),
         emit=EmitFlags(**_scalars(raw, "output")),
     )
     _checked(cfg.sim_params)
@@ -321,18 +311,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_positivity(cfg: RunConfig):
-    """Densities must be provably positive: constant - sum |amplitudes| > 0.
-
-    When the perturbation targets densities the perturbation size counts
-    against the budget as well.
-    """
-    extra = abs(cfg.perturbation.delta) if cfg.perturbation.target != "velocity" else 0.0
+    """Densities must be provably positive: constant - sum |amplitudes| > 0."""
     for name, spec in (("initial_R", cfg.initial_R), ("initial_Q", cfg.initial_Q)):
-        budget = spec.constant - sum(abs(m.amplitude) for m in spec.modes) - extra
+        budget = spec.constant - sum(abs(m.amplitude) for m in spec.modes)
         if budget <= 0.0:
             raise ConfigError(
                 f"{name} is not positive everywhere: constant minus mode "
-                f"amplitudes (and density perturbation) is {budget}"
+                f"amplitudes is {budget}"
             )
 
 

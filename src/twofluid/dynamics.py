@@ -41,7 +41,6 @@ class SimParams:
     density_floor: float = 1e-10
     t_end: float = 0.5
     output_interval: float = 0.0  # 0 means a snapshot every step
-    dt_min: float = DT_MIN
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
@@ -202,8 +201,8 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation | None = None) -> 
     advective = g.dx / (umax + c_max) if umax + c_max > 0.0 else math.inf
     viscous = g.dx**2 / (2.0 * g.dim * nu_max) if nu_max > 0.0 else math.inf
     dt = params.cfl * min(advective, viscous)
-    if dt < params.dt_min:
-        raise ConvergenceError(f"vanishing time step: dt={dt} below {params.dt_min}")
+    if dt < DT_MIN:
+        raise ConvergenceError(f"vanishing time step: dt={dt} below {DT_MIN}")
     return dt
 
 
@@ -244,12 +243,14 @@ def step(
 class DiagnosticSeries:
     """Per-step scalar diagnostics; one row per recorded state.
 
-    ``kinetic`` and ``internal`` are kept for the energy emission but are
-    not part of the diagnostics CSV contract (``energy`` is their sum).
+    ``kinetic`` and ``internal`` are kept for the energy emission and
+    ``realised_cfl`` for the twin layer's step-limit check; none of them is
+    part of the diagnostics CSV contract (``energy`` is kinetic + internal).
     """
 
     t: np.ndarray
     dt: np.ndarray
+    realised_cfl: np.ndarray  # dt * cfl / stable_dt of the state; 0 on the last row
     mass_R: np.ndarray
     mass_Q: np.ndarray
     energy: np.ndarray
@@ -342,7 +343,9 @@ def run(
     limit clamped to land exactly on t_end. Time accumulation snaps onto
     t_end through the same code path either way, so replaying a recorded
     schedule reproduces the recorded sample times bit for bit. A schedule
-    that runs out before t_end raises ConsistencyError.
+    that runs out before t_end raises ConsistencyError. Every step records
+    its realised CFL number, dt * cfl / ``stable_dt``, which exceeds 1 when
+    a replayed step is longer than the state's own step limit.
 
     Each state is evaluated once: the one velocity and closure solve serve
     its diagnostics row, its ``stable_dt`` and stage 1 of its step. Each
@@ -355,10 +358,11 @@ def run(
     Identical inputs produce bit-identical trajectories. The floor-hit count
     reflects the velocity reconstruction of each recorded state.
     """
-    eps_t = max(params.dt_min, 4.0 * np.finfo(float).eps * params.t_end)
+    eps_t = max(DT_MIN, 4.0 * np.finfo(float).eps * params.t_end)
     state = initial.copy()
     snapshots = []
     dts: list[float] = []
+    realised_cfl: list[float] = []
     cols: dict[str, list] = {}
     next_output = state.t
     ev = None
@@ -372,6 +376,7 @@ def run(
             snapshots.append(state)
             while params.output_interval > 0.0 and next_output <= state.t + 1e-12:
                 next_output += params.output_interval
+        limit = stable_dt(state, params, ev)
         if dt_schedule is not None:
             if len(dts) >= len(dt_schedule):
                 raise ConsistencyError(
@@ -380,14 +385,16 @@ def run(
                 )
             dt = float(dt_schedule[len(dts)])
         else:
-            dt = min(stable_dt(state, params, ev), remaining)
+            dt = min(limit, remaining)
         dts.append(dt)
+        realised_cfl.append(dt * params.cfl / limit)
         state = step(state, params, dt, source, ev)
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
     snapshots.append(state)
     diag = DiagnosticSeries(
         dt=np.asarray(dts + [0.0]),
+        realised_cfl=np.asarray(realised_cfl + [0.0]),
         **{name: np.asarray(values) for name, values in cols.items()},
     )
     return Trajectory(params=params, diagnostics=diag, snapshots=snapshots)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_SLACK = 1e-8
+SLACK = 1e-8  # relative tolerance of both checks, on top of the error estimates
 
 
 def cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,12 +87,12 @@ class HypothesisReport:
     ok: bool
 
 
-def check_hypothesis(trace: GronwallTrace, slack: float = DEFAULT_SLACK) -> HypothesisReport:
+def check_hypothesis(trace: GronwallTrace) -> HypothesisReport:
     """Flag every interval where the differential hypothesis fails.
 
     f' is a forward difference, so an O(dt) discretization allowance
     (curvature of f plus drift of the right side across the interval) is
-    added on top of the relative slack before an interval is flagged.
+    added on top of the relative ``SLACK`` before an interval is flagged.
     """
     t, f, gp, al, be = trace.t, trace.f, trace.gprime, trace.alpha, trace.beta
     dt = np.diff(t)
@@ -109,7 +109,7 @@ def check_hypothesis(trace: GronwallTrace, slack: float = DEFAULT_SLACK) -> Hypo
     else:
         fpp = np.zeros(len(dt))
     fd_allowance = dt * fpp + 0.5 * np.abs(np.diff(rhs_samples))
-    tol = slack * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))) + fd_allowance
+    tol = SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))) + fd_allowance
     violations = np.flatnonzero(lhs > rhs + tol)
     return HypothesisReport(
         t=t[:-1],
@@ -136,7 +136,7 @@ class ConclusionReport:
         return float(np.max(self.margin))
 
 
-def check_conclusion(trace: GronwallTrace, slack: float = DEFAULT_SLACK) -> ConclusionReport:
+def check_conclusion(trace: GronwallTrace) -> ConclusionReport:
     """Check e^(-int alpha) f + (e^(-int alpha) - 1/2 - 1/2 int tau beta^2) int (g')^2 <= f(0).
 
     All integrals are trapezoidal; the verdict tolerance propagates the
@@ -157,14 +157,14 @@ def check_conclusion(trace: GronwallTrace, slack: float = DEFAULT_SLACK) -> Conc
     errI2 = _cumulative_quad_error(t, gp**2)
     errTB = _cumulative_quad_error(t, t * be**2)
     propagated = expA * (f + I2) * errA + (np.abs(coef) + 0.5 * errTB) * errI2 + 0.5 * I2 * errTB
-    tol = slack * np.maximum(1.0, np.maximum(f[0], np.abs(lhs))) + propagated
+    tol = SLACK * np.maximum(1.0, np.maximum(f[0], np.abs(lhs))) + propagated
     verdict = bool(np.all(margin <= tol))
     return ConclusionReport(
         t=t,
         margin=margin,
         tolerance=tol,
         verdict=verdict,
-        hypothesis=check_hypothesis(trace, slack),
+        hypothesis=check_hypothesis(trace),
     )
 
 

@@ -17,7 +17,7 @@ from .energy import EnergyAudit
 from .errors import ConfigError, DomainError
 from .grids import PeriodicGrid
 from .gronwall import GronwallTrace
-from .twin import PairDiagnostics, SweepReport
+from .twin import PairDiagnostics, SweepRow
 
 DIAGNOSTICS_HEADER = ",".join(DiagnosticSeries.COLUMNS)
 ENERGY_HEADER = "t,kinetic,internal,dissipation_rate,cumulative_dissipation,defect"
@@ -138,11 +138,10 @@ def read_trace_csv(path) -> GronwallTrace:
         raise ConfigError(f"{path}: {err}") from err
 
 
-def write_sweep_csv(path, report: SweepReport) -> None:
-    rows = [
-        (r.delta, r.sup_distance, r.ratio, r.fitted_C) for r in report.rows
-    ]
-    _write_rows(path, SWEEP_HEADER, rows)
+def write_sweep_csv(path, rows: list[SweepRow]) -> None:
+    _write_rows(
+        path, SWEEP_HEADER, [(r.delta, r.sup_distance, r.ratio, r.fitted_C) for r in rows]
+    )
 
 
 def write_closure_table(path, rows) -> None:

@@ -16,10 +16,9 @@ import numpy as np
 
 from . import dynamics, grids
 from .dynamics import SimParams, State, Trajectory
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConsistencyError, DomainError
 from .gronwall import GronwallTrace, cumulative_trapezoid
 
-PERTURBATION_TARGETS = ("velocity", "densities", "all")
 EPS_DIV = 1e-14
 
 
@@ -55,6 +54,11 @@ class PairDiagnostics:
         "sup_Q",
     )
 
+    @property
+    def sup_distance(self) -> float:
+        """sup over t of ||R - R~|| + ||Q - Q~|| + ||sqrt(R+Q) U||."""
+        return float(np.max(self.norm_frakR + self.norm_calQ + self.norm_wU))
+
 
 @dataclass
 class ReferenceSeries:
@@ -69,41 +73,23 @@ class ReferenceSeries:
 def perturb_state(
     state: State,
     delta: float,
-    target: str = "velocity",
     wavevector: int = 2,
     phase: float = 0.0,
 ) -> State:
-    """Add a single Fourier mode of size delta to the targeted fields.
+    """Add a single Fourier mode of size delta to the velocity.
 
     The mode is sin(wavevector * 2 pi x_0 / L + phase) along the first grid
-    axis. delta = 0 returns an untouched copy, so zero-perturbation twins
-    stay bit-identical.
+    axis, added to every velocity component. The densities stay as they are,
+    so the twin starts from the same initial densities. delta = 0 returns
+    an untouched copy, so zero-perturbation twins stay bit-identical.
     """
-    if target not in PERTURBATION_TARGETS:
-        raise DomainError(f"unknown perturbation target {target!r}")
     if delta == 0.0:
         return state.copy()
     g = state.grid
     x0 = g.coordinates()[0]
-    shape = np.sin(wavevector * (2.0 * math.pi / g.length) * x0 + phase)
-    bump = delta * shape
-
-    R, Q, m = state.R.copy(), state.Q.copy(), state.m.copy()
-    rho = R + Q
-    if target == "velocity":
-        m = m + rho * bump
-    else:
-        u = m / rho
-        R = R + bump
-        Q = Q + bump
-        if np.min(R) <= 0.0 or np.min(Q) <= 0.0:
-            raise DomainError(
-                "density perturbation drives a phase density nonpositive"
-            )
-        if target == "all":
-            u = u + bump
-        m = (R + Q) * u
-    return State(g, R, Q, m, state.t)
+    bump = delta * np.sin(wavevector * (2.0 * math.pi / g.length) * x0 + phase)
+    m = state.m + (state.R + state.Q) * bump
+    return State(g, state.R.copy(), state.Q.copy(), m, state.t)
 
 
 def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
@@ -175,9 +161,7 @@ class DensityStabilityReport:
     verdict: bool
 
 
-def check_density_stability(
-    diag: PairDiagnostics, eps_div: float = EPS_DIV
-) -> DensityStabilityReport:
+def check_density_stability(diag: PairDiagnostics) -> DensityStabilityReport:
     """Fit the density-stability constant and test its stability in time.
 
     The verdict is true when every ratio is finite and the supremum stays
@@ -188,7 +172,7 @@ def check_density_stability(
             "density stability requires identical initial densities in the twin"
         )
     num = diag.norm_frakR + diag.norm_calQ
-    C_of_t = num / np.maximum(eps_div, diag.int_gradU)
+    C_of_t = num / np.maximum(EPS_DIV, diag.int_gradU)
     fitted = float(np.max(C_of_t))
     median = float(np.median(C_of_t))
     verdict = bool(np.all(np.isfinite(C_of_t)) and fitted <= 2.0 * median)
@@ -274,24 +258,16 @@ def check_mean_velocity(
     )
 
 
-def _trace_ingredients(diag, ref, params, mu_weighted):
-    if mu_weighted:
-        d = params.mu * diag.norm_gradU**2 + (params.mu + params.lam) * diag.norm_divU**2
-        gprime = np.sqrt(d)
-    else:
-        d = diag.norm_gradU**2
-        gprime = diag.norm_gradU
-    f = 0.5 * diag.norm_wU**2 + 0.5 * cumulative_trapezoid(diag.t, d)
+def _trace_ingredients(diag, ref):
+    gprime = diag.norm_gradU
+    f = 0.5 * diag.norm_wU**2 + 0.5 * cumulative_trapezoid(diag.t, gprime**2)
     alpha1 = diag.t * ref.material_3 * ref.grad_u_2 + ref.grad_u_inf
     beta1 = ref.material_3 + 1.0
     return f, gprime, alpha1, beta1
 
 
 def fit_gronwall_constant(
-    diag: PairDiagnostics,
-    ref: ReferenceSeries,
-    params: SimParams,
-    mu_weighted: bool = False,
+    diag: PairDiagnostics, ref: ReferenceSeries, params: SimParams
 ) -> float:
     """Smallest C for which the trace satisfies the Gronwall hypothesis.
 
@@ -301,7 +277,7 @@ def fit_gronwall_constant(
     with f' a forward difference and alpha_1, beta_1 the C = 1 coefficient
     shapes. Identically zero traces fit C = 0.
     """
-    f, gprime, alpha1, beta1 = _trace_ingredients(diag, ref, params, mu_weighted)
+    f, gprime, alpha1, beta1 = _trace_ingredients(diag, ref)
     g = cumulative_trapezoid(diag.t, gprime)
     lhs = np.diff(f) / np.diff(diag.t) + gprime[:-1] ** 2
     den = (alpha1 * f + beta1 * g * gprime)[:-1]
@@ -316,7 +292,6 @@ def build_gronwall_trace(
     ref: ReferenceSeries,
     params: SimParams,
     C: float | None = None,
-    mu_weighted: bool = False,
 ) -> GronwallTrace:
     """Assemble the Gronwall trace of the difference system.
 
@@ -324,16 +299,12 @@ def build_gronwall_trace(
     alpha = C (t ||Du~||_3 ||grad u~||_2 + ||grad u~||_inf) and
     beta = C (||Du~||_3 + 1), with Du~ the material derivative of the
     reference velocity. C defaults to the fitted density-stability constant.
-
-    With mu_weighted=True, (g')^2 is the viscous dissipation quadratic form
-    mu ||grad U||^2 + (mu+lam) ||div U||^2 instead of the plain gradient
-    norm, which accounts for the viscosity otherwise absorbed into C.
     """
     if C is None:
         C = check_density_stability(diag).fitted_C
     if C < 0.0:
         raise DomainError("Gronwall constant C must be nonnegative")
-    f, gprime, alpha1, beta1 = _trace_ingredients(diag, ref, params, mu_weighted)
+    f, gprime, alpha1, beta1 = _trace_ingredients(diag, ref)
     return GronwallTrace(
         t=diag.t.copy(), f=f, gprime=gprime, alpha=C * alpha1, beta=C * beta1
     )
@@ -348,30 +319,38 @@ class TwinResult:
     diag: PairDiagnostics
     ref: ReferenceSeries
 
-    @property
-    def sup_distance(self) -> float:
-        return float(np.max(self.diag.norm_frakR + self.diag.norm_calQ + self.diag.norm_wU))
 
+def _weak_member(initial, strong, params, delta, wavevector, phase):
+    """Perturb the initial state, replay the strong run's schedule, compare.
 
-def _weak_member(initial, strong, ref, params, delta, target, wavevector, phase):
-    """Perturb the initial state, replay the strong run's schedule, compare."""
-    weak_initial = perturb_state(initial, delta, target, wavevector, phase)
+    The replayed steps were sized for the strong run; a weak run whose own
+    realised CFL number exceeds 1 left the stable regime the twin relies on.
+    """
+    weak_initial = perturb_state(initial, delta, wavevector, phase)
     weak = dynamics.run(weak_initial, params, dt_schedule=strong.dts)
-    return TwinResult(strong=strong, weak=weak, diag=compare(weak, strong), ref=ref)
+    cfl = weak.diagnostics.realised_cfl
+    k = int(np.argmax(cfl))
+    if cfl[k] > 1.0:
+        raise ConsistencyError(
+            f"weak run at delta={delta:g} exceeds its own step limit at "
+            f"t={weak.diagnostics.t[k]:g}: realised CFL number {cfl[k]:.4g} > 1"
+        )
+    return weak, compare(weak, strong)
 
 
 def run_twin(
     initial: State,
     params: SimParams,
     delta: float,
-    target: str = "velocity",
     wavevector: int = 2,
     phase: float = 0.0,
 ) -> TwinResult:
     """Run the reference and its delta-perturbed twin on a shared schedule."""
     strong = dynamics.run(initial, params)
-    ref = reference_series(strong, params)
-    return _weak_member(initial, strong, ref, params, delta, target, wavevector, phase)
+    weak, diag = _weak_member(initial, strong, params, delta, wavevector, phase)
+    return TwinResult(
+        strong=strong, weak=weak, diag=diag, ref=reference_series(strong, params)
+    )
 
 
 @dataclass
@@ -383,15 +362,10 @@ class SweepRow:
     verdict: bool  # the density-stability verdict of this member
 
 
-@dataclass
-class SweepReport:
-    rows: list[SweepRow]
-
-
-def _sweep_row(delta, result: TwinResult) -> SweepRow:
+def _sweep_row(delta, diag: PairDiagnostics) -> SweepRow:
     """One sweep row; ratio is sup_distance / |delta|, NaN at delta = 0."""
-    stability = check_density_stability(result.diag)
-    sup = result.sup_distance
+    stability = check_density_stability(diag)
+    sup = diag.sup_distance
     return SweepRow(
         delta=float(delta),
         sup_distance=sup,
@@ -405,22 +379,16 @@ def stability_sweep(
     initial: State,
     params: SimParams,
     deltas: Sequence[float],
-    target: str = "velocity",
     wavevector: int = 2,
     phase: float = 0.0,
-) -> SweepReport:
+) -> list[SweepRow]:
     """Twin experiments over a perturbation-size sweep, sharing the reference.
 
-    Each member's weak trajectory is dropped once its row is built.
+    A row needs no reference-run norms, so none are computed, and each
+    member's weak trajectory is dropped once its row is built.
     """
     strong = dynamics.run(initial, params)
-    ref = reference_series(strong, params)
-    return SweepReport(
-        rows=[
-            _sweep_row(
-                delta,
-                _weak_member(initial, strong, ref, params, delta, target, wavevector, phase),
-            )
-            for delta in deltas
-        ]
-    )
+    return [
+        _sweep_row(delta, _weak_member(initial, strong, params, delta, wavevector, phase)[1])
+        for delta in deltas
+    ]

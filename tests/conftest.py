@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from twofluid import config, dynamics, twin
@@ -25,9 +27,9 @@ def traj128(std1d_initial, std1d_params):
 
 @pytest.fixture(scope="session")
 def sweep128(std1d_initial, std1d_params):
-    """Velocity-mode perturbation sweep on std1d, shared reference run."""
-    return twin.stability_sweep(
-        std1d_initial, std1d_params, deltas=(1e-2, 1e-3, 1e-4), target="velocity"
+    """Perturbation sweep on std1d, shared reference run; its rows are ``.rows``."""
+    return SimpleNamespace(
+        rows=twin.stability_sweep(std1d_initial, std1d_params, deltas=(1e-2, 1e-3, 1e-4))
     )
 
 

@@ -134,9 +134,9 @@ class TestSweep:
         real = twin.stability_sweep
 
         def failing(*args, **kwargs):
-            report = real(*args, **kwargs)
-            report.rows[-1].verdict = False
-            return report
+            rows = real(*args, **kwargs)
+            rows[-1].verdict = False
+            return rows
 
         monkeypatch.setattr(twin, "stability_sweep", failing)
         code = cli.main(["sweep", "--out", str(tmp_path / "s"), *FAST, "--deltas", "1e-2,1e-3"])
@@ -152,7 +152,9 @@ class TestSweep:
 
 
 class TestDensityTargets:
-    @pytest.mark.parametrize("target", ["densities", "all"])
+    # The twin perturbs only the velocity: the density-stability check needs
+    # identical initial densities, so the config has no perturbation target.
+    @pytest.mark.parametrize("target", ["densities", "all", "velocity"])
     @pytest.mark.parametrize(
         "command,extra",
         [("compare", []), ("sweep", ["--deltas", "0,1e-3"])],
@@ -167,17 +169,20 @@ class TestDensityTargets:
         out = tmp_path / "o"
         argv = [command, "--out", str(out), *FAST, "--set", f"perturbation.target={target}"]
         assert cli.main(argv + extra) == 2
-        assert_one_line_config_error(capsys, f"perturbation target '{target}'")
+        assert_one_line_config_error(capsys, "override names unknown key 'target' in [perturbation]")
         assert not out.exists()
 
-    @pytest.mark.parametrize("target", ["densities", "all"])
-    def test_zero_delta_density_target_still_runs(self, tmp_path, target):
-        density = ["--set", f"perturbation.target={target}"]
-        compare = ["compare", "--out", str(tmp_path / "c"), *FAST, *density,
-                   "--set", "perturbation.delta=0"]
-        assert cli.main(compare) == 0
-        sweep = ["sweep", "--out", str(tmp_path / "s"), *FAST, *density, "--deltas", "0"]
-        assert cli.main(sweep) == 0
+    def test_weak_run_beyond_its_own_step_limit_exits_3(self, tmp_path, capsys):
+        # at cfl = 1 the replayed steps of a delta = 1 twin reach a realised
+        # CFL number of about 1.17 in the weak run
+        out = tmp_path / "o"
+        argv = ["compare", "--out", str(out), "--set", "grid.n=128", "--set", "time.t_end=0.125",
+                "--set", "time.cfl=1", "--set", "perturbation.delta=1"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: weak run at delta=1 exceeds its own step limit at t=")
+        assert "realised CFL number 1.1" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestClosureTable:
@@ -314,9 +319,23 @@ class TestEnergyAudit:
         cli.main(["simulate", "--out", str(run_dir), *FAST])
         code = cli.main(
             ["energy-audit", "--diagnostics", str(run_dir / "diagnostics.csv"),
-             "--out", str(tmp_path / "a"), "--defect-tol", "-1"]
+             "--out", str(tmp_path / "a"), "--defect-tol", "0"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_unusable_defect_tolerance_exits_2(self, tmp_path, capsys, tol):
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--out", str(run_dir), *FAST]) == 0
+        capsys.readouterr()
+        out = tmp_path / "a"
+        code = cli.main(
+            ["energy-audit", "--diagnostics", str(run_dir / "diagnostics.csv"),
+             "--out", str(out), f"--defect-tol={tol}"]
+        )
+        assert code == 2
+        assert_one_line_config_error(capsys, "--defect-tol must be finite and nonnegative")
+        assert not out.exists()
 
     def test_non_numeric_cell_exits_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "diagnostics.csv"
@@ -405,6 +424,24 @@ class TestErrorPaths:
              "--out", str(tmp_path / "o")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("gronwall-check", "--config", "x.cfg"),
+            ("gronwall-check", "--set", "grid.n=8"),
+            ("energy-audit", "--config", "/nonexistent"),
+            ("energy-audit", "--set", "wat.x=1"),
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_exit_2(self, tmp_path, capsys, command, flag, value):
+        path = tmp_path / "in.csv"
+        path.write_text("")
+        argv = [command, "--trace" if command == "gronwall-check" else "--diagnostics", str(path)]
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out), flag, value]) == 2
+        assert_one_line_config_error(capsys, f"twofluid: unrecognized arguments: {flag} {value}")
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         code = cli.main(

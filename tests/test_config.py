@@ -20,7 +20,6 @@ class TestDefaults:
         assert cfg.initial_R.constant == 1.0
         assert cfg.initial_R.modes[0].amplitude == 0.2
         assert cfg.initial_Q.modes[0].phase == pytest.approx(math.pi / 2)
-        assert cfg.perturbation.target == "velocity"
         assert cfg.perturbation.delta == 1e-3
 
     def test_std1d_initial_fields(self):
@@ -132,11 +131,6 @@ class TestValidation:
     def test_positivity_budget(self):
         with pytest.raises(ConfigError, match="not positive everywhere"):
             config.parse_config("[initial_R]\nconstant = 0.1\nmode = 0.2 1 0\n")
-
-    def test_positivity_includes_density_perturbation(self):
-        text = "[perturbation]\ntarget = densities\ndelta = 0.85\n"
-        with pytest.raises(ConfigError, match="not positive everywhere"):
-            config.parse_config(text)
 
     def test_velocity_component_beyond_dim(self):
         with pytest.raises(ConfigError, match="exceeds grid dimension"):
@@ -254,7 +248,6 @@ def overrides(dim):
         "initial_Q.constant": number(1.5, 3.0),
         "initial_R.mode": mode(dim),
         "initial_Q.mode": mode(dim),
-        "perturbation.target": st.sampled_from(["velocity", "densities", "all"]),
         "perturbation.delta": number(-0.1, 0.1),
         "perturbation.wavevector": st.integers(1, 4).map(str),
         "perturbation.phase": number(-3.0, 3.0),

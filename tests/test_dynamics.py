@@ -171,8 +171,9 @@ class TestStableDt:
         )
 
     def test_vanishing_dt_aborts(self):
-        g = PeriodicGrid(1, 32)
-        params = SimParams(closure=ClosureParams(2.0, 2.0), mu=0.1, dt_min=1.0)
+        # dx = 3e-8 makes the viscous limit dx^2 / (2 nu) about 1e-14
+        g = PeriodicGrid(1, 32, length=1e-6)
+        params = SimParams(closure=ClosureParams(2.0, 2.0), mu=0.1)
         with pytest.raises(ConvergenceError, match="vanishing time step"):
             dynamics.stable_dt(uniform_state(g), params)
 
@@ -286,7 +287,7 @@ def reference_run(initial, params, warm=True):
     run() uses (the previous state's Z, and the step's own Z for stage 2);
     without it every solve is cold.
     """
-    eps_t = max(params.dt_min, 4.0 * np.finfo(float).eps * params.t_end)
+    eps_t = max(dynamics.DT_MIN, 4.0 * np.finfo(float).eps * params.t_end)
 
     def evaluation(s, guess):
         return s.evaluate(params, guess=guess) if warm else None

@@ -6,7 +6,7 @@ import pytest
 from twofluid import dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State
-from twofluid.errors import ConfigError, DomainError
+from twofluid.errors import ConfigError, ConsistencyError, DomainError
 from twofluid.grids import PeriodicGrid
 
 
@@ -17,25 +17,10 @@ class TestPerturbState:
         assert np.array_equal(out.m, std1d_initial.m)
 
     def test_velocity_target_leaves_densities_alone(self, std1d_initial):
-        out = twin.perturb_state(std1d_initial, 1e-3, "velocity", wavevector=2)
+        out = twin.perturb_state(std1d_initial, 1e-3, wavevector=2)
         assert np.array_equal(out.R, std1d_initial.R)
         assert np.array_equal(out.Q, std1d_initial.Q)
         assert not np.array_equal(out.m, std1d_initial.m)
-
-    def test_density_target_shifts_both_phases(self, std1d_initial):
-        out = twin.perturb_state(std1d_initial, 1e-3, "densities", wavevector=2)
-        g = std1d_initial.grid
-        bump = 1e-3 * np.sin(2 * g.coordinates()[0])
-        assert np.allclose(out.R - std1d_initial.R, bump, atol=1e-18)
-        assert np.allclose(out.Q - std1d_initial.Q, bump, atol=1e-18)
-
-    def test_nonpositive_density_rejected(self, std1d_initial):
-        with pytest.raises(DomainError):
-            twin.perturb_state(std1d_initial, 1.0, "densities")
-
-    def test_unknown_target_rejected(self, std1d_initial):
-        with pytest.raises(DomainError):
-            twin.perturb_state(std1d_initial, 1e-3, "pressure")
 
 
 class TestCompare:
@@ -44,7 +29,7 @@ class TestCompare:
         d = result.diag
         for name in ("norm_frakR", "norm_calQ", "norm_wU", "norm_gradU", "norm_U6", "mean_U"):
             assert np.all(getattr(d, name) == 0.0), name
-        assert result.sup_distance == 0.0
+        assert result.diag.sup_distance == 0.0
 
     def test_velocity_offset_norm_at_t0(self):
         # unit-volume grid so ||eps * const||_6 = eps * |const| exactly
@@ -89,9 +74,14 @@ class TestDensityStability:
         assert report.fitted_C <= 2.0 * report.median_C
 
     def test_requires_matched_initial_densities(self, std1d_initial, std1d_params):
-        result = twin.run_twin(std1d_initial, std1d_params, delta=1e-3, target="densities")
-        with pytest.raises(DomainError):
-            twin.check_density_stability(result.diag)
+        g = std1d_initial.grid
+        bump = 1e-3 * np.sin(2 * g.coordinates()[0])
+        shifted = State(g, std1d_initial.R + bump, std1d_initial.Q + bump, std1d_initial.m, 0.0)
+        params = SimParams(closure=std1d_params.closure, mu=std1d_params.mu, t_end=0.05)
+        strong = dynamics.run(std1d_initial, params)
+        diag = twin.compare(dynamics.run(shifted, params, dt_schedule=strong.dts), strong)
+        with pytest.raises(DomainError, match="identical initial densities"):
+            twin.check_density_stability(diag)
 
     def test_constant_stable_across_perturbation_sizes(self, sweep128):
         fits = [row.fitted_C for row in sweep128.rows]
@@ -185,16 +175,6 @@ class TestGronwallPipeline:
         assert report.hypothesis.ok
         assert report.verdict
 
-    def test_mu_weighted_form_also_passes(self, twin128, std1d_params):
-        C = twin.fit_gronwall_constant(
-            twin128.diag, twin128.ref, std1d_params, mu_weighted=True
-        )
-        trace = twin.build_gronwall_trace(
-            twin128.diag, twin128.ref, std1d_params, C=C, mu_weighted=True
-        )
-        report = gronwall.check_conclusion(trace)
-        assert report.verdict
-
     def test_negative_constant_rejected(self, twin128, std1d_params):
         with pytest.raises(DomainError):
             twin.build_gronwall_trace(twin128.diag, twin128.ref, std1d_params, C=-1.0)
@@ -252,10 +232,10 @@ class TestSweep:
         u = (0.1 * np.sin(x))[None, :]
         initial = State(g, R, Q, (R + Q) * u, 0.0)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
-        report = twin.stability_sweep(initial, params, deltas=(0.0, 1e-2, 1e-3))
-        assert report.rows[0].sup_distance == 0.0
-        assert math.isnan(report.rows[0].ratio)
-        r1, r2 = report.rows[1].ratio, report.rows[2].ratio
+        rows = twin.stability_sweep(initial, params, deltas=(0.0, 1e-2, 1e-3))
+        assert rows[0].sup_distance == 0.0
+        assert math.isnan(rows[0].ratio)
+        r1, r2 = rows[1].ratio, rows[2].ratio
         assert max(r1, r2) / min(r1, r2) <= 2.0
 
     def test_rows_carry_the_density_stability_verdict(self, sweep128, twin128):
@@ -265,7 +245,7 @@ class TestSweep:
 
     def test_run_twin_equals_the_sweep_member(self, sweep128, twin128):
         report = twin.check_density_stability(twin128.diag)
-        sup = twin128.sup_distance
+        sup = twin128.diag.sup_distance
         expected = twin.SweepRow(1e-3, sup, sup / 1e-3, report.fitted_C, report.verdict)
         assert sweep128.rows[1] == expected
 
@@ -276,6 +256,34 @@ class TestSweep:
         Q = 1 + 0.2 * np.cos(x)
         initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.05)
-        report = twin.stability_sweep(initial, params, deltas=(-1e-3, 1e-3))
-        for row in report.rows:
+        for row in twin.stability_sweep(initial, params, deltas=(-1e-3, 1e-3)):
             assert row.ratio == row.sup_distance / 1e-3 > 0.0
+
+    def test_sweep_computes_no_reference_series(self, std1d_initial, std1d_params, monkeypatch):
+        params = SimParams(closure=std1d_params.closure, mu=std1d_params.mu, t_end=0.05)
+        expected = [
+            twin._sweep_row(delta, twin.run_twin(std1d_initial, params, delta).diag)
+            for delta in (0.0, 1e-3)
+        ]
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a sweep row reads no reference-run norms")
+
+        monkeypatch.setattr(twin, "reference_series", unused)
+        rows = twin.stability_sweep(std1d_initial, params, deltas=(0.0, 1e-3))
+        assert [row.delta for row in rows] == [0.0, 1e-3]
+        assert rows[1:] == expected[1:]
+        assert rows[0].sup_distance == expected[0].sup_distance == 0.0
+        assert rows[0].fitted_C == expected[0].fitted_C
+
+    def test_weak_run_beyond_its_own_step_limit_raises(self):
+        g = PeriodicGrid(1, 64)
+        x = g.axis_coords()
+        R = 1 + 0.2 * np.sin(x)
+        Q = 1 + 0.2 * np.cos(x)
+        initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
+        params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, cfl=1.0, t_end=0.1)
+        assert twin.run_twin(initial, params, 0.0).weak.diagnostics.realised_cfl.max() == 1.0
+        with pytest.raises(ConsistencyError, match="realised CFL number"):
+            twin.run_twin(initial, params, 1.0)
+

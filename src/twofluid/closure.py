@@ -20,6 +20,10 @@ Newton starts at the bracket midpoint, or at a caller's ``guess`` clipped
 into the bracket (time integration passes the previous state's Z, which
 saves two of the five Newton steps of a cold start), and one clipped Newton
 polish step after convergence pushes the residual to the rounding floor.
+The iteration runs on full-length arrays: converged points are frozen in
+place rather than gathered out, so the last sweep has evaluated the residual
+at every root and the polish step reuses it. A warm solve of a nearby state
+then costs four residual evaluations (three sweeps and the polished point).
 """
 
 from __future__ import annotations
@@ -124,63 +128,59 @@ def _pinned(z, lo, hi):
 def _bracketed_newton(R, Q, gamma, guess=None):
     """Vectorised safeguarded Newton on flat arrays with R > 0, Q > 0.
 
-    Lanes whose residual meets TOL_ABS + TOL_REL*max(1, Q), or that are
-    pinned by a collapsed bracket, drop out of the working set. A pinned
-    lane can never move, so the second test only stops lanes that would
-    otherwise exhaust ``MAX_ITER``. One clipped polish step afterwards pushes
-    residuals to the rounding floor, well below the tolerance.
+    Every sweep evaluates all lanes. A lane whose residual meets
+    TOL_ABS + TOL_REL*max(1, Q), or that is pinned by a collapsed bracket, is
+    frozen: one ``np.where`` keeps its z while the other lanes move on, and
+    the loop ends once every lane is frozen. A pinned lane can never move, so
+    the second test only stops lanes that would otherwise exhaust
+    ``MAX_ITER``. The last sweep's residual and slope are then those of the
+    frozen roots, and the one clipped polish step afterwards starts from
+    them; it pushes residuals to the rounding floor, well below the
+    tolerance. Lanes never mix, so a lane's root does not depend on the
+    other lanes of the batch.
     """
     lo0 = np.maximum(R, Z_EPS)
     hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
-    z_out = 0.5 * (lo0 + hi0) if guess is None else np.clip(guess, lo0, hi0)
+    z = 0.5 * (lo0 + hi0) if guess is None else np.clip(guess, lo0, hi0)
 
-    idx = np.arange(z_out.size)
-    R_, Q_, z_ = R.copy(), Q.copy(), z_out.copy()
-    lo_, hi_ = lo0.copy(), hi0.copy()
-    ftol_ = TOL_ABS + TOL_REL * np.maximum(1.0, Q_)
+    lo, hi = lo0, hi0
+    ftol = TOL_ABS + TOL_REL * np.maximum(1.0, Q)
+    done = np.zeros(z.shape, dtype=bool)
     for k in range(MAX_ITER):
-        f, fp = _residual_slope(R_, Q_, z_, gamma)
-        conv = np.abs(f) <= ftol_
+        f, fp = _residual_slope(R, Q, z, gamma)
+        done |= np.abs(f) <= ftol
         if k:  # a clipped guess may start on an end of an open bracket
-            conv |= _pinned(z_, lo_, hi_)
-        if conv.any():
-            z_out[idx[conv]] = z_[conv]
-            keep = ~conv
-            idx, R_, Q_, z_, lo_, hi_, ftol_, f, fp = (
-                a[keep] for a in (idx, R_, Q_, z_, lo_, hi_, ftol_, f, fp)
-            )
-            if idx.size == 0:
-                break
+            done |= _pinned(z, lo, hi)
+        if done.all():
+            break
         neg = f < 0.0
-        lo_ = np.where(neg, z_, lo_)
-        hi_ = np.where(neg, hi_, z_)
-        z_new = z_ - f / fp
-        inside = (z_new > lo_) & (z_new < hi_)
-        z_ = np.where(inside, z_new, 0.5 * (lo_ + hi_))
+        lo = np.where(neg, z, lo)
+        hi = np.where(neg, hi, z)
+        z_new = z - f / fp
+        inside = (z_new > lo) & (z_new < hi)
+        z = np.where(done, z, np.where(inside, z_new, 0.5 * (lo + hi)))
     else:
         # Lanes updated on the last sweep never saw a convergence test.
-        f, _ = _residual_slope(R_, Q_, z_, gamma)
-        conv = (np.abs(f) <= ftol_) | _pinned(z_, lo_, hi_)
-        z_out[idx[conv]] = z_[conv]
-        if not conv.all():
-            stuck = ~conv
-            i = int(idx[stuck][0])
+        f, fp = _residual_slope(R, Q, z, gamma)
+        done |= (np.abs(f) <= ftol) | _pinned(z, lo, hi)
+        if not done.all():
+            i = int(np.flatnonzero(~done)[0])
             raise ConvergenceError(
                 f"closure solve exhausted {MAX_ITER} iterations at flat index {i} "
-                f"(R={R_[stuck][0]!r}, Q={Q_[stuck][0]!r}, "
-                f"bracket=[{lo_[stuck][0]!r}, {hi_[stuck][0]!r}])",
-                bracket=(float(lo_[stuck][0]), float(hi_[stuck][0])),
+                f"(R={R[i]!r}, Q={Q[i]!r}, bracket=[{lo[i]!r}, {hi[i]!r}])",
+                bracket=(float(lo[i]), float(hi[i])),
                 index=i,
             )
 
-    f, fp = _residual_slope(R, Q, z_out, gamma)
-    z_new = np.clip(z_out - f / fp, lo0, hi0)
+    z_new = np.clip(z - f / fp, lo0, hi0)
     f_new, _ = _residual_slope(R, Q, z_new, gamma)
-    return np.where(np.abs(f_new) < np.abs(f), z_new, z_out)
+    return np.where(np.abs(f_new) < np.abs(f), z_new, z)
 
 
 def _solve_z_arrays(R, Q, gamma, guess=None):
     """Dispatch degenerate branches, then Newton on the rest. Flat arrays."""
+    if R.all() and Q.all():  # no degenerate lane: skip the gather and scatter
+        return _bracketed_newton(R, Q, gamma, guess)
     Z = np.empty_like(R)
     q_zero = Q == 0.0
     r_zero = (R == 0.0) & ~q_zero

@@ -138,23 +138,51 @@ def rhs(
     audited defect measures only advection, pressure and time-integration
     errors.
 
+    Each axis i takes one centred difference of each operand stack: the
+    fluxes (R u_i, Q u_i, m u_i), u (row i of the Jacobian) and that row
+    again (the wide Laplacian); then p and div u take one per axis, 5*dim
+    passes in all. Axes are summed in order and dm is assembled left to
+    right as written above, so the tendencies equal bit for bit those
+    composed from ``grids.divergence`` and ``grids.gradient``.
+
     ``ev`` is the state's evaluation when the caller already has it.
     """
     g = state.grid
     if ev is None:
         ev = state.evaluate(params)
     u = ev.u
-    p = closure.pressure(ev.Z, params.closure)
 
-    dR = -grids.divergence(g, state.R * u)
-    dQ = -grids.divergence(g, state.Q * u)
-    adv = np.stack([grids.divergence(g, state.m[i] * u) for i in range(g.dim)])
-    dm = (
-        -adv
-        - grids.gradient(g, p)
-        + params.mu * grids.wide_laplacian(g, u)
-        + (params.mu + params.lam) * grids.grad_div(g, u)
-    )
+    # Fluxes, then Jacobian rows, then p: one kind of operand stack is alive
+    # at a time, which keeps the peak memory of a 2D or 3D call down.
+    for i in range(g.dim):
+        flux = np.empty((2 + g.dim, *g.shape))
+        np.multiply(state.R, u[i], out=flux[0])
+        np.multiply(state.Q, u[i], out=flux[1])
+        np.multiply(state.m, u[i], out=flux[2:])
+        if i == 0:
+            div_flux = grids._centered(g, flux, 0)
+        else:
+            div_flux += grids._centered(g, flux, i)
+    del flux
+    for i in range(g.dim):
+        jac_row = grids._centered(g, u, i)
+        if i == 0:
+            wide, div_u = grids._centered(g, jac_row, 0), jac_row[0]
+        else:
+            wide += grids._centered(g, jac_row, i)
+            div_u += jac_row[i]  # writes into the axis-0 row, no longer read
+    del jac_row
+    np.negative(div_flux, out=div_flux)
+    dR, dQ, dm = div_flux[0], div_flux[1], div_flux[2:]
+    p = closure.pressure(ev.Z, params.closure)
+    for i in range(g.dim):
+        dm[i] -= grids._centered(g, p, i)
+    wide *= params.mu
+    dm += wide
+    for i in range(g.dim):
+        grad_div = grids._centered(g, div_u, i)
+        grad_div *= params.mu + params.lam
+        dm[i] += grad_div
     if source is not None:
         sR, sQ, sm = source(state)
         dR = dR + sR

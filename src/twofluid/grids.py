@@ -131,23 +131,6 @@ def laplacian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad_div(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    """gradient(divergence(v)), the wide-stencil composition."""
-    return gradient(grid, divergence(grid, v))
-
-
-def wide_laplacian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    """divergence(gradient(f)), the wide 2*dx stencil.
-
-    This is the energy-compatible companion of the centered gradient: summed
-    against f it reproduces -integrate(|gradient(f)|^2) exactly. Applied per
-    component to vector fields.
-    """
-    if f.ndim == grid.dim:
-        return divergence(grid, gradient(grid, f))
-    return np.stack([divergence(grid, gradient(grid, f[j])) for j in range(f.shape[0])])
-
-
 def integrate(grid: PeriodicGrid, f: np.ndarray):
     """Cell-volume-weighted sum; vector fields integrate per component."""
     space = tuple(range(f.ndim - grid.dim, f.ndim))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cfg_at
-from twofluid import config, dynamics, energy, grids
+from twofluid import closure, config, dynamics, energy, grids
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State
 from twofluid.errors import ConsistencyError, ConvergenceError, DomainError
@@ -404,6 +404,97 @@ class TestSharedEvaluation:
     def test_short_schedule_is_an_error(self, std1d_initial, std1d_params, traj128):
         with pytest.raises(ConsistencyError, match="10 steps"):
             dynamics.run(std1d_initial, std1d_params, dt_schedule=traj128.dts[:10])
+
+
+FUSED_PARAMS = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, lam=0.05, t_end=1.0)
+FUSED_GRIDS = [(1, 32), (2, 16), (3, 8)]
+
+
+def composed_rhs(state, params, source=None):
+    """(dR, dQ, dm) composed term by term from the public grid operators."""
+    g = state.grid
+    ev = state.evaluate(params)
+    u = ev.u
+    p = closure.pressure(ev.Z, params.closure)
+    dR = -grids.divergence(g, state.R * u)
+    dQ = -grids.divergence(g, state.Q * u)
+    adv = np.stack([grids.divergence(g, state.m[i] * u) for i in range(g.dim)])
+    wide = np.stack([grids.divergence(g, grids.gradient(g, u[j])) for j in range(g.dim)])
+    dm = (
+        -adv
+        - grids.gradient(g, p)
+        + params.mu * wide
+        + (params.mu + params.lam) * grids.gradient(g, grids.divergence(g, u))
+    )
+    if source is not None:
+        sR, sQ, sm = source(state)
+        dR, dQ, dm = dR + sR, dQ + sQ, dm + sm
+    return dR, dQ, dm
+
+
+def rough_state(g):
+    """Random fields: every term of the tendencies takes part in the rounding."""
+    rng = np.random.default_rng(5)
+    R, Q = rng.uniform(0.5, 1.5, (2, *g.shape))
+    return State(g, R, Q, rng.normal(0.0, 0.5, (g.dim, *g.shape)), 0.0)
+
+
+def wavy_source(state):
+    x = state.grid.coordinates()
+    s = np.sin(x[0] + state.t)
+    return 0.1 * s, -0.2 * s * state.Q, 0.3 * np.cos(x) * state.R
+
+
+class TestFusedRhs:
+    """rhs takes 5*dim centred differences and still equals the composition."""
+
+    @pytest.mark.parametrize("source", [None, wavy_source])
+    @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
+    def test_equals_composed_public_operators_bit_for_bit(self, dim, n, source):
+        state = rough_state(PeriodicGrid(dim, n))
+        ten = dynamics.rhs(state, FUSED_PARAMS, source)
+        for got, want in zip((ten.dR, ten.dQ, ten.dm), composed_rhs(state, FUSED_PARAMS, source)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
+    def test_one_centred_difference_per_operand_stack_and_axis(self, dim, n, monkeypatch):
+        calls = []
+        centered = grids._centered
+
+        def counted(*args):
+            calls.append(1)
+            return centered(*args)
+
+        monkeypatch.setattr(grids, "_centered", counted)
+        state = rough_state(PeriodicGrid(dim, n))
+        ev = state.evaluate(FUSED_PARAMS)
+        dynamics.rhs(state, FUSED_PARAMS, ev=ev)
+        assert len(calls) == 5 * dim
+        calls.clear()
+        composed_rhs(state, FUSED_PARAMS)
+        assert len(calls) == {1: 8, 2: 22, 3: 42}[dim]
+
+    @pytest.mark.parametrize("name", ["dR", "dQ", "dm"])
+    def test_non_finite_tendency_names_its_field(self, name):
+        state = rough_state(PeriodicGrid(2, 8))
+
+        def source(s):
+            terms = [np.zeros(s.grid.shape), np.zeros(s.grid.shape), np.zeros(s.m.shape)]
+            terms[("dR", "dQ", "dm").index(name)][..., 3, 5] = np.nan
+            return tuple(terms)
+
+        loc = r"\(0, 3, 5\)" if name == "dm" else r"\(3, 5\)"
+        with pytest.raises(ConsistencyError, match=f"non-finite tendency {name} at index {loc}"):
+            dynamics.rhs(state, FUSED_PARAMS, source)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_infinite_pressure_is_reported_in_dm_alone(self):
+        # at rest the mass fluxes vanish, so only grad p sees the overflow
+        state = uniform_state(PeriodicGrid(1, 16))
+        state.R[7] = 1e300
+        with pytest.raises(ConsistencyError, match=r"non-finite tendency dm at index \(0, 6\)"):
+            dynamics.rhs(state, FUSED_PARAMS)
 
 
 class Test3DSmoke:

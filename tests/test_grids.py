@@ -50,22 +50,6 @@ class TestOperators:
         expected = -np.sin(x) * (2.0 * (1.0 - math.cos(g.dx)) / g.dx**2)
         assert np.allclose(lap, expected, rtol=0, atol=1e-12)
 
-    def test_wide_laplacian_is_div_grad(self):
-        g = PeriodicGrid(1, 64)
-        x = g.axis_coords()
-        wide = grids.wide_laplacian(g, np.sin(x))
-        expected = -np.sin(x) * (math.sin(g.dx) / g.dx) ** 2
-        assert np.allclose(wide, expected, rtol=0, atol=1e-12)
-        # distinct from the compact stencil
-        assert not np.allclose(wide, grids.laplacian(g, np.sin(x)), rtol=1e-4)
-
-    def test_divergence_of_gradient_equals_wide_laplacian(self):
-        g = PeriodicGrid(2, 16)
-        f = trig_field(g)
-        assert np.array_equal(
-            grids.divergence(g, grids.gradient(g, f)), grids.wide_laplacian(g, f)
-        )
-
     def test_shift_commutes_bit_for_bit(self):
         g = PeriodicGrid(1, 32)
         f = trig_field(g, k=3, phase=0.3)

@@ -34,6 +34,17 @@ MODES_2D = [
     "initial_u.mode_y=0.1 1 0 0",
 ]
 
+# The 3D run covers the third stencil axis; it keeps this grid size whatever
+# --n is, since n**3 points grow too fast.
+N_3D = 12
+MODES_3D = [
+    "initial_R.mode=0.2 1 0 1 0",
+    "initial_Q.mode=0.2 0 1 0 1.5707963267948966",
+    "initial_u.mode_x=0.1 0 1 0 0",
+    "initial_u.mode_y=0.1 0 0 1 0",
+    "initial_u.mode_z=0.1 1 0 0 0",
+]
+
 
 def commands(n: int) -> list[tuple[str, list[str]]]:
     """(label, argv) of every command, in the order they run."""
@@ -42,9 +53,13 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
     mix2d = ["--set", "grid.dim=2", "--set", "time.t_end=0.05"]
     for mode in MODES_2D:
         mix2d += ["--set", mode]
+    mix3d = ["--set", f"grid.n={N_3D}", "--set", "grid.dim=3", "--set", "time.t_end=0.5"]
+    for mode in MODES_3D:
+        mix3d += ["--set", mode]
     return [
         ("simulate-std1d", ["simulate", "--out", "simulate-std1d", *grid, *fields]),
         ("simulate-2d", ["simulate", "--out", "simulate-2d", *grid, *mix2d, *fields]),
+        ("simulate-3d", ["simulate", "--out", "simulate-3d", *mix3d, *fields]),
         ("compare-1e-3", ["compare", "--out", "compare-1e-3", *grid, "--set", "perturbation.delta=1e-3"]),
         ("compare-0", ["compare", "--out", "compare-0", *grid, "--set", "perturbation.delta=0"]),
         ("sweep", ["sweep", "--out", "sweep", *grid, "--deltas", "0,1e-2,1e-3,1e-4"]),

@@ -9,7 +9,6 @@ human-readable status goes to stdout and errors to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -55,20 +54,17 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     # Only the initial and final states are written, so no other is kept.
-    params = cfg.sim_params()
-    params = dataclasses.replace(params, output_interval=params.t_end)
-    traj = dynamics.run(config.build_initial_state(cfg), params)
-    if cfg.emit.diagnostics:
-        iofmt.write_diagnostics_csv(out / "diagnostics.csv", traj)
-    if cfg.emit.energy:
-        audit = energy.audit_energy(traj)
-        iofmt.write_energy_csv(
-            out / "energy.csv",
-            audit,
-            kinetic=traj.diagnostics.kinetic,
-            internal=traj.diagnostics.internal,
-        )
-    if cfg.emit.fields:
+    traj = dynamics.run(
+        config.build_initial_state(cfg), cfg.sim_params(), every_state=False
+    )
+    iofmt.write_diagnostics_csv(out / "diagnostics.csv", traj)
+    iofmt.write_energy_csv(
+        out / "energy.csv",
+        energy.audit_energy(traj),
+        kinetic=traj.diagnostics.kinetic,
+        internal=traj.diagnostics.internal,
+    )
+    if cfg.fields:
         _emit_fields(out, traj.initial, "initial")
         _emit_fields(out, traj.final, "final")
     print(
@@ -89,8 +85,7 @@ def cmd_compare(args) -> int:
         wavevector=p.wavevector,
         phase=p.phase,
     )
-    if cfg.emit.comparison:
-        iofmt.write_compare_csv(out / "compare.csv", result.diag)
+    iofmt.write_compare_csv(out / "compare.csv", result.diag)
     stability = twin.check_density_stability(result.diag)
     meanvel = twin.check_mean_velocity(result.weak, result.strong, result.diag)
     C = max(
@@ -204,24 +199,15 @@ def cmd_energy_audit(args) -> int:
         raise ConfigError(f"--defect-tol must be finite and nonnegative, got {tol!r}")
     path = args.diagnostics
     cols = iofmt.read_diagnostics_csv(path)
-    for used in (("t", "energy", "dissipation"), ("t", "kinetic", "internal", "dissipation_rate")):
-        if cols.keys() >= set(used):
-            break
-    else:
-        raise ConfigError(
-            f"{path}: need t with energy/dissipation or kinetic/internal/dissipation_rate columns"
-        )
+    used = ("t", "energy", "dissipation")
+    if not cols.keys() >= set(used):
+        raise ConfigError(f"{path}: need t with energy/dissipation columns")
     for name in used:
         if not np.all(np.isfinite(cols[name])):
             raise ConfigError(f"{path}: column {name} has a non-finite cell")
-    kin, inte = cols.get("kinetic"), cols.get("internal")
-    if "energy" in used:
-        e, d = cols["energy"], cols["dissipation"]
-    else:
-        e, d = kin + inte, cols["dissipation_rate"]
     out = _outdir(args)
-    audit = energy.audit_series(cols["t"], e, d)
-    iofmt.write_energy_csv(out / "energy_audit.csv", audit, kinetic=kin, internal=inte)
+    audit = energy.audit_series(*(cols[name] for name in used))
+    iofmt.write_energy_csv(out / "energy_audit.csv", audit)
     print(f"energy-audit: max defect={audit.max_defect:.6e}")
     # Written so that a NaN defect fails the gate instead of passing it.
     if tol is not None and not audit.max_defect <= tol:

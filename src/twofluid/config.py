@@ -14,7 +14,7 @@ a section it replaces that field's default mode list instead of extending it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,6 @@ class PerturbationSpec:
 
 
 @dataclass(frozen=True)
-class EmitFlags:
-    fields: bool
-    diagnostics: bool
-    energy: bool
-    comparison: bool
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: PeriodicGrid
     gamma_plus: float
@@ -64,12 +56,11 @@ class RunConfig:
     t_end: float
     cfl: float
     density_floor: float
-    output_interval: float
     initial_R: FieldSpec
     initial_Q: FieldSpec
     initial_u: tuple[FieldSpec, ...]
     perturbation: PerturbationSpec
-    emit: EmitFlags
+    fields: bool  # write the initial and final field dumps
 
     def closure_params(self) -> ClosureParams:
         return ClosureParams(self.gamma_plus, self.gamma_minus)
@@ -82,7 +73,6 @@ class RunConfig:
             cfl=self.cfl,
             density_floor=self.density_floor,
             t_end=self.t_end,
-            output_interval=self.output_interval,
         )
 
 
@@ -106,7 +96,6 @@ lambda = 0
 t_end = 0.5
 cfl = 0.4
 density_floor = 1e-10
-output_interval = 0
 
 [initial_R]
 constant = 1
@@ -127,9 +116,6 @@ phase = 0
 
 [output]
 fields = false
-diagnostics = true
-energy = true
-comparison = true
 """
 
 
@@ -173,7 +159,7 @@ def _to_mode(section, key, value, dim) -> FourierMode:
 _SCALAR_KEYS = {
     "grid": {"dim": _to_int, "n": _to_int, "length": _to_float},
     "physics": dict.fromkeys(("gamma_plus", "gamma_minus", "mu", "lambda"), _to_float),
-    "time": dict.fromkeys(("t_end", "cfl", "density_floor", "output_interval"), _to_float),
+    "time": dict.fromkeys(("t_end", "cfl", "density_floor"), _to_float),
     "initial_R": {"constant": _to_float},
     "initial_Q": {"constant": _to_float},
     "initial_u": dict.fromkeys((f"constant_{c}" for c in _COMPONENTS), _to_float),
@@ -182,7 +168,7 @@ _SCALAR_KEYS = {
         "wavevector": _to_int,
         "phase": _to_float,
     },
-    "output": dict.fromkeys((f.name for f in fields(EmitFlags)), _to_bool),
+    "output": {"fields": _to_bool},
 }
 _MODE_KEYS = {
     "initial_R": ("mode",),
@@ -303,7 +289,7 @@ def parse_config(text: str) -> RunConfig:
         initial_Q=initial_Q,
         initial_u=initial_u,
         perturbation=PerturbationSpec(**_scalars(raw, "perturbation")),
-        emit=EmitFlags(**_scalars(raw, "output")),
+        **_scalars(raw, "output"),
     )
     _checked(cfg.sim_params)
     _validate_positivity(cfg)
@@ -384,7 +370,7 @@ def serialize_config(cfg: RunConfig) -> str:
         "physics": cfg,
         "time": cfg,
         "perturbation": cfg.perturbation,
-        "output": cfg.emit,
+        "output": cfg,
     }
     raw = {
         section: {

@@ -40,7 +40,6 @@ class SimParams:
     cfl: float = 0.4
     density_floor: float = 1e-10
     t_end: float = 0.5
-    output_interval: float = 0.0  # 0 means a snapshot every step
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
@@ -53,8 +52,6 @@ class SimParams:
             raise DomainError("density_floor must be nonnegative")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise DomainError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.output_interval < 0.0:
-            raise DomainError("output_interval must be nonnegative")
 
 
 @dataclass
@@ -363,6 +360,7 @@ def run(
     *,
     dt_schedule: Sequence[float] | None = None,
     source: SourceFn | None = None,
+    every_state: bool = True,
 ) -> Trajectory:
     """Advance the state to t_end, collecting diagnostics and snapshots.
 
@@ -379,9 +377,8 @@ def run(
     its diagnostics row, its ``stable_dt`` and stage 1 of its step. Each
     state after the first starts its closure solve from the previous
     state's Z, as does the stage-2 solve of every step. Every
-    state gets a diagnostics row; ``snapshots`` keeps the initial state, one
-    state per ``output_interval`` (every state when it is 0) and the final
-    state.
+    state gets a diagnostics row; ``snapshots`` keeps every state, or with
+    ``every_state=False`` only the initial and the final state.
 
     Identical inputs produce bit-identical trajectories. The floor-hit count
     reflects the velocity reconstruction of each recorded state.
@@ -392,7 +389,6 @@ def run(
     dts: list[float] = []
     realised_cfl: list[float] = []
     cols: dict[str, list] = {}
-    next_output = state.t
     ev = None
     while True:
         ev = state.evaluate(params, guess=None if ev is None else ev.Z)
@@ -400,10 +396,8 @@ def run(
         remaining = params.t_end - state.t
         if remaining <= eps_t:
             break
-        if params.output_interval == 0.0 or state.t >= next_output - 1e-12:
+        if every_state or not snapshots:
             snapshots.append(state)
-            while params.output_interval > 0.0 and next_output <= state.t + 1e-12:
-                next_output += params.output_interval
         limit = stable_dt(state, params, ev)
         if dt_schedule is not None:
             if len(dts) >= len(dt_schedule):

@@ -39,6 +39,12 @@ class PeriodicGrid:
             raise DomainError(f"n must be even and at least 8, got {self.n}")
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise DomainError(f"length must be positive, got {self.length}")
+        try:
+            self.dx**2, self.cell_volume, self.volume
+        except OverflowError:
+            raise DomainError(
+                f"length must keep dx**2 and the cell and grid volumes finite, got {self.length}"
+            ) from None
 
     @property
     def dx(self) -> float:

@@ -129,7 +129,6 @@ class ConclusionReport:
     margin: np.ndarray  # lhs(t) - f(0); the conclusion asserts margin <= 0
     tolerance: np.ndarray
     verdict: bool
-    hypothesis: HypothesisReport
 
     @property
     def max_margin(self) -> float:
@@ -141,8 +140,7 @@ def check_conclusion(trace: GronwallTrace) -> ConclusionReport:
 
     All integrals are trapezoidal; the verdict tolerance propagates the
     quadrature error estimates of each integral through the expression. The
-    hypothesis is re-checked and included in the report but does not gate
-    the verdict.
+    hypothesis is not checked here; ``check_hypothesis`` does that.
     """
     t, f, gp, al, be = trace.t, trace.f, trace.gprime, trace.alpha, trace.beta
     A = cumulative_trapezoid(t, al)
@@ -159,13 +157,7 @@ def check_conclusion(trace: GronwallTrace) -> ConclusionReport:
     propagated = expA * (f + I2) * errA + (np.abs(coef) + 0.5 * errTB) * errI2 + 0.5 * I2 * errTB
     tol = SLACK * np.maximum(1.0, np.maximum(f[0], np.abs(lhs))) + propagated
     verdict = bool(np.all(margin <= tol))
-    return ConclusionReport(
-        t=t,
-        margin=margin,
-        tolerance=tol,
-        verdict=verdict,
-        hypothesis=check_hypothesis(trace),
-    )
+    return ConclusionReport(t=t, margin=margin, tolerance=tol, verdict=verdict)
 
 
 def classical_gronwall_bound(t, rate_series, forcing_series) -> np.ndarray:

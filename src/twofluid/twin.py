@@ -291,17 +291,16 @@ def build_gronwall_trace(
     diag: PairDiagnostics,
     ref: ReferenceSeries,
     params: SimParams,
-    C: float | None = None,
+    C: float,
 ) -> GronwallTrace:
     """Assemble the Gronwall trace of the difference system.
 
     f = 1/2 ||sqrt(R+Q) U||^2 + 1/2 int (g')^2, g' = ||grad U||_2,
     alpha = C (t ||Du~||_3 ||grad u~||_2 + ||grad u~||_inf) and
     beta = C (||Du~||_3 + 1), with Du~ the material derivative of the
-    reference velocity. C defaults to the fitted density-stability constant.
+    reference velocity. ``compare`` passes the larger of the fitted
+    density-stability constant and ``fit_gronwall_constant``.
     """
-    if C is None:
-        C = check_density_stability(diag).fitted_C
     if C < 0.0:
         raise DomainError("Gronwall constant C must be nonnegative")
     f, gprime, alpha1, beta1 = _trace_ingredients(diag, ref)

@@ -54,11 +54,13 @@ class TestSimulate:
         out = tmp_path / "run"
         code = cli.main(
             ["simulate", "--config", str(cfg_path), "--out", str(out),
-             "--set", "output.energy=false"]
+             "--set", "grid.n=16", "--set", "output.fields=true"]
         )
         assert code == 0
-        assert (out / "diagnostics.csv").exists()
-        assert not (out / "energy.csv").exists()
+        assert (out / "diagnostics.csv").exists() and (out / "energy.csv").exists()
+        grid, _, t, _ = iofmt.read_field(out / "final_R.dat")
+        assert grid == PeriodicGrid(1, 16)
+        assert t == 0.02
 
     def test_dimension_override_acts_like_the_config_line(self, tmp_path):
         lines = ["grid.dim=2", "grid.n=16", "time.t_end=0.01"]
@@ -350,9 +352,10 @@ class TestEnergyAudit:
         "text,message",
         [
             ("t,kinetic,internal\n0,1,1\n0.1,1,1\n", "need t with energy/dissipation"),
+            (f"{iofmt.ENERGY_HEADER}\n0,1,1,0,0,0\n0.1,1,1,0,0,0\n",
+             "need t with energy/dissipation columns"),
             ("t,energy,dissipation\n0,1,0\n0.1,nan,0\n0.2,5,0\n", "column energy has a non-finite"),
-            ("t,kinetic,internal,dissipation_rate\n0,1,1,0\n0.1,1,1,inf\n",
-             "column dissipation_rate has a non-finite"),
+            ("t,energy,dissipation\n0,1,0\n0.1,1,inf\n", "column dissipation has a non-finite"),
         ],
     )
     def test_unusable_columns_exit_2(self, tmp_path, capsys, text, message):
@@ -366,9 +369,11 @@ class TestEnergyAudit:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_nan_defect_fails_the_gate(self, tmp_path):
-        # kinetic + internal overflows to inf, so the defect is inf - inf = nan
+        # the dissipation integral overflows to inf, then adds -inf: nan
         path = tmp_path / "diagnostics.csv"
-        path.write_text("t,kinetic,internal,dissipation_rate\n0,1e308,1e308,0\n0.1,1e308,1e308,0\n")
+        path.write_text(
+            "t,energy,dissipation\n0,1,1e308\n0.1,1,1e308\n0.2,1,-1e308\n0.3,1,-1e308\n"
+        )
         args = ["energy-audit", "--diagnostics", str(path), "--out", str(tmp_path / "o")]
         assert cli.main([*args, "--defect-tol", "1e-6"]) == 1
 
@@ -414,6 +419,17 @@ class TestErrorPaths:
         code = cli.main(["simulate", "--out", str(tmp_path), "--set", value])
         assert code == 2
         assert_one_line_config_error(capsys, f"override {value!r} must be one line")
+
+    @pytest.mark.parametrize(
+        "grid", [["grid.length=1e300"], ["grid.dim=2", "grid.length=1e200"]]
+    )
+    def test_grid_length_whose_sizes_overflow_exits_2(self, tmp_path, capsys, grid):
+        sets = ["grid.n=16", "time.t_end=0.01", *grid]
+        out = tmp_path / "o"
+        argv = ["simulate", "--out", str(out), *(a for s in sets for a in ("--set", s))]
+        assert cli.main(argv) == 2
+        assert_one_line_config_error(capsys, "length must keep dx**2 and the cell and grid volumes finite")
+        assert not out.exists()
 
     def test_bad_override_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--set", "x=1"]) == 2
@@ -500,7 +516,7 @@ class TestRoundTrips:
     @given(
         dim=st.integers(1, 3),
         vector=st.booleans(),
-        length=st.one_of(st.sampled_from([5e-324, 1e-300, 1e300, HUGE]), st.floats(1e-3, 1e3)),
+        length=st.one_of(st.sampled_from([5e-324, 1e-300, 1e100]), st.floats(1e-3, 1e3)),
         t=finite,
         name=st.sampled_from(["R", "Q", "m"]),
         data=st.data(),

@@ -86,7 +86,6 @@ class TestValidation:
             ("[time]\ncfl = 0\n", "cfl must lie in \\(0, 1\\]"),
             ("[time]\ncfl = 1.5\n", "cfl must lie in \\(0, 1\\]"),
             ("[time]\ndensity_floor = -1e-12\n", "density_floor must be nonnegative"),
-            ("[time]\noutput_interval = -0.1\n", "output_interval must be nonnegative"),
         ],
     )
     def test_parameter_ranges(self, text, message):
@@ -98,7 +97,7 @@ class TestValidation:
         [
             "[physics]\ngamma_minus = 1.0000001\n",
             "[physics]\nmu = 0.1\nlambda = -0.1\n",
-            "[time]\nt_end = 0\ncfl = 1\ndensity_floor = 0\noutput_interval = 0\n",
+            "[time]\nt_end = 0\ncfl = 1\ndensity_floor = 0\n",
         ],
     )
     def test_parameter_range_edges_accepted(self, text):
@@ -147,7 +146,35 @@ class TestValidation:
             config.parse_config("[grid]\nn = 33\n")
 
 
+# A second valid value of every scalar key, read against a 3D grid so that
+# every velocity component exists.
+SECOND_VALUES = {
+    "grid": {"dim": "2", "n": "64", "length": "3"},
+    "physics": {"gamma_plus": "2", "gamma_minus": "2", "mu": "0.2", "lambda": "0.1"},
+    "time": {"t_end": "0.25", "cfl": "0.5", "density_floor": "1e-9"},
+    "initial_R": {"constant": "2"},
+    "initial_Q": {"constant": "2"},
+    "initial_u": {"constant_x": "0.5", "constant_y": "0.5", "constant_z": "0.5"},
+    "perturbation": {"delta": "0.01", "wavevector": "3", "phase": "1"},
+    "output": {"fields": "true"},
+}
+
+
 class TestOverrides:
+    def test_every_scalar_key_has_a_reader(self):
+        base = ["grid.dim=3"]
+        parsed = config.parse_config(config.apply_overrides("", base))
+        unread = [
+            f"{section}.{key}"
+            for section, keys in config._SCALAR_KEYS.items()
+            for key in keys
+            if config.parse_config(
+                config.apply_overrides("", [*base, f"{section}.{key}={SECOND_VALUES[section][key]}"])
+            )
+            == parsed
+        ]
+        assert unread == []
+
     def test_set_scalar(self):
         text = config.apply_overrides("", ["physics.mu=0.25", "grid.n=64"])
         cfg = config.parse_config(text)
@@ -243,7 +270,6 @@ def overrides(dim):
         "time.t_end": number(0.0, 1.0),
         "time.cfl": number(0.05, 1.0),
         "time.density_floor": number(0.0, 1e-6),
-        "time.output_interval": number(0.0, 0.1),
         "initial_R.constant": number(1.5, 3.0),
         "initial_Q.constant": number(1.5, 3.0),
         "initial_R.mode": mode(dim),
@@ -252,7 +278,6 @@ def overrides(dim):
         "perturbation.wavevector": st.integers(1, 4).map(str),
         "perturbation.phase": number(-3.0, 3.0),
         "output.fields": st.sampled_from(["true", "false", "yes", "0"]),
-        "output.diagnostics": st.sampled_from(["true", "false"]),
     }
     for c in "xyz"[:dim]:
         values[f"initial_u.constant_{c}"] = number(-1.0, 1.0)

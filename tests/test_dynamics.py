@@ -257,14 +257,17 @@ class TestRun:
         assert np.allclose(d.dt[:-1], np.diff(d.t), rtol=0, atol=1e-15)
         assert d.dt[-1] == 0.0
 
-    def test_output_interval_subsamples(self, std1d_initial):
-        params = SimParams(
-            closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1, output_interval=0.05
-        )
-        traj = dynamics.run(std1d_initial, params)
-        assert len(traj.snapshots) < len(traj.diagnostics.t)
-        assert traj.snapshot_times[0] == 0.0
-        assert traj.snapshot_times[-1] == traj.final.t
+    def test_every_state_false_keeps_initial_and_final(self, std1d_initial):
+        params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
+        full = dynamics.run(std1d_initial, params)
+        ends = dynamics.run(std1d_initial, params, every_state=False)
+        assert len(full.snapshots) == len(full.diagnostics.t) > 2
+        assert ends.snapshot_times.tolist() == [0.0, 0.1]
+        for name, column in vars(ends.diagnostics).items():
+            assert column.tobytes() == getattr(full.diagnostics, name).tobytes(), name
+        for field in ("R", "Q", "m"):
+            assert getattr(ends.final, field).tobytes() == getattr(full.final, field).tobytes()
+            assert getattr(ends.initial, field).tobytes() == getattr(std1d_initial, field).tobytes()
 
     def test_floor_hits_counted(self):
         g = PeriodicGrid(1, 32)

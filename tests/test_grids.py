@@ -23,7 +23,11 @@ class TestGridType:
         assert g.cell_volume == pytest.approx(g.dx**2)
         assert g.volume == pytest.approx((2 * math.pi) ** 2)
 
-    @pytest.mark.parametrize("dim,n,L", [(0, 16, 1.0), (4, 16, 1.0), (2, 6, 1.0), (2, 15, 1.0), (1, 16, -1.0)])
+    @pytest.mark.parametrize(
+        "dim,n,L",
+        [(0, 16, 1.0), (4, 16, 1.0), (2, 6, 1.0), (2, 15, 1.0), (1, 16, -1.0),
+         (1, 8, 1e300), (2, 16, 1e200), (3, 8, 1e103)],
+    )
     def test_invalid_grids(self, dim, n, L):
         with pytest.raises(DomainError):
             PeriodicGrid(dim, n, L)

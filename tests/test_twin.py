@@ -155,7 +155,12 @@ class TestMeanVelocity:
 class TestGronwallPipeline:
     def test_identical_runs_trace_is_trivial(self, std1d_initial, std1d_params):
         result = twin.run_twin(std1d_initial, std1d_params, delta=0.0)
-        trace = twin.build_gronwall_trace(result.diag, result.ref, std1d_params)
+        C = max(
+            twin.check_density_stability(result.diag).fitted_C,
+            twin.fit_gronwall_constant(result.diag, result.ref, std1d_params),
+        )
+        assert C == 0.0
+        trace = twin.build_gronwall_trace(result.diag, result.ref, std1d_params, C=C)
         assert np.all(trace.f == 0.0)
         assert np.all(trace.gprime == 0.0)
         report = gronwall.check_conclusion(trace)
@@ -171,9 +176,8 @@ class TestGronwallPipeline:
         C = twin.fit_gronwall_constant(twin128.diag, twin128.ref, std1d_params)
         assert np.isfinite(C) and C > 0.0
         trace = twin.build_gronwall_trace(twin128.diag, twin128.ref, std1d_params, C=C)
-        report = gronwall.check_conclusion(trace)
-        assert report.hypothesis.ok
-        assert report.verdict
+        assert gronwall.check_hypothesis(trace).ok
+        assert gronwall.check_conclusion(trace).verdict
 
     def test_negative_constant_rejected(self, twin128, std1d_params):
         with pytest.raises(DomainError):

@@ -114,6 +114,18 @@ def _residual_slope(R, Q, z, gamma):
     return f, fp
 
 
+def _newton_point(z, f, fp):
+    """The Newton point z - f/fp, without a divide-by-zero warning.
+
+    The slope underflows to 0 where z**gamma does, as at a guess clipped to
+    Z_EPS. The infinite point is outside every bracket, so the sweep bisects
+    and the polish clips it into the bracket. Overflow and invalid values
+    still warn.
+    """
+    with np.errstate(divide="ignore"):
+        return z - f / fp
+
+
 def _pinned(z, lo, hi):
     """Lanes whose bracket has collapsed onto a finite z.
 
@@ -156,7 +168,7 @@ def _bracketed_newton(R, Q, gamma, guess=None):
         neg = f < 0.0
         lo = np.where(neg, z, lo)
         hi = np.where(neg, hi, z)
-        z_new = z - f / fp
+        z_new = _newton_point(z, f, fp)
         inside = (z_new > lo) & (z_new < hi)
         z = np.where(done, z, np.where(inside, z_new, 0.5 * (lo + hi)))
     else:
@@ -172,7 +184,7 @@ def _bracketed_newton(R, Q, gamma, guess=None):
                 index=i,
             )
 
-    z_new = np.clip(z - f / fp, lo0, hi0)
+    z_new = np.clip(_newton_point(z, f, fp), lo0, hi0)
     f_new, _ = _residual_slope(R, Q, z_new, gamma)
     return np.where(np.abs(f_new) < np.abs(f), z_new, z)
 

@@ -56,7 +56,13 @@ class SimParams:
 
 @dataclass
 class State:
-    """Solution snapshot in conserved variables."""
+    """Solution snapshot in conserved variables.
+
+    R and Q have the grid's shape and m has (dim, *grid.shape). A batch of
+    B states stacks them on an axis after the component axis: R and Q then
+    have (B, *grid.shape) and m has (dim, B, *grid.shape), and the
+    pointwise work and ``rhs`` act on every member as on its own state.
+    """
 
     grid: PeriodicGrid
     R: np.ndarray
@@ -65,9 +71,11 @@ class State:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.R.shape != self.grid.shape or self.Q.shape != self.grid.shape:
+        shape = self.R.shape
+        g = self.grid
+        if shape[-g.dim :] != g.shape or len(shape) > g.dim + 1 or self.Q.shape != shape:
             raise DomainError("density shape does not match grid")
-        if self.m.shape != (self.grid.dim, *self.grid.shape):
+        if self.m.shape != (g.dim, *shape):
             raise DomainError("momentum shape does not match grid")
 
     def velocity(self, floor: float) -> tuple[np.ndarray, int]:
@@ -142,7 +150,8 @@ def rhs(
     right as written above, so the tendencies equal bit for bit those
     composed from ``grids.divergence`` and ``grids.gradient``.
 
-    ``ev`` is the state's evaluation when the caller already has it.
+    ``ev`` is the state's evaluation when the caller already has it. A
+    batched state gives each member the tendencies of its own call.
     """
     g = state.grid
     if ev is None:
@@ -152,7 +161,7 @@ def rhs(
     # Fluxes, then Jacobian rows, then p: one kind of operand stack is alive
     # at a time, which keeps the peak memory of a 2D or 3D call down.
     for i in range(g.dim):
-        flux = np.empty((2 + g.dim, *g.shape))
+        flux = np.empty((2 + g.dim, *state.R.shape))
         np.multiply(state.R, u[i], out=flux[0])
         np.multiply(state.Q, u[i], out=flux[1])
         np.multiply(state.m, u[i], out=flux[2:])
@@ -271,6 +280,8 @@ class DiagnosticSeries:
     ``kinetic`` and ``internal`` are kept for the energy emission and
     ``realised_cfl`` for the twin layer's step-limit check; none of them is
     part of the diagnostics CSV contract (``energy`` is kinetic + internal).
+    ``energy``, ``dissipation``, ``kinetic`` and ``internal`` are None for a
+    run made with ``energy_rows=False``.
     """
 
     t: np.ndarray
@@ -278,14 +289,14 @@ class DiagnosticSeries:
     realised_cfl: np.ndarray  # dt * cfl / stable_dt of the state; 0 on the last row
     mass_R: np.ndarray
     mass_Q: np.ndarray
-    energy: np.ndarray
-    dissipation: np.ndarray
+    energy: np.ndarray | None
+    dissipation: np.ndarray | None
     min_R: np.ndarray
     min_Q: np.ndarray
     max_u: np.ndarray
     floor_hits: np.ndarray
-    kinetic: np.ndarray
-    internal: np.ndarray
+    kinetic: np.ndarray | None
+    internal: np.ndarray | None
 
     COLUMNS = (
         "t",
@@ -331,25 +342,41 @@ class Trajectory:
         return self.snapshots[-1]
 
 
+_ENERGY_COLUMNS = ("energy", "dissipation", "kinetic", "internal")
+
+
 def _record_diagnostics(
-    cols: dict[str, list], state: State, params: SimParams, ev: Evaluation
+    cols: dict[str, list],
+    state: State,
+    params: SimParams,
+    ev: Evaluation,
+    energy_rows: bool,
 ) -> None:
-    """Append the DiagnosticSeries fields other than dt for one evaluated state."""
+    """Append the DiagnosticSeries fields other than dt for one evaluated state.
+
+    Without ``energy_rows`` the _ENERGY_COLUMNS are not computed, but the
+    state's volume fraction is still checked as ``total_energy`` checks it.
+    """
     g = state.grid
-    report = energy.total_energy(state, params, ev)
     row = dict(
         t=state.t,
         mass_R=grids.integrate(g, state.R),
         mass_Q=grids.integrate(g, state.Q),
-        energy=report.kinetic + report.internal,
-        dissipation=report.dissipation_rate,
         min_R=float(np.min(state.R)),
         min_Q=float(np.min(state.Q)),
         max_u=float(np.max(grids.pointwise_magnitude(g, ev.u))),
         floor_hits=ev.floor_hits,
-        kinetic=report.kinetic,
-        internal=report.internal,
     )
+    if energy_rows:
+        report = energy.total_energy(state, params, ev)
+        row.update(
+            energy=report.kinetic + report.internal,
+            dissipation=report.dissipation_rate,
+            kinetic=report.kinetic,
+            internal=report.internal,
+        )
+    else:
+        energy.check_volume_fraction(state, ev)
     for name, value in row.items():
         cols.setdefault(name, []).append(value)
 
@@ -361,6 +388,7 @@ def run(
     dt_schedule: Sequence[float] | None = None,
     source: SourceFn | None = None,
     every_state: bool = True,
+    energy_rows: bool = True,
 ) -> Trajectory:
     """Advance the state to t_end, collecting diagnostics and snapshots.
 
@@ -378,7 +406,10 @@ def run(
     state after the first starts its closure solve from the previous
     state's Z, as does the stage-2 solve of every step. Every
     state gets a diagnostics row; ``snapshots`` keeps every state, or with
-    ``every_state=False`` only the initial and the final state.
+    ``every_state=False`` only the initial and the final state. With
+    ``energy_rows=False`` the rows skip the kinetic, internal and
+    dissipation integrals, whose columns are then None; the volume-fraction
+    check of ``energy.total_energy`` still runs on every state.
 
     Identical inputs produce bit-identical trajectories. The floor-hit count
     reflects the velocity reconstruction of each recorded state.
@@ -392,7 +423,7 @@ def run(
     ev = None
     while True:
         ev = state.evaluate(params, guess=None if ev is None else ev.Z)
-        _record_diagnostics(cols, state, params, ev)
+        _record_diagnostics(cols, state, params, ev, energy_rows)
         remaining = params.t_end - state.t
         if remaining <= eps_t:
             break
@@ -417,6 +448,7 @@ def run(
     diag = DiagnosticSeries(
         dt=np.asarray(dts + [0.0]),
         realised_cfl=np.asarray(realised_cfl + [0.0]),
-        **{name: np.asarray(values) for name, values in cols.items()},
+        **dict.fromkeys(_ENERGY_COLUMNS)
+        | {name: np.asarray(values) for name, values in cols.items()},
     )
     return Trajectory(params=params, diagnostics=diag, snapshots=snapshots)

@@ -57,10 +57,25 @@ def internal_energy_raw(state, params) -> float:
     return grids.integrate(state.grid, out)
 
 
+def check_volume_fraction(state, ev) -> None:
+    """Raise ConsistencyError where alpha = R/Z leaves [0, 1] beyond ALPHA_TOL.
+
+    ``ev`` is the state's ``Evaluation``; vacuum points (Z = 0) are skipped.
+    """
+    defined = ev.Z > 0.0
+    if defined.any():
+        a = ev.alpha[defined]
+        if np.any(a < -ALPHA_TOL) or np.any(a > 1.0 + ALPHA_TOL):
+            raise ConsistencyError(
+                f"volume fraction left [0,1] beyond {ALPHA_TOL} at t={state.t}"
+            )
+
+
 def total_energy(state, params, ev=None) -> EnergyReport:
     """Kinetic + internal energy of a state, with the dissipation rate.
 
-    ``ev`` is the state's ``Evaluation`` when the caller already has it.
+    ``ev`` is the state's ``Evaluation`` when the caller already has it. The
+    internal energy is taken only after ``check_volume_fraction`` passes.
     """
     g = state.grid
     if ev is None:
@@ -69,15 +84,8 @@ def total_energy(state, params, ev=None) -> EnergyReport:
     mag2 = grids.pointwise_magnitude(g, ev.u) ** 2
     kinetic = 0.5 * grids.integrate(g, rho * mag2)
 
-    Z, alpha = ev.Z, ev.alpha
-    defined = Z > 0.0
-    if defined.any():
-        a = alpha[defined]
-        if np.any(a < -ALPHA_TOL) or np.any(a > 1.0 + ALPHA_TOL):
-            raise ConsistencyError(
-                f"volume fraction left [0,1] beyond {ALPHA_TOL} at t={state.t}"
-            )
-    internal = grids.integrate(g, _internal_integrand(Z, alpha, params.closure))
+    check_volume_fraction(state, ev)
+    internal = grids.integrate(g, _internal_integrand(ev.Z, ev.alpha, params.closure))
     return EnergyReport(
         t=state.t,
         kinetic=kinetic,

@@ -146,9 +146,14 @@ def integrate(grid: PeriodicGrid, f: np.ndarray):
 
 def pointwise_magnitude(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """Euclidean magnitude over any leading component axes."""
-    if values.ndim == grid.dim:
+    return _magnitude(values, grid.dim)
+
+
+def _magnitude(values: np.ndarray, point_ndim: int) -> np.ndarray:
+    """Euclidean magnitude over the axes before the last ``point_ndim``."""
+    if values.ndim == point_ndim:
         return np.abs(values)
-    flat = values.reshape(-1, *values.shape[values.ndim - grid.dim :])
+    flat = values.reshape(-1, *values.shape[values.ndim - point_ndim :])
     return np.sqrt(np.sum(flat * flat, axis=0))
 
 

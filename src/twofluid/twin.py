@@ -17,9 +17,14 @@ import numpy as np
 from . import dynamics, grids
 from .dynamics import SimParams, State, Trajectory
 from .errors import ConfigError, ConsistencyError, DomainError
+from .grids import PeriodicGrid
 from .gronwall import GronwallTrace, cumulative_trapezoid
 
 EPS_DIV = 1e-14
+
+# The reducers below stack this many grid points of samples at most, so a
+# block's arrays stay small; a 2D or 3D grid usually gives one-sample blocks.
+BLOCK_POINTS = 2048
 
 
 @dataclass
@@ -92,8 +97,60 @@ def perturb_state(
     return State(g, state.R.copy(), state.Q.copy(), m, state.t)
 
 
+def _blocks(snapshots: Sequence[State]):
+    """(slice, batched State) over consecutive samples, BLOCK_POINTS at most.
+
+    The batch axis sits after the component axis, as ``State`` allows, so
+    every pointwise and stencil operation of a member is the one it gets on
+    its own.
+    """
+    size = max(1, BLOCK_POINTS // snapshots[0].grid.npoints)
+    for start in range(0, len(snapshots), size):
+        block = snapshots[start : start + size]
+        yield slice(start, start + len(block)), State(
+            block[0].grid,
+            np.stack([s.R for s in block]),
+            np.stack([s.Q for s in block]),
+            np.stack([s.m for s in block], axis=1),
+            block[0].t,
+        )
+
+
+# Per-member reductions of a batched field. The batch axis counts as a point
+# axis of the magnitude, each member's points are summed as grids.integrate
+# sums one sample, and roots are taken with Python float ** as grids.lp_norm
+# takes them (numpy's array ** can differ by an ulp). So every value equals
+# the per-sample grids function's bit for bit.
+
+
+def _lp_norms(g: PeriodicGrid, values: np.ndarray, p: float) -> list[float]:
+    """grids.lp_norm of each member, for p >= 1 or p = inf."""
+    mag = grids._magnitude(values, g.dim + 1)
+    if p == math.inf:
+        return np.max(mag, axis=tuple(range(1, mag.ndim))).tolist()
+    p = float(p)
+    return [s ** (1.0 / p) for s in grids.integrate(g, mag**p).tolist()]
+
+
+def _weighted_l2s(g: PeriodicGrid, weight: np.ndarray, v: np.ndarray) -> list[float]:
+    """grids.weighted_l2 of each member."""
+    if np.any(weight < 0.0):
+        raise DomainError("weighted_l2 requires a nonnegative weight")
+    mag = grids._magnitude(v, g.dim + 1)
+    return [math.sqrt(s) for s in grids.integrate(g, weight * mag * mag).tolist()]
+
+
+def _vector_norms(ints: np.ndarray) -> list[float]:
+    """np.linalg.norm of each member of a (dim, B) array of integrals."""
+    return [float(np.linalg.norm(col)) for col in ints.T]
+
+
 def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
-    """Difference norms of two trajectories on matched grids and samples."""
+    """Difference norms of two trajectories on matched grids and samples.
+
+    The samples are reduced in blocks of at most BLOCK_POINTS grid points;
+    every value equals that of a per-sample loop over the grids reducers.
+    """
     if weak.grid != strong.grid:
         raise ConfigError("twin runs live on different grids")
     if weak.params != strong.params:
@@ -106,47 +163,44 @@ def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
     n = len(weak.snapshots)
     cols = {name: np.zeros(n) for name in PairDiagnostics.COLUMNS}
     cols["t"] = weak.snapshot_times
-    for k, (w, s) in enumerate(zip(weak.snapshots, strong.snapshots)):
+    space = tuple(range(2, g.dim + 2))  # grid axes of the 4 stacked densities
+    for (k, w), (_, s) in zip(_blocks(weak.snapshots), _blocks(strong.snapshots)):
         U = w.velocity(floor)[0] - s.velocity(floor)[0]
-        frakR = w.R - s.R
-        calQ = w.Q - s.Q
         jac = grids.vector_gradient(g, U)
-        cols["norm_frakR"][k] = grids.lp_norm(g, frakR, 2)
-        cols["norm_calQ"][k] = grids.lp_norm(g, calQ, 2)
-        cols["norm_wU"][k] = grids.weighted_l2(g, w.R + w.Q, U)
-        cols["norm_gradU"][k] = grids.lp_norm(g, jac, 2)
-        cols["norm_divU"][k] = grids.lp_norm(g, grids.divergence(g, U), 2)
-        cols["norm_U6"][k] = grids.lp_norm(g, U, 6)
-        cols["mean_U"][k] = float(np.linalg.norm(grids.integrate(g, U)))
-        cols["sup_R"][k] = float(np.max(np.abs(w.R)))
-        cols["sup_Q"][k] = float(np.max(np.abs(w.Q)))
-        cols["M_bound"][k] = max(
-            cols["sup_R"][k],
-            cols["sup_Q"][k],
-            float(np.max(np.abs(s.R))),
-            float(np.max(np.abs(s.Q))),
-        )
+        cols["norm_frakR"][k] = _lp_norms(g, w.R - s.R, 2)
+        cols["norm_calQ"][k] = _lp_norms(g, w.Q - s.Q, 2)
+        cols["norm_wU"][k] = _weighted_l2s(g, w.R + w.Q, U)
+        cols["norm_gradU"][k] = _lp_norms(g, jac, 2)
+        cols["norm_divU"][k] = _lp_norms(g, grids.divergence(g, U), 2)
+        cols["norm_U6"][k] = _lp_norms(g, U, 6)
+        cols["mean_U"][k] = _vector_norms(grids.integrate(g, U))
+        sups = np.max(np.abs([w.R, w.Q, s.R, s.Q]), axis=space)
+        cols["sup_R"][k], cols["sup_Q"][k] = sups[0], sups[1]
+        cols["M_bound"][k] = np.max(sups, axis=0)
     cols["int_gradU"] = cumulative_trapezoid(cols["t"], cols["norm_gradU"])
     cols["M_bound"] = np.maximum.accumulate(cols["M_bound"])
     return PairDiagnostics(**cols)
 
 
 def reference_series(traj: Trajectory, params: SimParams) -> ReferenceSeries:
-    """Reference-run norms, with the material derivative from an rhs call."""
+    """Reference-run norms, with the material derivative from an rhs call.
+
+    Each block of samples takes one cold closure solve and one ``rhs`` call.
+    """
     g = traj.grid
     floor = params.density_floor
     n = len(traj.snapshots)
     out = {name: np.zeros(n) for name in ("grad_u_2", "grad_u_inf", "material_3")}
-    for k, s in enumerate(traj.snapshots):
+    for k, s in _blocks(traj.snapshots):
         ten = dynamics.rhs(s, params)
         u = ten.u
         rho = np.maximum(s.R + s.Q, floor)
         dtu = (ten.dm - u * (ten.dR + ten.dQ)) / rho
         jac = grids.vector_gradient(g, u)
         conv = np.einsum("i...,ij...->j...", u, jac)
-        out["material_3"][k] = grids.lp_norm(g, dtu + conv, 3)
-        out["grad_u_2"][k] = grids.lp_norm(g, jac, 2)
-        out["grad_u_inf"][k] = grids.lp_norm(g, jac, math.inf)
+        out["material_3"][k] = _lp_norms(g, dtu + conv, 3)
+        out["grad_u_2"][k] = _lp_norms(g, jac, 2)
+        out["grad_u_inf"][k] = _lp_norms(g, jac, math.inf)
     return ReferenceSeries(t=traj.snapshot_times, **out)
 
 
@@ -223,30 +277,31 @@ def check_mean_velocity(
     n = len(weak.snapshots)
     residual = np.zeros(n)
     scale = np.zeros(n)
-    fitted = 0.0
-    for k, (w, s) in enumerate(zip(weak.snapshots, strong.snapshots)):
+    grad_us = np.zeros(n)
+    for (k, w), (_, s) in zip(_blocks(weak.snapshots), _blocks(strong.snapshots)):
         u_w = w.velocity(floor)[0]
         u_s = s.velocity(floor)[0]
         U = u_w - u_s
         rho_w = w.R + w.Q
         diff = (w.R - s.R) + (w.Q - s.Q)
         mean_us = grids.integrate(g, u_s) / g.volume
-        centered = u_s - mean_us.reshape((g.dim,) + (1,) * g.dim)
+        centered = u_s - mean_us.reshape(mean_us.shape + (1,) * g.dim)
         lhs = grids.integrate(g, rho_w * U)
         rhs = -grids.integrate(g, diff * centered)
-        residual[k] = float(np.linalg.norm(lhs - rhs))
-        mag_w = grids.pointwise_magnitude(g, u_w)
-        mag_s = grids.pointwise_magnitude(g, u_s)
-        mag_c = grids.pointwise_magnitude(g, centered)
+        residual[k] = _vector_norms(lhs - rhs)
+        mag_w = grids._magnitude(u_w, g.dim + 1)
+        mag_s = grids._magnitude(u_s, g.dim + 1)
+        mag_c = grids._magnitude(centered, g.dim + 1)
         scale[k] = grids.integrate(g, rho_w * (mag_w + mag_s)) + grids.integrate(
             g, np.abs(diff) * mag_c
         )
-        bracket = (diag.sup_R[k] + diag.sup_Q[k]) * diag.norm_gradU[k] + (
-            grids.lp_norm(g, grids.vector_gradient(g, u_s), 2)
-            * (diag.norm_frakR[k] + diag.norm_calQ[k])
-        )
-        if bracket > EPS_DIV:
-            fitted = max(fitted, diag.mean_U[k] * m0_s / bracket)
+        grad_us[k] = _lp_norms(g, grids.vector_gradient(g, u_s), 2)
+    bracket = (diag.sup_R + diag.sup_Q) * diag.norm_gradU + grad_us * (
+        diag.norm_frakR + diag.norm_calQ
+    )
+    ok = bracket > EPS_DIV
+    # Python's max, not np.max: a NaN ratio is skipped, not propagated.
+    fitted = max([0.0, *(diag.mean_U[ok] * m0_s / bracket[ok]).tolist()])
     verdict = bool(np.all(residual <= rtol * np.maximum(scale, 1e-300)))
     return MeanVelocityReport(
         t=weak.snapshot_times,
@@ -326,7 +381,9 @@ def _weak_member(initial, strong, params, delta, wavevector, phase):
     realised CFL number exceeds 1 left the stable regime the twin relies on.
     """
     weak_initial = perturb_state(initial, delta, wavevector, phase)
-    weak = dynamics.run(weak_initial, params, dt_schedule=strong.dts)
+    weak = dynamics.run(
+        weak_initial, params, dt_schedule=strong.dts, energy_rows=False
+    )
     cfl = weak.diagnostics.realised_cfl
     k = int(np.argmax(cfl))
     if cfl[k] > 1.0:
@@ -344,8 +401,11 @@ def run_twin(
     wavevector: int = 2,
     phase: float = 0.0,
 ) -> TwinResult:
-    """Run the reference and its delta-perturbed twin on a shared schedule."""
-    strong = dynamics.run(initial, params)
+    """Run the reference and its delta-perturbed twin on a shared schedule.
+
+    No twin output reads an energy row, so neither run computes them.
+    """
+    strong = dynamics.run(initial, params, energy_rows=False)
     weak, diag = _weak_member(initial, strong, params, delta, wavevector, phase)
     return TwinResult(
         strong=strong, weak=weak, diag=diag, ref=reference_series(strong, params)
@@ -386,7 +446,7 @@ def stability_sweep(
     A row needs no reference-run norms, so none are computed, and each
     member's weak trajectory is dropped once its row is built.
     """
-    strong = dynamics.run(initial, params)
+    strong = dynamics.run(initial, params, energy_rows=False)
     return [
         _sweep_row(delta, _weak_member(initial, strong, params, delta, wavevector, phase)[1])
         for delta in deltas

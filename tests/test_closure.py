@@ -267,6 +267,16 @@ class TestGuess:
         # three Newton sweeps, the last of which seeds the one polish step
         assert len(calls) == 4 < cold
 
+    def test_guess_clipped_to_z_eps_falls_back_to_bisection(self):
+        # At Z_EPS, z**gamma underflows to 0 and so does the first slope; the
+        # Newton division must hand the lane to bisection without a warning,
+        # which tier-1 turns into an error.
+        R, Q = np.array([5e-324]), np.array([1.0])
+        params = ClosureParams(3.0, 1.5)
+        Z, _ = closure.solve_Z_field(R, Q, params, guess=np.array([0.0]))
+        res = closure.closure_residual(R, Q, Z, params)
+        assert abs(res[0]) <= closure.TOL_ABS + closure.TOL_REL * max(1.0, Q[0])
+
     def test_guess_must_be_finite_and_match_shape(self):
         params = ClosureParams(1.5, 3.0)
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cfg_at
 from twofluid import closure, config, dynamics, energy, grids
@@ -269,6 +270,44 @@ class TestRun:
             assert getattr(ends.final, field).tobytes() == getattr(full.final, field).tobytes()
             assert getattr(ends.initial, field).tobytes() == getattr(std1d_initial, field).tobytes()
 
+    def test_energy_rows_off_leaves_the_other_columns_alone(self, std1d_initial):
+        params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
+        full = dynamics.run(std1d_initial, params)
+        lean = dynamics.run(std1d_initial, params, energy_rows=False)
+        for name, column in vars(lean.diagnostics).items():
+            if name in ("energy", "dissipation", "kinetic", "internal"):
+                assert column is None, name
+            else:
+                assert column.tobytes() == getattr(full.diagnostics, name).tobytes(), name
+        for field in ("R", "Q", "m"):
+            assert getattr(lean.final, field).tobytes() == getattr(full.final, field).tobytes()
+
+    def test_energy_rows_off_keeps_the_volume_fraction_check(self, std1d_initial, monkeypatch):
+        params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
+        t2 = dynamics.run(std1d_initial, params).diagnostics.t[2]
+        solve = closure.solve_Z_field
+        calls = []
+
+        def leaky(R, Q, cp, **kwargs):
+            # solves 1, 3 and 5 are the first three states' own, 2 and 4 stage 2
+            Z, alpha = solve(R, Q, cp, **kwargs)
+            calls.append(1)
+            if len(calls) == 5:
+                alpha = alpha.copy()
+                alpha[3] = 1.0 + 1e-9
+            return Z, alpha
+
+        monkeypatch.setattr(closure, "solve_Z_field", leaky)
+        messages = []
+        for energy_rows in (True, False):
+            calls.clear()
+            with pytest.raises(ConsistencyError, match="volume fraction left") as err:
+                dynamics.run(std1d_initial, params, energy_rows=energy_rows)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            f"volume fraction left [0,1] beyond {energy.ALPHA_TOL} at t={t2}"
+        )
+
     def test_floor_hits_counted(self):
         g = PeriodicGrid(1, 32)
         state = State(
@@ -498,6 +537,42 @@ class TestFusedRhs:
         state.R[7] = 1e300
         with pytest.raises(ConsistencyError, match=r"non-finite tendency dm at index \(0, 6\)"):
             dynamics.rhs(state, FUSED_PARAMS)
+
+
+class TestBatchedState:
+    """Members stacked on an axis after the component axis act as their own."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        grid=st.sampled_from(FUSED_GRIDS),
+        members=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(grid=(3, 8), members=3, seed=0)
+    def test_batched_rhs_equals_each_members_own_call(self, grid, members, seed):
+        g = PeriodicGrid(*grid)
+        rng = np.random.default_rng(seed)
+        R, Q = rng.uniform(0.5, 1.5, (2, members, *g.shape))
+        m = rng.normal(0.0, 0.5, (g.dim, members, *g.shape))
+        ten = dynamics.rhs(State(g, R, Q, m, 0.0), FUSED_PARAMS)
+        for b in range(members):
+            own = dynamics.rhs(State(g, R[b].copy(), Q[b].copy(), m[:, b].copy(), 0.0), FUSED_PARAMS)
+            for name in ("dR", "dQ", "u", "dm"):
+                got = getattr(ten, name)[..., b, *(slice(None),) * g.dim]
+                assert got.tobytes() == getattr(own, name).tobytes(), name
+
+    @pytest.mark.parametrize(
+        "R,m",
+        [((8,), (2, 8)), ((3, 8), (2, 3, 8)), ((2, 3, 8, 8), (2, 2, 3, 8, 8)), ((8, 8), (1, 8, 8))],
+    )
+    def test_shape_check(self, R, m):
+        g = PeriodicGrid(2, 8)
+        with pytest.raises(DomainError):
+            State(g, np.ones(R), np.ones(R), np.ones(m), 0.0)
+
+    def test_batched_shapes_are_accepted(self):
+        g = PeriodicGrid(2, 8)
+        State(g, np.ones((3, 8, 8)), np.ones((3, 8, 8)), np.ones((2, 3, 8, 8)), 0.0)
 
 
 class Test3DSmoke:

@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twofluid import dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
-from twofluid.dynamics import SimParams, State
+from twofluid.dynamics import SimParams, State, Trajectory
 from twofluid.errors import ConfigError, ConsistencyError, DomainError
 from twofluid.grids import PeriodicGrid
 
@@ -291,3 +293,124 @@ class TestSweep:
         with pytest.raises(ConsistencyError, match="realised CFL number"):
             twin.run_twin(initial, params, 1.0)
 
+
+
+def per_sample_compare(weak, strong):
+    """compare as a loop over samples and the grids reducers, the oracle."""
+    g, floor = weak.grid, weak.params.density_floor
+    rows = []
+    for w, s in zip(weak.snapshots, strong.snapshots):
+        U = w.velocity(floor)[0] - s.velocity(floor)[0]
+        sups = [float(np.max(np.abs(a))) for a in (w.R, w.Q, s.R, s.Q)]
+        rows.append([
+            grids.lp_norm(g, w.R - s.R, 2),
+            grids.lp_norm(g, w.Q - s.Q, 2),
+            grids.weighted_l2(g, w.R + w.Q, U),
+            grids.lp_norm(g, grids.vector_gradient(g, U), 2),
+            grids.lp_norm(g, grids.divergence(g, U), 2),
+            grids.lp_norm(g, U, 6),
+            float(np.linalg.norm(grids.integrate(g, U))),
+            max(sups),
+            sups[0],
+            sups[1],
+        ])
+    cols = dict(zip(
+        ("norm_frakR", "norm_calQ", "norm_wU", "norm_gradU", "norm_divU", "norm_U6",
+         "mean_U", "M_bound", "sup_R", "sup_Q"),
+        np.asarray(rows).T,
+    ))
+    cols["M_bound"] = np.maximum.accumulate(cols["M_bound"])
+    return cols
+
+
+def per_sample_reference(traj, params):
+    g = traj.grid
+    rows = []
+    for s in traj.snapshots:
+        ten = dynamics.rhs(s, params)
+        u = ten.u
+        dtu = (ten.dm - u * (ten.dR + ten.dQ)) / np.maximum(s.R + s.Q, params.density_floor)
+        jac = grids.vector_gradient(g, u)
+        conv = np.einsum("i...,ij...->j...", u, jac)
+        rows.append([grids.lp_norm(g, jac, 2), grids.lp_norm(g, jac, math.inf),
+                     grids.lp_norm(g, dtu + conv, 3)])
+    return dict(zip(("grad_u_2", "grad_u_inf", "material_3"), np.asarray(rows).T))
+
+
+def per_sample_mean_velocity(weak, strong, diag):
+    g, floor = weak.grid, weak.params.density_floor
+    m0_s = grids.integrate(g, strong.snapshots[0].R + strong.snapshots[0].Q)
+    residual, scale, fitted = [], [], 0.0
+    for k, (w, s) in enumerate(zip(weak.snapshots, strong.snapshots)):
+        u_w, u_s = w.velocity(floor)[0], s.velocity(floor)[0]
+        diff = (w.R - s.R) + (w.Q - s.Q)
+        centered = u_s - (grids.integrate(g, u_s) / g.volume).reshape((g.dim,) + (1,) * g.dim)
+        lhs = grids.integrate(g, (w.R + w.Q) * (u_w - u_s))
+        rhs = -grids.integrate(g, diff * centered)
+        residual.append(float(np.linalg.norm(lhs - rhs)))
+        mag = [grids.pointwise_magnitude(g, v) for v in (u_w, u_s, centered)]
+        scale.append(grids.integrate(g, (w.R + w.Q) * (mag[0] + mag[1]))
+                     + grids.integrate(g, np.abs(diff) * mag[2]))
+        bracket = (diag.sup_R[k] + diag.sup_Q[k]) * diag.norm_gradU[k] + (
+            grids.lp_norm(g, grids.vector_gradient(g, u_s), 2)
+            * (diag.norm_frakR[k] + diag.norm_calQ[k])
+        )
+        if bracket > twin.EPS_DIV:
+            fitted = max(fitted, diag.mean_U[k] * m0_s / bracket)
+    return np.asarray(residual), np.asarray(scale), fitted
+
+
+def random_pair(g, samples, seed):
+    """Strong and weak trajectories of random states; the weak densities are
+    the strong ones shifted by one point, so the masses match."""
+    rng = np.random.default_rng(seed)
+    params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, lam=0.05, t_end=1.0)
+    strong, weak = [], []
+    for k in range(samples):
+        R, Q = rng.uniform(0.5, 1.5, (2, *g.shape))
+        m_s, m_w = rng.normal(0.0, 0.5, (2, g.dim, *g.shape))
+        t = k / samples
+        strong.append(State(g, R, Q, m_s, t))
+        weak.append(State(g, np.roll(R, 1), np.roll(Q, 1), m_w, t))
+    return Trajectory(params, None, weak), Trajectory(params, None, strong), params
+
+
+class TestBlockReducers:
+    """The block-wise reducers equal a per-sample loop bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.sampled_from([(1, 8), (1, 16), (2, 8), (3, 8)]),
+        samples=st.integers(1, 9),
+        members=st.integers(1, 4),
+        slack=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(grid=(1, 16), samples=7, members=3, slack=0.5, seed=1)  # blocks 3, 3, 1
+    @example(grid=(3, 8), samples=5, members=2, slack=0.0, seed=2)  # blocks 2, 2, 1
+    def test_equal_to_per_sample_loops(self, grid, samples, members, slack, seed):
+        g = PeriodicGrid(*grid)
+        weak, strong, params = random_pair(g, samples, seed)
+        # any block size between members and members + 1 samples holds members
+        block_points = members * g.npoints + int(slack * g.npoints)
+        with mock.patch.object(twin, "BLOCK_POINTS", block_points):
+            diag = twin.compare(weak, strong)
+            ref = twin.reference_series(strong, params)
+            meanvel = twin.check_mean_velocity(weak, strong, diag)
+        for name, want in per_sample_compare(weak, strong).items():
+            assert getattr(diag, name).tobytes() == want.tobytes(), name
+        for name, want in per_sample_reference(strong, params).items():
+            assert getattr(ref, name).tobytes() == want.tobytes(), name
+        residual, scale, fitted = per_sample_mean_velocity(weak, strong, diag)
+        assert meanvel.residual.tobytes() == residual.tobytes()
+        assert meanvel.scale.tobytes() == scale.tobytes()
+        assert meanvel.fitted_C == fitted
+
+    def test_block_sizes(self):
+        snaps = random_pair(PeriodicGrid(1, 16), 7, 0)[1].snapshots
+        with mock.patch.object(twin, "BLOCK_POINTS", 40):
+            blocks = list(twin._blocks(snaps))
+        assert [k for k, _ in blocks] == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]
+        assert [b.m.shape for _, b in blocks] == [(1, 2, 16)] * 3 + [(1, 1, 16)]
+        with mock.patch.object(twin, "BLOCK_POINTS", 8):
+            assert len(list(twin._blocks(snaps))) == 7

@@ -37,6 +37,10 @@ MODES_2D = [
 # The 3D run covers the third stencil axis; it keeps this grid size whatever
 # --n is, since n**3 points grow too fast.
 N_3D = 12
+# The 2D and 3D twins keep these sizes whatever --n is. They reduce their
+# samples over 2 and 3 grid axes, several samples to a block.
+N_COMPARE_2D = 16
+N_COMPARE_3D = 8
 MODES_3D = [
     "initial_R.mode=0.2 1 0 1 0",
     "initial_Q.mode=0.2 0 1 0 1.5707963267948966",
@@ -53,15 +57,20 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
     mix2d = ["--set", "grid.dim=2", "--set", "time.t_end=0.05"]
     for mode in MODES_2D:
         mix2d += ["--set", mode]
-    mix3d = ["--set", f"grid.n={N_3D}", "--set", "grid.dim=3", "--set", "time.t_end=0.5"]
+    dim3 = ["--set", "grid.dim=3"]
     for mode in MODES_3D:
-        mix3d += ["--set", mode]
+        dim3 += ["--set", mode]
+    mix3d = ["--set", f"grid.n={N_3D}", "--set", "time.t_end=0.5", *dim3]
+    twin2d = ["--set", f"grid.n={N_COMPARE_2D}", *mix2d]
+    twin3d = ["--set", f"grid.n={N_COMPARE_3D}", "--set", "time.t_end=0.05", *dim3]
     return [
         ("simulate-std1d", ["simulate", "--out", "simulate-std1d", *grid, *fields]),
         ("simulate-2d", ["simulate", "--out", "simulate-2d", *grid, *mix2d, *fields]),
         ("simulate-3d", ["simulate", "--out", "simulate-3d", *mix3d, *fields]),
         ("compare-1e-3", ["compare", "--out", "compare-1e-3", *grid, "--set", "perturbation.delta=1e-3"]),
         ("compare-0", ["compare", "--out", "compare-0", *grid, "--set", "perturbation.delta=0"]),
+        ("compare-2d", ["compare", "--out", "compare-2d", *twin2d]),
+        ("compare-3d", ["compare", "--out", "compare-3d", *twin3d]),
         ("sweep", ["sweep", "--out", "sweep", *grid, "--deltas", "0,1e-2,1e-3,1e-4"]),
         ("closure-table", ["closure-table", "--out", "closure-table"]),
         ("gronwall-check", ["gronwall-check", "--trace", "compare-1e-3/trace.csv"]),

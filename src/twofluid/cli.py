@@ -182,6 +182,7 @@ def cmd_gronwall_check(args) -> int:
     trace = iofmt.read_trace_csv(args.trace)
     hypothesis = gronwall.check_hypothesis(trace)
     conclusion = gronwall.check_conclusion(trace)
+    iofmt.write_hypothesis_csv(_outdir(args) / "hypothesis.csv", hypothesis)
     print(
         f"hypothesis: {'ok' if hypothesis.ok else 'violated'} "
         f"({hypothesis.violations.size} interval(s) flagged)"

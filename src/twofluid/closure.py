@@ -10,11 +10,12 @@ the partial derivatives of Z with respect to either density.
 Every solve is bracketed: F(Z) = Z**gamma - R*Z**(gamma-1) is strictly
 increasing on [R, inf) with F(R) = 0, and the root never exceeds
 max(2R, (2Q)**(1/gamma)), so a Newton iteration with bisection fallback
-cannot escape the bracket. A point converges when its residual meets the
-tolerance, or when its bracket holds no double strictly inside: where
-Z**gamma >> Q the residual's rounding exceeds the absolute tolerance, and
-the collapsed bracket pins the root as closely as doubles can. Only a point
-that runs out of ``MAX_ITER`` iterations first raises ConvergenceError.
+cannot escape the bracket; a bracket that overflows is a DomainError. A
+point converges when its residual meets the tolerance, or when its bracket
+holds no double strictly inside: where Z**gamma >> Q the residual's
+rounding exceeds the absolute tolerance, and the collapsed bracket pins the
+root as closely as doubles can. Only a point that runs out of ``MAX_ITER``
+iterations first raises ConvergenceError.
 
 Newton starts at the bracket midpoint, or at a caller's ``guess`` clipped
 into the bracket (time integration passes the previous state's Z, which
@@ -152,7 +153,13 @@ def _bracketed_newton(R, Q, gamma, guess=None):
     other lanes of the batch.
     """
     lo0 = np.maximum(R, Z_EPS)
-    hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
+    with np.errstate(over="ignore"):
+        hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
+    if not np.isfinite(hi0).all():
+        i = int(np.argmin(np.isfinite(hi0)))
+        raise DomainError(
+            f"closure upper bracket max(2R, (2Q)**(1/gamma)) overflows at R={R[i]}, Q={Q[i]}"
+        )
     z = 0.5 * (lo0 + hi0) if guess is None else np.clip(guess, lo0, hi0)
 
     lo, hi = lo0, hi0

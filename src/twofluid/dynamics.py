@@ -6,12 +6,13 @@ divergences use the centered conservative form, so the discrete masses and
 total momentum telescope exactly on the periodic grid.
 
 The pointwise work on a state -- its velocity with the floor hits, and the
-implicit closure solve for Z and alpha -- is an ``Evaluation``. ``run``
-evaluates each state once and shares the result between the diagnostics
-row, ``stable_dt`` and stage 1 of the next step, so a free-stepping step
-solves the closure twice (stage 2 and the new state) instead of four times.
-Both solves start Newton from the Z of the state the step began at, which
-moves Z by a few ulp against a cold solve and saves residual evaluations.
+implicit closure solve for Z and alpha -- is an ``Evaluation``, which only
+``State.evaluate`` makes and ``rhs``, ``stable_dt`` and ``step`` require.
+``run`` evaluates each state once for its diagnostics row, ``stable_dt``
+and stage 1, so a run of N steps solves the closure 2N + 1 times: each
+state and each stage 2. Both solves of a step start Newton from the Z of
+the state the step began at, which moves Z by a few ulp against a cold
+solve and saves residual evaluations.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ class State:
 class Evaluation:
     """Pointwise quantities of one state, shared by everything that reads it.
 
-    Functions taking an optional ``ev`` use it in place of evaluating the
-    state themselves; it must be ``state.evaluate(params, guess)`` of that
-    state, for any guess.
+    Every function that needs the velocity or the closure of a state takes
+    its ``ev``, which must be ``state.evaluate(params, guess)`` of that
+    state, for any guess; none of them solves the closure itself.
     """
 
     u: np.ndarray
@@ -114,12 +115,11 @@ class Evaluation:
 
 @dataclass
 class Tendencies:
-    """Time derivatives of (R, Q, m) and the velocity they were built from."""
+    """Time derivatives of (R, Q, m)."""
 
     dR: np.ndarray
     dQ: np.ndarray
     dm: np.ndarray
-    u: np.ndarray
 
 
 SourceFn = Callable[[State], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -128,8 +128,8 @@ SourceFn = Callable[[State], tuple[np.ndarray, np.ndarray, np.ndarray]]
 def rhs(
     state: State,
     params: SimParams,
+    ev: Evaluation,
     source: SourceFn | None = None,
-    ev: Evaluation | None = None,
 ) -> Tendencies:
     """Conservative right-hand side of the two-fluid system.
 
@@ -150,12 +150,9 @@ def rhs(
     right as written above, so the tendencies equal bit for bit those
     composed from ``grids.divergence`` and ``grids.gradient``.
 
-    ``ev`` is the state's evaluation when the caller already has it. A
-    batched state gives each member the tendencies of its own call.
+    A batched state gives each member the tendencies of its own call.
     """
     g = state.grid
-    if ev is None:
-        ev = state.evaluate(params)
     u = ev.u
 
     # Fluxes, then Jacobian rows, then p: one kind of operand stack is alive
@@ -200,21 +197,17 @@ def rhs(
             raise ConsistencyError(
                 f"non-finite tendency {name} at index {loc}, t={state.t}"
             )
-    return Tendencies(dR, dQ, dm, u)
+    return Tendencies(dR, dQ, dm)
 
 
-def stable_dt(state: State, params: SimParams, ev: Evaluation | None = None) -> float:
+def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
     """Explicit-scheme time step limit.
 
     dt = cfl * min(dx/(max|u| + c_max), dx^2/(2 dim nu_max)) with the
     sound-speed proxy c_max = max sqrt(gamma_plus Z^(gamma_plus-1)
     max(|dZ/dR|, |dZ/dQ|)) taken pointwise over the grid.
-
-    ``ev`` is the state's evaluation when the caller already has it.
     """
     g = state.grid
-    if ev is None:
-        ev = state.evaluate(params)
     umax = float(np.max(grids.pointwise_magnitude(g, ev.u)))
 
     Z = ev.Z
@@ -244,17 +237,16 @@ def step(
     state: State,
     params: SimParams,
     dt: float,
+    ev: Evaluation,
     source: SourceFn | None = None,
-    ev: Evaluation | None = None,
 ) -> State:
     """One SSP-RK2 (Heun) update; the caller guarantees dt <= stable_dt.
 
-    Stage 1 uses ``ev`` when given, so a state already evaluated for its
-    step size is not solved again, and stage 2 then starts its closure solve
-    from ``ev.Z``.
+    Stage 1 reads the state's ``ev``; stage 2 evaluates its own state, with
+    the closure solve started from ``ev.Z``.
     """
     g = state.grid
-    k1 = rhs(state, params, source, ev)
+    k1 = rhs(state, params, ev, source)
     s1 = State(
         g,
         state.R + dt * k1.dR,
@@ -262,8 +254,7 @@ def step(
         state.m + dt * k1.dm,
         state.t + dt,
     )
-    ev1 = None if ev is None else s1.evaluate(params, guess=ev.Z)
-    k2 = rhs(s1, params, source, ev1)
+    k2 = rhs(s1, params, s1.evaluate(params, guess=ev.Z), source)
     return State(
         g,
         0.5 * state.R + 0.5 * (s1.R + dt * k2.dR),
@@ -420,9 +411,8 @@ def run(
     dts: list[float] = []
     realised_cfl: list[float] = []
     cols: dict[str, list] = {}
-    ev = None
+    ev = state.evaluate(params)
     while True:
-        ev = state.evaluate(params, guess=None if ev is None else ev.Z)
         _record_diagnostics(cols, state, params, ev, energy_rows)
         remaining = params.t_end - state.t
         if remaining <= eps_t:
@@ -441,9 +431,10 @@ def run(
             dt = min(limit, remaining)
         dts.append(dt)
         realised_cfl.append(dt * params.cfl / limit)
-        state = step(state, params, dt, source, ev)
+        state = step(state, params, dt, ev, source)
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
+        ev = state.evaluate(params, guess=ev.Z)
     snapshots.append(state)
     diag = DiagnosticSeries(
         dt=np.asarray(dts + [0.0]),

@@ -71,15 +71,13 @@ def check_volume_fraction(state, ev) -> None:
             )
 
 
-def total_energy(state, params, ev=None) -> EnergyReport:
+def total_energy(state, params, ev) -> EnergyReport:
     """Kinetic + internal energy of a state, with the dissipation rate.
 
-    ``ev`` is the state's ``Evaluation`` when the caller already has it. The
-    internal energy is taken only after ``check_volume_fraction`` passes.
+    ``ev`` is the state's ``Evaluation``. The internal energy is taken only
+    after ``check_volume_fraction`` passes.
     """
     g = state.grid
-    if ev is None:
-        ev = state.evaluate(params)
     rho = state.R + state.Q
     mag2 = grids.pointwise_magnitude(g, ev.u) ** 2
     kinetic = 0.5 * grids.integrate(g, rho * mag2)
@@ -94,16 +92,15 @@ def total_energy(state, params, ev=None) -> EnergyReport:
     )
 
 
-def dissipation(state, params, ev=None) -> float:
+def dissipation(state, params, ev) -> float:
     """Viscous dissipation rate, integral of mu|grad u|^2 + (mu+lam)(div u)^2.
 
-    Only the velocity is needed, so without ``ev`` no closure is solved.
-    div u is the Jacobian's diagonal summed in axis order, which equals
+    Only the velocity ``ev.u`` of the state's ``Evaluation`` is read. div u
+    is the Jacobian's diagonal summed in axis order, which equals
     ``grids.divergence`` bit for bit without taking its differences again.
     """
     g = state.grid
-    u = state.velocity(params.density_floor)[0] if ev is None else ev.u
-    jac = grids.vector_gradient(g, u)
+    jac = grids.vector_gradient(g, ev.u)
     div = sum((jac[i, i] for i in range(1, g.dim)), jac[0, 0])
     quad = params.mu * np.sum(jac * jac, axis=(0, 1)) + (
         params.mu + params.lam

@@ -160,9 +160,9 @@ def _magnitude(values: np.ndarray, point_ndim: int) -> np.ndarray:
 def lp_norm(grid: PeriodicGrid, values: np.ndarray, p) -> float:
     """Discrete L^p norm; vectors and tensors use the pointwise magnitude."""
     mag = pointwise_magnitude(grid, values)
-    if p == math.inf or (isinstance(p, str) and p == "inf"):
-        return float(np.max(mag))
     p = float(p)
+    if p == math.inf:
+        return float(np.max(mag))
     if p < 1.0:
         raise DomainError(f"lp_norm requires p >= 1 or inf, got {p}")
     return float(integrate(grid, mag**p) ** (1.0 / p))

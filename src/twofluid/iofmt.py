@@ -16,13 +16,14 @@ from .dynamics import DiagnosticSeries, Trajectory
 from .energy import EnergyAudit
 from .errors import ConfigError, DomainError
 from .grids import PeriodicGrid
-from .gronwall import GronwallTrace
+from .gronwall import GronwallTrace, HypothesisReport
 from .twin import PairDiagnostics, SweepRow
 
 DIAGNOSTICS_HEADER = ",".join(DiagnosticSeries.COLUMNS)
 ENERGY_HEADER = "t,kinetic,internal,dissipation_rate,cumulative_dissipation,defect"
 COMPARE_HEADER = ",".join(PairDiagnostics.COLUMNS)
 TRACE_HEADER = "t,f,gprime,alpha,beta"
+HYPOTHESIS_HEADER = "t,lhs,rhs,tolerance,flagged"
 SWEEP_HEADER = "delta,sup_distance,ratio,fitted_C"
 CLOSURE_TABLE_HEADER = "R,Q,gamma_plus,gamma_minus,Z,alpha,p,dZdR,dZdQ,residual"
 
@@ -136,6 +137,14 @@ def read_trace_csv(path) -> GronwallTrace:
         )
     except DomainError as err:
         raise ConfigError(f"{path}: {err}") from err
+
+
+def write_hypothesis_csv(path, report: HypothesisReport) -> None:
+    """One row per checked interval; flagged is 1 where it is a violation."""
+    flagged = np.zeros(len(report.t), dtype=int)
+    flagged[report.violations] = 1
+    rows = zip(report.t, report.lhs, report.rhs, report.tolerance, flagged)
+    _write_rows(path, HYPOTHESIS_HEADER, rows)
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:

@@ -18,7 +18,7 @@ from . import dynamics, grids
 from .dynamics import SimParams, State, Trajectory
 from .errors import ConfigError, ConsistencyError, DomainError
 from .grids import PeriodicGrid
-from .gronwall import GronwallTrace, cumulative_trapezoid
+from .gronwall import GronwallTrace, check_hypothesis, cumulative_trapezoid
 
 EPS_DIV = 1e-14
 
@@ -192,8 +192,9 @@ def reference_series(traj: Trajectory, params: SimParams) -> ReferenceSeries:
     n = len(traj.snapshots)
     out = {name: np.zeros(n) for name in ("grad_u_2", "grad_u_inf", "material_3")}
     for k, s in _blocks(traj.snapshots):
-        ten = dynamics.rhs(s, params)
-        u = ten.u
+        ev = s.evaluate(params)
+        ten = dynamics.rhs(s, params, ev)
+        u = ev.u
         rho = np.maximum(s.R + s.Q, floor)
         dtu = (ten.dm - u * (ten.dR + ten.dQ)) / rho
         jac = grids.vector_gradient(g, u)
@@ -313,14 +314,6 @@ def check_mean_velocity(
     )
 
 
-def _trace_ingredients(diag, ref):
-    gprime = diag.norm_gradU
-    f = 0.5 * diag.norm_wU**2 + 0.5 * cumulative_trapezoid(diag.t, gprime**2)
-    alpha1 = diag.t * ref.material_3 * ref.grad_u_2 + ref.grad_u_inf
-    beta1 = ref.material_3 + 1.0
-    return f, gprime, alpha1, beta1
-
-
 def fit_gronwall_constant(
     diag: PairDiagnostics, ref: ReferenceSeries, params: SimParams
 ) -> float:
@@ -328,18 +321,15 @@ def fit_gronwall_constant(
 
     The paper's constant is existential and absorbs the viscosity
     normalization, so it cannot be taken from any single estimate; this fit
-    returns max over intervals of (f' + (g')^2) / (alpha_1 f + beta_1 g g'),
-    with f' a forward difference and alpha_1, beta_1 the C = 1 coefficient
-    shapes. Identically zero traces fit C = 0.
+    returns the max of lhs / rhs, (f' + (g')^2) / (alpha f + beta g g'), of
+    ``check_hypothesis`` on the C = 1 trace, over the intervals with
+    rhs > EPS_DIV and lhs > 0. Identically zero traces fit C = 0.
     """
-    f, gprime, alpha1, beta1 = _trace_ingredients(diag, ref)
-    g = cumulative_trapezoid(diag.t, gprime)
-    lhs = np.diff(f) / np.diff(diag.t) + gprime[:-1] ** 2
-    den = (alpha1 * f + beta1 * g * gprime)[:-1]
-    valid = (den > EPS_DIV) & (lhs > 0.0)
+    report = check_hypothesis(build_gronwall_trace(diag, ref, params, C=1.0))
+    valid = (report.rhs > EPS_DIV) & (report.lhs > 0.0)
     if not valid.any():
         return 0.0
-    return float(np.max(lhs[valid] / den[valid]))
+    return float(np.max(report.lhs[valid] / report.rhs[valid]))
 
 
 def build_gronwall_trace(
@@ -358,10 +348,11 @@ def build_gronwall_trace(
     """
     if C < 0.0:
         raise DomainError("Gronwall constant C must be nonnegative")
-    f, gprime, alpha1, beta1 = _trace_ingredients(diag, ref)
-    return GronwallTrace(
-        t=diag.t.copy(), f=f, gprime=gprime, alpha=C * alpha1, beta=C * beta1
-    )
+    gprime = diag.norm_gradU
+    f = 0.5 * diag.norm_wU**2 + 0.5 * cumulative_trapezoid(diag.t, gprime**2)
+    alpha = C * (diag.t * ref.material_3 * ref.grad_u_2 + ref.grad_u_inf)
+    beta = C * (ref.material_3 + 1.0)
+    return GronwallTrace(t=diag.t.copy(), f=f, gprime=gprime, alpha=alpha, beta=beta)
 
 
 @dataclass

@@ -259,7 +259,7 @@ class TestGronwallCheck:
         )
         path = tmp_path / "trace.csv"
         iofmt.write_trace_csv(path, trace)
-        assert cli.main(["gronwall-check", "--trace", str(path)]) == 0
+        assert cli.main(["gronwall-check", "--trace", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_violating_trace_fails(self, tmp_path):
         t = np.linspace(0.0, 1.0, 21)
@@ -269,12 +269,31 @@ class TestGronwallCheck:
         )
         path = tmp_path / "trace.csv"
         iofmt.write_trace_csv(path, trace)
-        assert cli.main(["gronwall-check", "--trace", str(path)]) == 1
+        assert cli.main(["gronwall-check", "--trace", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    def test_writes_the_hypothesis_report(self, tmp_path, capsys):
+        t = np.linspace(0.0, 1.0, 11)
+        trace = gronwall.GronwallTrace(
+            t=t, f=1.0 + np.maximum(0.0, t - 0.45), gprime=np.zeros_like(t),
+            alpha=np.zeros_like(t), beta=np.zeros_like(t),
+        )
+        path, out = tmp_path / "trace.csv", tmp_path / "o"
+        iofmt.write_trace_csv(path, trace)
+        assert cli.main(["gronwall-check", "--trace", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("hypothesis: violated (5 interval(s) flagged)")
+        lines = read_lines(out / "hypothesis.csv")
+        assert lines[0] == "t,lhs,rhs,tolerance,flagged"
+        rows = [line.split(",") for line in lines[1:]]
+        report = gronwall.check_hypothesis(trace)
+        for name, k in (("t", 0), ("lhs", 1), ("rhs", 2), ("tolerance", 3)):
+            assert [float(row[k]) for row in rows] == getattr(report, name).tolist(), name
+        # f grows from t = 0.45 on: the last five intervals are flagged
+        assert [row[4] for row in rows] == ["0"] * 5 + ["1"] * 5
 
     def test_malformed_trace_is_config_error(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("nope\n")
-        assert cli.main(["gronwall-check", "--trace", str(path)]) == 2
+        assert cli.main(["gronwall-check", "--trace", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize(
         "rows,message",
@@ -289,13 +308,13 @@ class TestGronwallCheck:
     def test_trace_rejected_by_the_trace_type_exits_2(self, tmp_path, capsys, rows, message):
         path = tmp_path / "trace.csv"
         path.write_text(f"{iofmt.TRACE_HEADER}\n{rows}")
-        assert cli.main(["gronwall-check", "--trace", str(path)]) == 2
+        assert cli.main(["gronwall-check", "--trace", str(path), "--out", str(tmp_path / "o")]) == 2
         assert_one_line_config_error(capsys, f"{path}: {message}")
 
     def test_non_numeric_cell_exits_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         path.write_text(f"{iofmt.TRACE_HEADER}\n0,1,0,0,0\n0.5,abc,0,0,0\n")
-        assert cli.main(["gronwall-check", "--trace", str(path)]) == 2
+        assert cli.main(["gronwall-check", "--trace", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and str(path) in err
         assert "Traceback" not in err
@@ -430,6 +449,25 @@ class TestErrorPaths:
         assert cli.main(argv) == 2
         assert_one_line_config_error(capsys, "length must keep dx**2 and the cell and grid volumes finite")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closure-table", "--r-max", "1e308", "--r-count", "3", "--q-count", "2"],
+            ["simulate", "--set", "grid.n=16", "--set", "time.t_end=0.01",
+             "--set", "physics.gamma_minus=1e10"],
+        ],
+    )
+    def test_overflowing_closure_bracket_exits_3(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "runtime error: closure upper bracket max(2R, (2Q)**(1/gamma)) overflows at R="
+        )
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not any(out.iterdir())
 
     def test_bad_override_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--set", "x=1"]) == 2
@@ -592,7 +630,7 @@ def run_on(tmp_path, capsys, command, payload: bytes):
     path = tmp_path / "input.csv"
     path.write_bytes(payload)
     if command == "gronwall-check":
-        return cli.main(["gronwall-check", "--trace", str(path)])
+        return cli.main(["gronwall-check", "--trace", str(path), "--out", str(tmp_path / "o")])
     return cli.main(["energy-audit", "--diagnostics", str(path), "--out", str(tmp_path / "o")])
 
 

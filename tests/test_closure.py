@@ -63,10 +63,11 @@ class TestSolveZ:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_budget_exhaustion_reports_bracket(self):
-        # the upper bracket 2R overflows, so the iteration budget runs out
+        # the bracket is finite, but its midpoint overflows, so the
+        # iteration budget runs out
         with pytest.raises(ConvergenceError, match="exhausted 200 iterations") as err:
-            closure.solve_Z(1e308, 1.0, ClosureParams(1.5, 3.0))
-        assert err.value.bracket == (1e308, math.inf)
+            closure.solve_Z(8e307, 1.0, ClosureParams(1.5, 3.0))
+        assert err.value.bracket == (8e307, math.inf)
 
 
 class TestParams:
@@ -226,10 +227,18 @@ class TestCollapsedBracket:
         assert point.Z == pytest.approx(100.00599964004319, rel=1e-15)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    @pytest.mark.parametrize("R,Q", [(1e308, 1.0), (8e307, 1.0), (1.0, 1e308)])
-    def test_overflowing_bracket_still_raises(self, R, Q):
-        # the midpoint overflows to inf, which must not count as pinned
-        with pytest.raises(ConvergenceError):
+    @pytest.mark.parametrize(
+        "R,Q,error",
+        [
+            # the upper bracket overflows: rejected before any iteration
+            pytest.param(1e308, 1.0, DomainError, id="1e308-1.0"),
+            # the midpoint overflows to inf, which must not count as pinned
+            pytest.param(8e307, 1.0, ConvergenceError, id="8e307-1.0"),
+            pytest.param(1.0, 1e308, DomainError, id="1.0-1e308"),
+        ],
+    )
+    def test_overflowing_bracket_still_raises(self, R, Q, error):
+        with pytest.raises(error):
             closure.solve_Z(R, Q, ClosureParams(1.5, 3.0))
 
 

@@ -80,7 +80,8 @@ class TestParams:
 class TestRhs:
     def test_uniform_state_is_equilibrium(self, std1d_params):
         g = PeriodicGrid(1, 32)
-        ten = dynamics.rhs(uniform_state(g), std1d_params)
+        state = uniform_state(g)
+        ten = dynamics.rhs(state, std1d_params, state.evaluate(std1d_params))
         assert np.all(ten.dR == 0.0)
         assert np.all(ten.dQ == 0.0)
         assert np.all(ten.dm == 0.0)
@@ -92,7 +93,7 @@ class TestRhs:
         R = 1 + 0.1 * np.sin(x)
         state = State(g, R.copy(), R.copy(), np.zeros((1, g.n)), 0.0)
         params = SimParams(closure=ClosureParams(2.0, 2.0), mu=0.1)
-        ten = dynamics.rhs(state, params)
+        ten = dynamics.rhs(state, params, state.evaluate(params))
         p = (2 * R) ** 2
         expected = -(np.roll(p, -1) - np.roll(p, 1)) / (2 * g.dx)
         assert np.allclose(ten.dm[0], expected, rtol=0, atol=1e-13)
@@ -103,7 +104,8 @@ class TestRhs:
         for n in (32, 64, 128):
             g = PeriodicGrid(1, n)
             state = mms_initial(g)
-            ten = dynamics.rhs(state, mms_params(1.0), source=mms_sources)
+            params = mms_params(1.0)
+            ten = dynamics.rhs(state, params, state.evaluate(params), mms_sources)
             x = g.axis_coords()
             s, c = np.sin(x), np.cos(x)
             rho = 2 + MMS_A * (s + c)
@@ -119,7 +121,7 @@ class TestRhs:
         assert min(orders) >= 1.9
 
     def test_mass_tendency_sums_to_zero(self, std1d_initial, std1d_params):
-        ten = dynamics.rhs(std1d_initial, std1d_params)
+        ten = dynamics.rhs(std1d_initial, std1d_params, std1d_initial.evaluate(std1d_params))
         g = std1d_initial.grid
         assert abs(grids.integrate(g, ten.dR)) <= 1e-13
         assert abs(grids.integrate(g, ten.dQ)) <= 1e-13
@@ -134,19 +136,20 @@ class TestStableDt:
         expected = params.cfl * min(
             g.dx / math.sqrt(2.0), g.dx**2 / (2 * 1 * nu)
         )
-        assert dynamics.stable_dt(state, params) == pytest.approx(expected, rel=1e-12)
+        dt = dynamics.stable_dt(state, params, state.evaluate(params))
+        assert dt == pytest.approx(expected, rel=1e-12)
 
     def test_refinement_scaling(self):
+        def limit(n, params):
+            state = uniform_state(PeriodicGrid(1, n))
+            return dynamics.stable_dt(state, params, state.evaluate(params))
+
         params = SimParams(closure=ClosureParams(2.0, 2.0), mu=1e-6)
-        advective = []
-        for n in (32, 64):
-            advective.append(dynamics.stable_dt(uniform_state(PeriodicGrid(1, n)), params))
+        advective = [limit(n, params) for n in (32, 64)]
         assert advective[0] / advective[1] == pytest.approx(2.0, rel=1e-12)
 
         params_visc = SimParams(closure=ClosureParams(2.0, 2.0), mu=10.0, lam=0.0)
-        viscous = []
-        for n in (32, 64):
-            viscous.append(dynamics.stable_dt(uniform_state(PeriodicGrid(1, n)), params_visc))
+        viscous = [limit(n, params_visc) for n in (32, 64)]
         assert viscous[0] / viscous[1] == pytest.approx(4.0, rel=1e-12)
 
     def test_std1d_is_viscous_limited_at_128(self, std1d_initial, std1d_params):
@@ -167,7 +170,8 @@ class TestStableDt:
         rho_min = float(np.min(std1d_initial.R + std1d_initial.Q))
         viscous = g.dx**2 / (2 * (2 * std1d_params.mu + std1d_params.lam) / rho_min)
         assert viscous < advective
-        assert dynamics.stable_dt(std1d_initial, std1d_params) == pytest.approx(
+        ev = std1d_initial.evaluate(std1d_params)
+        assert dynamics.stable_dt(std1d_initial, std1d_params, ev) == pytest.approx(
             std1d_params.cfl * viscous, rel=1e-12
         )
 
@@ -175,15 +179,16 @@ class TestStableDt:
         # dx = 3e-8 makes the viscous limit dx^2 / (2 nu) about 1e-14
         g = PeriodicGrid(1, 32, length=1e-6)
         params = SimParams(closure=ClosureParams(2.0, 2.0), mu=0.1)
+        state = uniform_state(g)
         with pytest.raises(ConvergenceError, match="vanishing time step"):
-            dynamics.stable_dt(uniform_state(g), params)
+            dynamics.stable_dt(state, params, state.evaluate(params))
 
 
 class TestStep:
     def test_equilibrium_is_bitwise_fixed_point(self, std1d_params):
         g = PeriodicGrid(1, 32)
         state = uniform_state(g)
-        stepped = dynamics.step(state, std1d_params, 1e-3)
+        stepped = dynamics.step(state, std1d_params, 1e-3, state.evaluate(std1d_params))
         assert np.array_equal(stepped.R, state.R)
         assert np.array_equal(stepped.Q, state.Q)
         assert np.array_equal(stepped.m, state.m)
@@ -191,8 +196,12 @@ class TestStep:
     def test_two_zero_tendency_steps_equal_one(self, std1d_params):
         g = PeriodicGrid(1, 32)
         state = uniform_state(g)
-        once = dynamics.step(state, std1d_params, 2e-3)
-        twice = dynamics.step(dynamics.step(state, std1d_params, 1e-3), std1d_params, 1e-3)
+
+        def step(s, dt):
+            return dynamics.step(s, std1d_params, dt, s.evaluate(std1d_params))
+
+        once = step(state, 2e-3)
+        twice = step(step(state, 1e-3), 1e-3)
         assert np.array_equal(once.R, twice.R)
         assert np.array_equal(once.m, twice.m)
 
@@ -322,17 +331,37 @@ class TestRun:
         assert np.all(np.abs(u) <= 1e-13 / 1e-10 + 1e-30)
 
 
+def cold_step(state, params, dt):
+    """dynamics.step with a cold closure solve in each stage."""
+    k1 = dynamics.rhs(state, params, state.evaluate(params))
+    s1 = State(
+        state.grid,
+        state.R + dt * k1.dR,
+        state.Q + dt * k1.dQ,
+        state.m + dt * k1.dm,
+        state.t + dt,
+    )
+    k2 = dynamics.rhs(s1, params, s1.evaluate(params))
+    return State(
+        state.grid,
+        0.5 * state.R + 0.5 * (s1.R + dt * k2.dR),
+        0.5 * state.Q + 0.5 * (s1.Q + dt * k2.dQ),
+        0.5 * state.m + 0.5 * (s1.m + dt * k2.dm),
+        state.t + dt,
+    )
+
+
 def reference_run(initial, params, warm=True):
     """run() without shared evaluations: each public call solves for itself.
 
     With ``warm`` each call gets its own evaluation started from the guess
     run() uses (the previous state's Z, and the step's own Z for stage 2);
-    without it every solve is cold.
+    without it every solve is cold, stage 2 of each step included.
     """
     eps_t = max(dynamics.DT_MIN, 4.0 * np.finfo(float).eps * params.t_end)
 
     def evaluation(s, guess):
-        return s.evaluate(params, guess=guess) if warm else None
+        return s.evaluate(params, guess=guess if warm else None)
 
     states = [initial.copy()]
     guesses = [None]
@@ -344,12 +373,15 @@ def reference_run(initial, params, warm=True):
             params.t_end - state.t,
         )
         ev = evaluation(state, guess)
-        state = dynamics.step(state, params, dt, ev=ev)
+        if warm:
+            state = dynamics.step(state, params, dt, ev)
+        else:
+            state = cold_step(state, params, dt)
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
         dts.append(dt)
         states.append(state)
-        guesses.append(None if ev is None else ev.Z)
+        guesses.append(ev.Z)
     cols = {name: [] for name in dynamics.DiagnosticSeries.COLUMNS}
     cols.update(kinetic=[], internal=[])
     for s, guess in zip(states, guesses):
@@ -430,19 +462,6 @@ class TestSharedEvaluation:
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got[name] - ref)) <= WARM_COLD_RTOL * scale, name
 
-    def test_evaluation_feeds_rhs_stable_dt_and_energy(self, std1d_initial, std1d_params):
-        ev = std1d_initial.evaluate(std1d_params)
-        assert dynamics.stable_dt(std1d_initial, std1d_params, ev) == dynamics.stable_dt(
-            std1d_initial, std1d_params
-        )
-        shared = dynamics.rhs(std1d_initial, std1d_params, ev=ev)
-        own = dynamics.rhs(std1d_initial, std1d_params)
-        for name in ("dR", "dQ", "dm", "u"):
-            assert np.array_equal(getattr(shared, name), getattr(own, name))
-        assert energy.total_energy(std1d_initial, std1d_params, ev) == energy.total_energy(
-            std1d_initial, std1d_params
-        )
-
     def test_short_schedule_is_an_error(self, std1d_initial, std1d_params, traj128):
         with pytest.raises(ConsistencyError, match="10 steps"):
             dynamics.run(std1d_initial, std1d_params, dt_schedule=traj128.dts[:10])
@@ -494,7 +513,7 @@ class TestFusedRhs:
     @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
     def test_equals_composed_public_operators_bit_for_bit(self, dim, n, source):
         state = rough_state(PeriodicGrid(dim, n))
-        ten = dynamics.rhs(state, FUSED_PARAMS, source)
+        ten = dynamics.rhs(state, FUSED_PARAMS, state.evaluate(FUSED_PARAMS), source)
         for got, want in zip((ten.dR, ten.dQ, ten.dm), composed_rhs(state, FUSED_PARAMS, source)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -511,7 +530,7 @@ class TestFusedRhs:
         monkeypatch.setattr(grids, "_centered", counted)
         state = rough_state(PeriodicGrid(dim, n))
         ev = state.evaluate(FUSED_PARAMS)
-        dynamics.rhs(state, FUSED_PARAMS, ev=ev)
+        dynamics.rhs(state, FUSED_PARAMS, ev)
         assert len(calls) == 5 * dim
         calls.clear()
         composed_rhs(state, FUSED_PARAMS)
@@ -527,16 +546,18 @@ class TestFusedRhs:
             return tuple(terms)
 
         loc = r"\(0, 3, 5\)" if name == "dm" else r"\(3, 5\)"
+        ev = state.evaluate(FUSED_PARAMS)
         with pytest.raises(ConsistencyError, match=f"non-finite tendency {name} at index {loc}"):
-            dynamics.rhs(state, FUSED_PARAMS, source)
+            dynamics.rhs(state, FUSED_PARAMS, ev, source)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_infinite_pressure_is_reported_in_dm_alone(self):
         # at rest the mass fluxes vanish, so only grad p sees the overflow
         state = uniform_state(PeriodicGrid(1, 16))
         state.R[7] = 1e300
+        ev = state.evaluate(FUSED_PARAMS)
         with pytest.raises(ConsistencyError, match=r"non-finite tendency dm at index \(0, 6\)"):
-            dynamics.rhs(state, FUSED_PARAMS)
+            dynamics.rhs(state, FUSED_PARAMS, ev)
 
 
 class TestBatchedState:
@@ -554,12 +575,21 @@ class TestBatchedState:
         rng = np.random.default_rng(seed)
         R, Q = rng.uniform(0.5, 1.5, (2, members, *g.shape))
         m = rng.normal(0.0, 0.5, (g.dim, members, *g.shape))
-        ten = dynamics.rhs(State(g, R, Q, m, 0.0), FUSED_PARAMS)
+        batch = State(g, R, Q, m, 0.0)
+        ev = batch.evaluate(FUSED_PARAMS)
+        ten = dynamics.rhs(batch, FUSED_PARAMS, ev)
         for b in range(members):
-            own = dynamics.rhs(State(g, R[b].copy(), Q[b].copy(), m[:, b].copy(), 0.0), FUSED_PARAMS)
-            for name in ("dR", "dQ", "u", "dm"):
-                got = getattr(ten, name)[..., b, *(slice(None),) * g.dim]
-                assert got.tobytes() == getattr(own, name).tobytes(), name
+            member = State(g, R[b].copy(), Q[b].copy(), m[:, b].copy(), 0.0)
+            own_ev = member.evaluate(FUSED_PARAMS)
+            own = dynamics.rhs(member, FUSED_PARAMS, own_ev)
+            for name, got, want in (
+                ("dR", ten.dR, own.dR),
+                ("dQ", ten.dQ, own.dQ),
+                ("u", ev.u, own_ev.u),
+                ("dm", ten.dm, own.dm),
+            ):
+                got = got[..., b, *(slice(None),) * g.dim]
+                assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize(
         "R,m",
@@ -622,7 +652,7 @@ class TestGalilean:
             boosted.m = boosted.m + (boosted.R + boosted.Q) * U0
 
             dt = 0.5 * min(
-                dynamics.stable_dt(base, params), dynamics.stable_dt(boosted, params)
+                dynamics.stable_dt(s, params, s.evaluate(params)) for s in (base, boosted)
             )
             steps = math.ceil(T / dt)
             schedule = [T / steps] * steps

@@ -26,14 +26,16 @@ class TestTotalEnergy:
         # Z = 3, alpha = 1/3, integrand 9*(1/3 + 2/3) = 9 on unit volume
         g = unit_volume_grid()
         params = SimParams(closure=ClosureParams(2.0, 2.0), mu=0.1)
-        report = energy.total_energy(state_of(g, 1.0, 2.0), params)
+        state = state_of(g, 1.0, 2.0)
+        report = energy.total_energy(state, params, state.evaluate(params))
         assert report.kinetic == 0.0
         assert report.internal == pytest.approx(9.0, rel=1e-13)
 
     def test_vacuum_state_has_zero_energy(self):
         g = unit_volume_grid()
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1)
-        report = energy.total_energy(state_of(g, 0.0, 0.0), params)
+        state = state_of(g, 0.0, 0.0)
+        report = energy.total_energy(state, params, state.evaluate(params))
         assert report.kinetic == 0.0
         assert report.internal == 0.0
 
@@ -42,7 +44,7 @@ class TestTotalEnergy:
         g = unit_volume_grid()
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1)
         state = state_of(g, 0.0, 4.0)
-        report = energy.total_energy(state, params)
+        report = energy.total_energy(state, params, state.evaluate(params))
         raw = energy.internal_energy_raw(state, params)
         assert report.internal == pytest.approx(32.0, rel=1e-13)
         assert raw == pytest.approx(32.0, rel=1e-13)
@@ -54,19 +56,20 @@ class TestTotalEnergy:
         R = rng.uniform(0.1, 3.0, g.shape)
         Q = rng.uniform(0.1, 3.0, g.shape)
         state = State(g, R, Q, np.zeros((1, *g.shape)), 0.0)
-        report = energy.total_energy(state, params)
+        report = energy.total_energy(state, params, state.evaluate(params))
         raw = energy.internal_energy_raw(state, params)
         assert raw == pytest.approx(report.internal, rel=1e-12)
 
     def test_kinetic_part(self):
         g = unit_volume_grid()
         params = SimParams(closure=ClosureParams(2.0, 2.0), mu=0.1)
-        report = energy.total_energy(state_of(g, 1.0, 1.0, u=3.0), params)
+        state = state_of(g, 1.0, 1.0, u=3.0)
+        report = energy.total_energy(state, params, state.evaluate(params))
         assert report.kinetic == pytest.approx(0.5 * 2.0 * 9.0, rel=1e-13)
 
     def test_nonnegative_components(self, traj128, std1d_params):
         for s in traj128.snapshots[:: max(1, len(traj128.snapshots) // 8)]:
-            report = energy.total_energy(s, std1d_params)
+            report = energy.total_energy(s, std1d_params, s.evaluate(std1d_params))
             assert report.kinetic >= 0.0
             assert report.internal >= 0.0
             assert report.dissipation_rate >= 0.0
@@ -76,7 +79,8 @@ class TestDissipation:
     def test_constant_velocity_dissipates_nothing(self):
         g = PeriodicGrid(1, 32)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=1.0)
-        assert energy.dissipation(state_of(g, 1.0, 1.0, u=2.5), params) == 0.0
+        state = state_of(g, 1.0, 1.0, u=2.5)
+        assert energy.dissipation(state, params, state.evaluate(params)) == 0.0
 
     def test_sine_velocity_matches_stencil_symbol(self):
         # mu |grad u|^2 + (mu+lam)(div u)^2 with u = sin: both terms carry
@@ -87,7 +91,8 @@ class TestDissipation:
         state = State(g, rho, rho, (2 * np.sin(x))[None, :], 0.0)
         params = SimParams(closure=ClosureParams(2.0, 2.0), mu=1.0, lam=0.0)
         expected = 2 * math.pi * (math.sin(g.dx) / g.dx) ** 2
-        assert energy.dissipation(state, params) == pytest.approx(expected, rel=1e-13)
+        rate = energy.dissipation(state, params, state.evaluate(params))
+        assert rate == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
     def test_equals_the_divergence_form_bit_for_bit(self, dim, n):
@@ -99,19 +104,20 @@ class TestDissipation:
             rng = np.random.default_rng(seed)
             rho = 1.0 + rng.random(g.shape)
             state = State(g, rho, rho.copy(), rng.standard_normal((dim, *g.shape)), 0.0)
+            ev = state.evaluate(params)
             u = state.velocity(params.density_floor)[0]
             jac = grids.vector_gradient(g, u)
             div = grids.divergence(g, u)
             quad = params.mu * np.sum(jac * jac, axis=(0, 1)) + (params.mu + params.lam) * div**2
-            assert energy.dissipation(state, params).hex() == grids.integrate(g, quad).hex(), seed
+            assert energy.dissipation(state, params, ev).hex() == grids.integrate(g, quad).hex(), seed
 
     def test_quadratic_scaling(self, std1d_initial, std1d_params):
-        base = energy.dissipation(std1d_initial, std1d_params)
+        def rate(state):
+            return energy.dissipation(state, std1d_params, state.evaluate(std1d_params))
+
         doubled = std1d_initial.copy()
         doubled.m = doubled.m * 2.0
-        assert energy.dissipation(doubled, std1d_params) == pytest.approx(
-            4.0 * base, rel=1e-12
-        )
+        assert rate(doubled) == pytest.approx(4.0 * rate(std1d_initial), rel=1e-12)
 
 
 class TestAudit:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twofluid import dynamics, grids, gronwall, twin
+from conftest import cfg_at
+from twofluid import closure, config, dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State, Trajectory
 from twofluid.errors import ConfigError, ConsistencyError, DomainError
@@ -327,8 +328,9 @@ def per_sample_reference(traj, params):
     g = traj.grid
     rows = []
     for s in traj.snapshots:
-        ten = dynamics.rhs(s, params)
-        u = ten.u
+        ev = s.evaluate(params)
+        ten = dynamics.rhs(s, params, ev)
+        u = ev.u
         dtu = (ten.dm - u * (ten.dR + ten.dQ)) / np.maximum(s.R + s.Q, params.density_floor)
         jac = grids.vector_gradient(g, u)
         conv = np.einsum("i...,ij...->j...", u, jac)
@@ -414,3 +416,27 @@ class TestBlockReducers:
         assert [b.m.shape for _, b in blocks] == [(1, 2, 16)] * 3 + [(1, 1, 16)]
         with mock.patch.object(twin, "BLOCK_POINTS", 8):
             assert len(list(twin._blocks(snaps))) == 7
+
+
+class TestClosureSolves:
+    """Every closure solve of a run and of a reference series is counted."""
+
+    def test_run_solves_each_state_and_stage_and_reference_each_block(self, monkeypatch):
+        cfg = cfg_at(64)
+        initial, params = config.build_initial_state(cfg), cfg.sim_params()
+        solve = closure.solve_Z_field
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(closure, "solve_Z_field", counted)
+        traj = dynamics.run(initial, params)
+        steps = len(traj.dts)
+        assert steps > 3 and len(calls) == 2 * steps + 1
+        monkeypatch.setattr(twin, "BLOCK_POINTS", 10 * 64)  # ten samples a block
+        blocks = len(list(twin._blocks(traj.snapshots)))
+        calls.clear()
+        twin.reference_series(traj, params)
+        assert blocks > 2 and len(calls) == blocks

@@ -73,7 +73,10 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
         ("compare-3d", ["compare", "--out", "compare-3d", *twin3d]),
         ("sweep", ["sweep", "--out", "sweep", *grid, "--deltas", "0,1e-2,1e-3,1e-4"]),
         ("closure-table", ["closure-table", "--out", "closure-table"]),
-        ("gronwall-check", ["gronwall-check", "--trace", "compare-1e-3/trace.csv"]),
+        (
+            "gronwall-check",
+            ["gronwall-check", "--trace", "compare-1e-3/trace.csv", "--out", "gronwall-check"],
+        ),
         (
             "energy-audit",
             ["energy-audit", "--diagnostics", "simulate-std1d/diagnostics.csv", "--out", "energy-audit"],

@@ -1,10 +1,17 @@
 import importlib.util
+import itertools
+import platform
 import shutil
 from pathlib import Path
 
 import numpy as np
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+# The --n 16 digest of every command, after a first line naming the versions
+# that made it. A change that moves output bytes on purpose regenerates it:
+#   (echo "# python X.Y.Z, numpy A.B.C"; PYTHONPATH=src python3 tools/output_digest.py --n 16) \
+#       > tests/data/output_digest_n16.txt
+GOLDEN = Path(__file__).resolve().parent / "data" / "output_digest_n16.txt"
 
 
 def load_tool(name="output_digest"):
@@ -16,12 +23,21 @@ def load_tool(name="output_digest"):
 
 def test_every_command_repeats_bit_for_bit():
     tool = load_tool()
-    first = tool.digest(16)
-    assert first == tool.digest(16)
-    status = [line for line in first[1:] if ": exit " in line]
+    fresh = tool.digest(16)
+    made_with, *golden = GOLDEN.read_text().splitlines()
+    differing = [
+        f"line {i}: {GOLDEN.name} has {want!r}, this tree gives {got!r}"
+        for i, (want, got) in enumerate(itertools.zip_longest(golden, fresh), start=2)
+        if want != got
+    ]
+    running = f"python {platform.python_version()}, numpy {np.__version__}"
+    assert not differing, "\n".join(
+        [f"golden digest made with {made_with.lstrip('# ')}; this run: {running}", *differing]
+    )
+    status = [line for line in fresh[1:] if ": exit " in line]
     assert [line.split(":")[0] for line in status] == [label for label, _ in tool.commands(16)]
     assert all(": exit 0 " in line for line in status)
-    assert len(first) - 1 - len(status) == 36  # files written
+    assert len(fresh) - 1 - len(status) == 36  # files written
 
 
 def max_ulps(lines):

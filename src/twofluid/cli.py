@@ -161,7 +161,7 @@ def cmd_closure_table(args) -> int:
     dzq = np.full_like(Z, math.nan)
     pos = Z > 0.0
     dzr[pos], dzq[pos] = closure.derivative_arrays(R[pos], Z[pos], params.gamma)
-    rows = zip(
+    columns = [
         R,
         Q,
         np.full_like(Z, params.gamma_plus),
@@ -172,8 +172,8 @@ def cmd_closure_table(args) -> int:
         dzr,
         dzq,
         closure.closure_residual(R, Q, Z, params),
-    )
-    iofmt.write_closure_table(out / "closure_table.csv", rows)
+    ]
+    iofmt.write_closure_table(out / "closure_table.csv", columns)
     print(f"closure-table: {Z.size} rows in {out / 'closure_table.csv'}")
     return 0
 

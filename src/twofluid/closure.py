@@ -10,7 +10,8 @@ the partial derivatives of Z with respect to either density.
 Every solve is bracketed: F(Z) = Z**gamma - R*Z**(gamma-1) is strictly
 increasing on [R, inf) with F(R) = 0, and the root never exceeds
 max(2R, (2Q)**(1/gamma)), so a Newton iteration with bisection fallback
-cannot escape the bracket; a bracket that overflows is a DomainError. A
+cannot escape the bracket; a bracket that overflows is a DomainError, as is
+an R = 0 root Q**(1/gamma) that overflows. A
 point converges when its residual meets the tolerance, or when its bracket
 holds no double strictly inside: where Z**gamma >> Q the residual's
 rounding exceeds the absolute tolerance, and the collapsed bracket pins the
@@ -138,6 +139,12 @@ def _pinned(z, lo, hi):
     return ((z <= lo) | (z >= hi)) & (z < np.inf)
 
 
+def _overflow(what: str, R, Q, finite) -> DomainError:
+    """The error for the first lane whose ``what`` is not finite."""
+    i = int(np.argmin(finite))
+    return DomainError(f"closure {what} overflows at R={float(R[i])}, Q={float(Q[i])}")
+
+
 def _bracketed_newton(R, Q, gamma, guess=None):
     """Vectorised safeguarded Newton on flat arrays with R > 0, Q > 0.
 
@@ -156,10 +163,7 @@ def _bracketed_newton(R, Q, gamma, guess=None):
     with np.errstate(over="ignore"):
         hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
     if not np.isfinite(hi0).all():
-        i = int(np.argmin(np.isfinite(hi0)))
-        raise DomainError(
-            f"closure upper bracket max(2R, (2Q)**(1/gamma)) overflows at R={R[i]}, Q={Q[i]}"
-        )
+        raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, np.isfinite(hi0))
     z = 0.5 * (lo0 + hi0) if guess is None else np.clip(guess, lo0, hi0)
 
     lo, hi = lo0, hi0
@@ -184,10 +188,11 @@ def _bracketed_newton(R, Q, gamma, guess=None):
         done |= (np.abs(f) <= ftol) | _pinned(z, lo, hi)
         if not done.all():
             i = int(np.flatnonzero(~done)[0])
+            bracket = (float(lo[i]), float(hi[i]))
             raise ConvergenceError(
-                f"closure solve exhausted {MAX_ITER} iterations at flat index {i} "
-                f"(R={R[i]!r}, Q={Q[i]!r}, bracket=[{lo[i]!r}, {hi[i]!r}])",
-                bracket=(float(lo[i]), float(hi[i])),
+                f"closure solve exhausted {MAX_ITER} iterations "
+                f"(R={float(R[i])}, Q={float(Q[i])}, bracket=[{bracket[0]}, {bracket[1]}])",
+                bracket=bracket,
                 index=i,
             )
 
@@ -197,45 +202,51 @@ def _bracketed_newton(R, Q, gamma, guess=None):
 
 
 def _solve_z_arrays(R, Q, gamma, guess=None):
-    """Dispatch degenerate branches, then Newton on the rest. Flat arrays."""
+    """Dispatch degenerate branches, then Newton on the rest. Flat arrays.
+
+    A ConvergenceError's ``index`` is the failing lane's index in R.
+    """
     if R.all() and Q.all():  # no degenerate lane: skip the gather and scatter
         return _bracketed_newton(R, Q, gamma, guess)
     Z = np.empty_like(R)
     q_zero = Q == 0.0
     r_zero = (R == 0.0) & ~q_zero
-    general = ~(q_zero | r_zero)
+    general = np.flatnonzero(~(q_zero | r_zero))
     Z[q_zero] = R[q_zero]  # F(R) = 0 and F strictly increasing, so Z = R
-    Z[r_zero] = np.power(Q[r_zero], 1.0 / gamma)
-    if general.any():
+    with np.errstate(over="ignore"):
+        Z[r_zero] = root = np.power(Q[r_zero], 1.0 / gamma)
+    if not np.isfinite(root).all():
+        raise _overflow("root Q**(1/gamma)", R[r_zero], Q[r_zero], np.isfinite(root))
+    if general.size:
         start = None if guess is None else guess[general]
-        Z[general] = _bracketed_newton(R[general], Q[general], gamma, start)
+        try:
+            Z[general] = _bracketed_newton(R[general], Q[general], gamma, start)
+        except ConvergenceError as err:
+            err.index = int(general[err.index])
+            raise
     return Z
 
 
 def _validate_inputs(R, Q):
     bad = ~(np.isfinite(R) & np.isfinite(Q) & (R >= 0.0) & (Q >= 0.0))
     if bad.any():
-        i = np.argwhere(bad)[0]
-        loc = tuple(int(k) for k in i)
+        i = tuple(int(k) for k in np.argwhere(bad)[0])
+        where = f" at grid index {i}" if i else ""
         raise DomainError(
-            f"closure inputs must be finite and nonnegative; offending point "
-            f"{loc}: R={R[tuple(i)]!r}, Q={Q[tuple(i)]!r}"
+            f"closure inputs must be finite and nonnegative{where}: "
+            f"R={float(R[i])}, Q={float(Q[i])}"
         )
 
 
 def solve_Z(R: float, Q: float, params: ClosureParams) -> ClosurePoint:
-    """Solve the closure for a single (R, Q) pair.
+    """Solve the closure for a single (R, Q) pair: ``solve_Z_field`` on 0-d arrays.
 
     Degenerate cases resolve without iteration: Q = 0 gives Z = R,
     R = 0 gives Z = Q**(1/gamma), and R = Q = 0 gives Z = 0 with alpha
     undefined (NaN).
     """
-    Ra = np.asarray([R], dtype=float)
-    Qa = np.asarray([Q], dtype=float)
-    _validate_inputs(Ra, Qa)
-    z = float(_solve_z_arrays(Ra, Qa, params.gamma)[0])
-    alpha = R / z if z > 0.0 else math.nan
-    return ClosurePoint(R=float(R), Q=float(Q), Z=z, alpha=alpha)
+    Z, alpha = solve_Z_field(R, Q, params)
+    return ClosurePoint(R=float(R), Q=float(Q), Z=float(Z), alpha=float(alpha))
 
 
 def solve_Z_field(

@@ -100,7 +100,7 @@ def dissipation(state, params, ev) -> float:
     ``grids.divergence`` bit for bit without taking its differences again.
     """
     g = state.grid
-    jac = grids.vector_gradient(g, ev.u)
+    jac = grids.gradient(g, ev.u)
     div = sum((jac[i, i] for i in range(1, g.dim)), jac[0, 0])
     quad = params.mu * np.sum(jac * jac, axis=(0, 1)) + (
         params.mu + params.lam

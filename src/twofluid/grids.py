@@ -108,7 +108,11 @@ def _centered(grid: PeriodicGrid, values: np.ndarray, i: int) -> np.ndarray:
 
 
 def gradient(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
-    """Centered gradient of a scalar field, shape (dim, *shape)."""
+    """Centered gradient d_i f, with any leading axes of f kept after i.
+
+    A scalar field gives shape (dim, *shape); a vector field gives its
+    Jacobian d_i v_j, shape (dim, dim, *shape).
+    """
     return np.stack([_centered(grid, f, i) for i in range(grid.dim)])
 
 
@@ -118,11 +122,6 @@ def divergence(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
     for i in range(1, grid.dim):
         out += _centered(grid, v[i], i)
     return out
-
-
-def vector_gradient(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    """Full Jacobian d_i v_j, shape (dim, dim, *shape)."""
-    return np.stack([gradient(grid, v[j]) for j in range(grid.dim)], axis=1)
 
 
 def laplacian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:

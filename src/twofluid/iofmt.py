@@ -2,13 +2,12 @@
 
 Every float is written with 17 significant digits, which round-trips 64-bit
 values exactly. Column names and order are part of the interface contract.
-Writers format up to ``CHUNK`` values with one ``%`` operation, which
-prints the bytes of one ``fmt`` call per value at about half the cost.
+Every writer passes its columns to ``_write_columns``, which formats up to
+``CHUNK`` values with one ``%`` operation: the bytes of one ``fmt`` call per
+value at about half the cost.
 """
 
 from __future__ import annotations
-
-from itertools import chain, islice
 
 import numpy as np
 
@@ -38,32 +37,24 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _spec(x) -> str:
-    """The ``%`` conversion that prints x exactly as ``fmt`` does."""
-    return "%d" if isinstance(x, _INTS) else "%.17g"
+def _write_columns(path, first_line: str, columns) -> None:
+    """``first_line``, then the rows of equal-length columns, comma-separated.
 
-
-def _format_rows(rows: list[tuple]) -> str:
-    """The lines ``",".join(fmt(v) for v in row)`` of all rows, from one ``%``."""
-    specs = []
-    for column in zip(*rows):
-        ints = {issubclass(t, _INTS) for t in set(map(type, column))}
-        if len(ints) > 1:  # ints and floats in one column: a spec per cell
-            template = "".join(",".join(map(_spec, row)) + "\n" for row in rows)
-            break
-        specs.append("%d" if ints.pop() else "%.17g")
-    else:
-        template = (",".join(specs) + "\n") * len(rows)
-    return template % tuple(chain.from_iterable(rows))
-
-
-def _write_rows(path, header: str, rows) -> None:
-    rows = iter(rows)
-    per_chunk = max(1, CHUNK // (header.count(",") + 1))
+    An integer column prints with ``%d`` and any other with ``%.17g``, the
+    bytes of ``fmt``. Each chunk of rows is formatted from one flat list.
+    """
+    columns = [np.asarray(c) for c in columns]
+    width, n = len(columns), len(columns[0])
+    line = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
+    per_chunk = max(1, CHUNK // width)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        while chunk := [tuple(row) for row in islice(rows, per_chunk)]:
-            fh.write(_format_rows(chunk))
+        fh.write(first_line + "\n")
+        for start in range(0, n, per_chunk):
+            stop = min(start + per_chunk, n)
+            cells = [None] * (width * (stop - start))
+            for j, c in enumerate(columns):
+                cells[j::width] = c[start:stop].tolist()
+            fh.write(line * (stop - start) % tuple(cells))
 
 
 def _read_table(path, header: str | None = None) -> tuple[list[str], np.ndarray]:
@@ -91,9 +82,8 @@ def _read_table(path, header: str | None = None) -> tuple[list[str], np.ndarray]
 
 
 def write_diagnostics_csv(path, traj: Trajectory) -> None:
-    d = traj.diagnostics
-    cols = [getattr(d, name) for name in DiagnosticSeries.COLUMNS]
-    _write_rows(path, DIAGNOSTICS_HEADER, zip(*cols))
+    columns = [getattr(traj.diagnostics, name) for name in DiagnosticSeries.COLUMNS]
+    _write_columns(path, DIAGNOSTICS_HEADER, columns)
 
 
 def read_diagnostics_csv(path) -> dict[str, np.ndarray]:
@@ -105,28 +95,19 @@ def read_diagnostics_csv(path) -> dict[str, np.ndarray]:
 def write_energy_csv(path, audit: EnergyAudit, kinetic=None, internal=None) -> None:
     """Energy series; the kinetic/internal split is NaN when not supplied."""
     n = len(audit.t)
-    kin = np.full(n, np.nan) if kinetic is None else np.asarray(kinetic)
-    inte = np.full(n, np.nan) if internal is None else np.asarray(internal)
-    rows = zip(
-        audit.t,
-        kin,
-        inte,
-        audit.dissipation_rate,
-        audit.cumulative_dissipation,
-        audit.defect,
-    )
-    _write_rows(path, ENERGY_HEADER, rows)
+    kin = np.full(n, np.nan) if kinetic is None else kinetic
+    inte = np.full(n, np.nan) if internal is None else internal
+    rates = [audit.dissipation_rate, audit.cumulative_dissipation, audit.defect]
+    _write_columns(path, ENERGY_HEADER, [audit.t, kin, inte, *rates])
 
 
 def write_compare_csv(path, diag: PairDiagnostics) -> None:
-    cols = [getattr(diag, name) for name in PairDiagnostics.COLUMNS]
-    _write_rows(path, COMPARE_HEADER, zip(*cols))
+    columns = [getattr(diag, name) for name in PairDiagnostics.COLUMNS]
+    _write_columns(path, COMPARE_HEADER, columns)
 
 
 def write_trace_csv(path, trace: GronwallTrace) -> None:
-    _write_rows(
-        path, TRACE_HEADER, zip(trace.t, trace.f, trace.gprime, trace.alpha, trace.beta)
-    )
+    _write_columns(path, TRACE_HEADER, [trace.t, trace.f, trace.gprime, trace.alpha, trace.beta])
 
 
 def read_trace_csv(path) -> GronwallTrace:
@@ -143,30 +124,24 @@ def write_hypothesis_csv(path, report: HypothesisReport) -> None:
     """One row per checked interval; flagged is 1 where it is a violation."""
     flagged = np.zeros(len(report.t), dtype=int)
     flagged[report.violations] = 1
-    rows = zip(report.t, report.lhs, report.rhs, report.tolerance, flagged)
-    _write_rows(path, HYPOTHESIS_HEADER, rows)
+    columns = [report.t, report.lhs, report.rhs, report.tolerance, flagged]
+    _write_columns(path, HYPOTHESIS_HEADER, columns)
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    _write_rows(
-        path, SWEEP_HEADER, [(r.delta, r.sup_distance, r.ratio, r.fitted_C) for r in rows]
-    )
+    names = SWEEP_HEADER.split(",")
+    _write_columns(path, SWEEP_HEADER, [[getattr(r, name) for r in rows] for name in names])
 
 
-def write_closure_table(path, rows) -> None:
-    """Rows of (R, Q, gamma_plus, gamma_minus, Z, alpha, p, dZdR, dZdQ, residual)."""
-    _write_rows(path, CLOSURE_TABLE_HEADER, rows)
+def write_closure_table(path, columns) -> None:
+    """Columns R, Q, gamma_plus, gamma_minus, Z, alpha, p, dZdR, dZdQ, residual."""
+    _write_columns(path, CLOSURE_TABLE_HEADER, columns)
 
 
 def write_field(path, grid: PeriodicGrid, values: np.ndarray, t: float, name: str) -> None:
     """Dump one field: header '# dim n L t name', then row-major values."""
-    flat = np.asarray(values).ravel(order="C")
-    line = "%d\n" if flat.dtype.kind in "biu" else "%.17g\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {grid.dim} {grid.n} {fmt(grid.length)} {fmt(t)} {name}\n")
-        for start in range(0, flat.size, CHUNK):
-            chunk = flat[start : start + CHUNK].tolist()
-            fh.write(line * len(chunk) % tuple(chunk))
+    header = f"# {grid.dim} {grid.n} {fmt(grid.length)} {fmt(t)} {name}"
+    _write_columns(path, header, [np.asarray(values).ravel(order="C")])
 
 
 def read_field(path) -> tuple[PeriodicGrid, np.ndarray, float, str]:
@@ -174,23 +149,20 @@ def read_field(path) -> tuple[PeriodicGrid, np.ndarray, float, str]:
 
     Every defect of the file's content is a ConfigError naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = fh.readline().strip()
-        except UnicodeDecodeError as err:
-            raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
-        if not header.startswith("# "):
-            raise ConfigError(f"{path}: missing field header")
-        parts = header[2:].split()
-        if len(parts) != 5:
-            raise ConfigError(f"{path}: malformed field header {header!r}")
-        try:
-            dim, n = int(parts[0]), int(parts[1])
-            length, t, name = float(parts[2]), float(parts[3]), parts[4]
-            values = np.asarray([float(line) for line in fh if line.strip()])
-            grid = PeriodicGrid(dim=dim, n=n, length=length)
-        except (ValueError, DomainError) as err:  # UnicodeDecodeError included
-            raise ConfigError(f"{path}: malformed field dump: {err}") from err
+    names, table = _read_table(path)  # one column, named by the header line
+    header = ",".join(names)
+    if not header.startswith("# "):
+        raise ConfigError(f"{path}: missing field header")
+    parts = header[2:].split()
+    if len(names) != 1 or len(parts) != 5:
+        raise ConfigError(f"{path}: malformed field header {header!r}")
+    try:
+        dim, n = int(parts[0]), int(parts[1])
+        length, t, name = float(parts[2]), float(parts[3]), parts[4]
+        grid = PeriodicGrid(dim=dim, n=n, length=length)
+    except (ValueError, DomainError) as err:
+        raise ConfigError(f"{path}: malformed field header: {err}") from err
+    values = table[:, 0]
     if values.size == grid.npoints:
         shaped = values.reshape(grid.shape)
     elif values.size == dim * grid.npoints:

@@ -469,6 +469,19 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not any(out.iterdir())
 
+    def test_overflowing_r_zero_root_exits_3(self, tmp_path, capsys):
+        # at R = 0 the root is Q**(1/gamma), which overflows for gamma = 1/2
+        argv = ["closure-table", "--r-max", "0", "--r-count", "1"]
+        argv += ["--q-max", "1e308", "--q-count", "3"]
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "runtime error: closure root Q**(1/gamma) overflows at R=0.0, Q=5e+307\n"
+        )
+        assert not any(out.iterdir())
+
     def test_bad_override_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--set", "x=1"]) == 2
 
@@ -528,7 +541,7 @@ class TestRoundTrips:
     @given(rows=st.lists(st.lists(finite, min_size=10, max_size=10), min_size=1, max_size=6))
     def test_csv_rows(self, tmp_path, rows):
         path = tmp_path / "table.csv"
-        iofmt.write_closure_table(path, rows)
+        iofmt.write_closure_table(path, np.array(rows).T)
         cols = iofmt.read_diagnostics_csv(path)
         assert list(cols) == iofmt.CLOSURE_TABLE_HEADER.split(",")
         assert same_bits(np.column_stack(list(cols.values())), rows)
@@ -571,13 +584,7 @@ class TestRoundTrips:
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(TINY, 0.0), np.inf, -np.inf, np.nan]
-cell = st.one_of(
-    st.sampled_from(SPECIAL),
-    st.floats(),
-    st.integers(-(2**70), 2**70),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.floats().map(np.float64),
-)
+float_cells = st.sampled_from(SPECIAL) | st.floats()
 
 
 def per_value(header, rows) -> str:
@@ -590,19 +597,24 @@ class TestBulkWriter:
 
     @settings(max_examples=30, **SETTINGS)
     @given(
-        rows=st.lists(st.lists(cell, min_size=10, max_size=10), min_size=1, max_size=8),
+        n=st.integers(1, 8),
+        dtypes=st.lists(st.sampled_from([np.float64, np.int64]), min_size=10, max_size=10),
         repeat=st.sampled_from([1, 600]),  # 600 rows span two chunks
+        data=st.data(),
     )
-    def test_rows(self, tmp_path, rows, repeat):
-        rows = rows * repeat
+    def test_rows(self, tmp_path, n, dtypes, repeat, data):
+        elements = {np.float64: float_cells, np.int64: None}  # None: every int64
+        drawn = [data.draw(arrays(dtype, n, elements=elements[dtype])) for dtype in dtypes]
+        columns = [np.tile(column, repeat) for column in drawn]
         path = tmp_path / "table.csv"
-        iofmt.write_closure_table(path, rows)
+        iofmt.write_closure_table(path, columns)
+        rows = zip(*columns)
         assert path.read_bytes() == per_value(iofmt.CLOSURE_TABLE_HEADER, rows).encode()
 
     @settings(max_examples=30, **SETTINGS)
     @given(
         values=st.one_of(
-            arrays(np.float64, st.integers(1, 64), elements=st.sampled_from(SPECIAL) | st.floats()),
+            arrays(np.float64, st.integers(1, 64), elements=float_cells),
             arrays(np.int64, st.integers(1, 64)),
         ),
         repeat=st.sampled_from([1, 130]),  # 130 copies span two chunks

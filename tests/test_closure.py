@@ -70,6 +70,38 @@ class TestSolveZ:
         assert err.value.bracket == (8e307, math.inf)
 
 
+    def test_bad_input_message_prints_plain_floats(self):
+        params = ClosureParams(1.5, 3.0)
+        with pytest.raises(DomainError) as err:
+            closure.solve_Z(-1e-3, 1.0, params)
+        assert str(err.value) == "closure inputs must be finite and nonnegative: R=-0.001, Q=1.0"
+        with pytest.raises(DomainError) as err:
+            closure.solve_Z_field(np.array([1.0, -1e-3]), np.ones(2), params)
+        assert str(err.value) == (
+            "closure inputs must be finite and nonnegative at grid index (1,): R=-0.001, Q=1.0"
+        )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "R,index",
+        [
+            pytest.param([0.0, 8e307], (1,), id="1d"),
+            pytest.param([[1.0, 0.0], [0.0, 8e307]], (1, 1), id="2d"),
+        ],
+    )
+    def test_field_failure_names_its_grid_index(self, R, index):
+        # the R = 0 lanes take the closed form, so only some lanes iterate;
+        # the index still counts every lane of the field
+        R = np.array(R)
+        with pytest.raises(ConvergenceError) as err:
+            closure.solve_Z_field(R, np.ones_like(R), ClosureParams(1.5, 3.0))
+        assert err.value.index == index
+        assert str(err.value) == (
+            f"closure solve failed at grid index {index}: closure solve exhausted 200 "
+            "iterations (R=8e+307, Q=1.0, bracket=[8e+307, inf])"
+        )
+
+
 class TestParams:
     def test_gamma_is_recomputed_ratio(self):
         params = ClosureParams(1.5, 3.0)

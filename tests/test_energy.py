@@ -106,7 +106,7 @@ class TestDissipation:
             state = State(g, rho, rho.copy(), rng.standard_normal((dim, *g.shape)), 0.0)
             ev = state.evaluate(params)
             u = state.velocity(params.density_floor)[0]
-            jac = grids.vector_gradient(g, u)
+            jac = grids.gradient(g, u)
             div = grids.divergence(g, u)
             quad = params.mu * np.sum(jac * jac, axis=(0, 1)) + (params.mu + params.lam) * div**2
             assert energy.dissipation(state, params, ev).hex() == grids.integrate(g, quad).hex(), seed

@@ -70,7 +70,7 @@ class TestOperators:
     def test_vector_gradient_shape(self):
         g = PeriodicGrid(2, 16)
         v = np.stack([trig_field(g), trig_field(g, k=2)])
-        jac = grids.vector_gradient(g, v)
+        jac = grids.gradient(g, v)
         assert jac.shape == (2, 2, 16, 16)
         assert np.array_equal(jac[0, 1], grids.gradient(g, v[1])[0])
 
@@ -123,7 +123,7 @@ class TestSliceStencilsMatchRoll:
         v = np.random.default_rng(10 + dim).normal(size=(dim, *lead, *g.shape))
         assert_same_bits(grids.divergence(g, v), roll_divergence(g, v))
         jac = np.stack([roll_gradient(g, v[j]) for j in range(dim)], axis=1)
-        assert_same_bits(grids.vector_gradient(g, v), jac)
+        assert_same_bits(grids.gradient(g, v), jac)
 
 
 class TestIntegrals:

@@ -76,6 +76,22 @@ class TestDensityStability:
         assert report.verdict
         assert report.fitted_C <= 2.0 * report.median_C
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0) | st.sampled_from([math.inf, math.nan]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_median_equals_numpy_median(self, values):
+        # the ratios C(t) are nonnegative, infinite or NaN; two middle values
+        # whose sum passes the float range overflow to inf in both
+        a = np.array(values)
+        with np.errstate(over="ignore"):
+            ours, theirs = twin._median(a), float(np.median(a))
+        assert ours == theirs or (math.isnan(ours) and math.isnan(theirs))
+
     def test_requires_matched_initial_densities(self, std1d_initial, std1d_params):
         g = std1d_initial.grid
         bump = 1e-3 * np.sin(2 * g.coordinates()[0])
@@ -132,7 +148,7 @@ class TestMeanVelocity:
         g = PeriodicGrid(1, 128)
         x = g.axis_coords()
         u_tilde = (0.3 + 0.1 * np.sin(x))[None, :]
-        grad_inf = grids.lp_norm(g, grids.vector_gradient(g, u_tilde), math.inf)
+        grad_inf = grids.lp_norm(g, grids.gradient(g, u_tilde), math.inf)
         frakR0 = 0.01 * np.sin(2 * x)
 
         def fitted(steps):
@@ -307,7 +323,7 @@ def per_sample_compare(weak, strong):
             grids.lp_norm(g, w.R - s.R, 2),
             grids.lp_norm(g, w.Q - s.Q, 2),
             grids.weighted_l2(g, w.R + w.Q, U),
-            grids.lp_norm(g, grids.vector_gradient(g, U), 2),
+            grids.lp_norm(g, grids.gradient(g, U), 2),
             grids.lp_norm(g, grids.divergence(g, U), 2),
             grids.lp_norm(g, U, 6),
             float(np.linalg.norm(grids.integrate(g, U))),
@@ -332,7 +348,7 @@ def per_sample_reference(traj, params):
         ten = dynamics.rhs(s, params, ev)
         u = ev.u
         dtu = (ten.dm - u * (ten.dR + ten.dQ)) / np.maximum(s.R + s.Q, params.density_floor)
-        jac = grids.vector_gradient(g, u)
+        jac = grids.gradient(g, u)
         conv = np.einsum("i...,ij...->j...", u, jac)
         rows.append([grids.lp_norm(g, jac, 2), grids.lp_norm(g, jac, math.inf),
                      grids.lp_norm(g, dtu + conv, 3)])
@@ -354,7 +370,7 @@ def per_sample_mean_velocity(weak, strong, diag):
         scale.append(grids.integrate(g, (w.R + w.Q) * (mag[0] + mag[1]))
                      + grids.integrate(g, np.abs(diff) * mag[2]))
         bracket = (diag.sup_R[k] + diag.sup_Q[k]) * diag.norm_gradU[k] + (
-            grids.lp_norm(g, grids.vector_gradient(g, u_s), 2)
+            grids.lp_norm(g, grids.gradient(g, u_s), 2)
             * (diag.norm_frakR[k] + diag.norm_calQ[k])
         )
         if bracket > twin.EPS_DIV:

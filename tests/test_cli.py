@@ -404,6 +404,9 @@ class TestFieldDumpErrors:
             "# 1 8 6.28 0 R\n" + "1\n" * 7 + "x\n",  # bad value line
             "# 1 eight 6.28 0 R\n" + "1\n" * 8,  # bad header number
             "# 1 7 6.28 0 R\n" + "1\n" * 7,  # header names no valid grid
+            "# 1 8 6.28 0 R\n",  # no values
+            "# 1 8 6.28 0 R\n" + "1\n" * 7 + "1,2\n",  # two cells on a value line
+            "# 1 8 6.28 0 R,x\n" + "1,2\n" * 4,  # two columns under a comma header
         ],
     )
     def test_malformed_dump_is_config_error(self, tmp_path, text):

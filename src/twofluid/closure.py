@@ -299,28 +299,38 @@ def derivative_arrays(R, Z, gamma):
     |dZ/dQ| <= Z**(1-gamma)/gamma hold in real arithmetic; rounding can
     overshoot them by an ulp, so the values are clipped to the bounds.
 
-    At subnormal points gamma*Z - (gamma-1)*R can underflow; those lanes
-    divide by its alpha = R/Z form, gamma - (gamma-1)*alpha, instead.
+    At subnormal points gamma*Z - (gamma-1)*R can underflow, and near the
+    float maximum it can overflow; those lanes divide by its alpha = R/Z
+    form, gamma - (gamma-1)*alpha, instead. A derivative past the float
+    range (dZ/dQ = Z**(1-gamma) at a subnormal Z for gamma > 1) is a
+    DomainError naming the first such lane's R and Z.
     """
     R = np.asarray(R, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    denom = gamma * Z - (gamma - 1.0) * R
-    under = np.abs(denom) < np.finfo(float).tiny
-    if under.any():
-        scaled = np.where(under, gamma - (gamma - 1.0) * (R / Z), 1.0)
-        denom = np.where(under, 1.0, denom)
-        dzr = np.where(under, 1.0 / scaled, Z / denom)
-        dzq = np.where(
-            under,
-            np.power(Z, 1.0 - gamma) / scaled,
-            np.power(Z, 2.0 - gamma) / denom,
-        )
-    else:
-        dzr = Z / denom
-        dzq = np.power(Z, 2.0 - gamma) / denom
+    with np.errstate(over="ignore"):
+        denom = gamma * Z - (gamma - 1.0) * R
+        under = (np.abs(denom) < np.finfo(float).tiny) | np.isinf(denom)
+        if under.any():
+            scaled = np.where(under, gamma - (gamma - 1.0) * (R / Z), 1.0)
+            denom = np.where(under, 1.0, denom)
+            dzr = np.where(under, 1.0 / scaled, Z / denom)
+            dzq = np.where(
+                under,
+                np.power(Z, 1.0 - gamma) / scaled,
+                np.power(Z, 2.0 - gamma) / denom,
+            )
+        else:
+            dzr = Z / denom
+            dzq = np.power(Z, 2.0 - gamma) / denom
     if gamma <= 1.0:
         dzr = np.minimum(dzr, 1.0 / gamma)
         dzq = np.minimum(dzq, np.power(Z, 1.0 - gamma) / gamma)
+    finite = np.isfinite(dzr) & np.isfinite(dzq)
+    if not finite.all():
+        i = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        raise DomainError(
+            f"closure derivative overflows at R={float(R[i])}, Z={float(Z[i])}"
+        )
     return dzr, dzq
 
 

@@ -8,11 +8,12 @@ total momentum telescope exactly on the periodic grid.
 The pointwise work on a state -- its velocity with the floor hits, and the
 implicit closure solve for Z and alpha -- is an ``Evaluation``, which only
 ``State.evaluate`` makes and ``rhs``, ``stable_dt`` and ``step`` require.
-``run`` evaluates each state once for its diagnostics row, ``stable_dt``
-and stage 1, so a run of N steps solves the closure 2N + 1 times: each
-state and each stage 2. Both solves of a step start Newton from the Z of
-the state the step began at, which moves Z by a few ulp against a cold
-solve and saves residual evaluations.
+``run`` evaluates each state once for its diagnostics row (or, in a run
+without rows, its volume-fraction check), ``stable_dt`` and stage 1, so a
+run of N steps solves the closure 2N + 1 times: each state and each
+stage 2. Both solves of a step start Newton from the Z of the state the
+step began at, which moves Z by a few ulp against a cold solve and saves
+residual evaluations.
 """
 
 from __future__ import annotations
@@ -266,28 +267,24 @@ def step(
 
 @dataclass
 class DiagnosticSeries:
-    """Per-step scalar diagnostics; one row per recorded state.
+    """Per-state scalar diagnostics; one row per recorded state.
 
-    ``kinetic`` and ``internal`` are kept for the energy emission and
-    ``realised_cfl`` for the twin layer's step-limit check; none of them is
-    part of the diagnostics CSV contract (``energy`` is kinetic + internal).
-    ``energy``, ``dissipation``, ``kinetic`` and ``internal`` are None for a
-    run made with ``energy_rows=False``.
+    ``COLUMNS`` are the diagnostics CSV's columns; its ``dt`` column is the
+    trajectory's ``dts`` with a trailing 0. ``kinetic`` and ``internal`` are
+    kept for the energy emission (``energy`` is kinetic + internal).
     """
 
     t: np.ndarray
-    dt: np.ndarray
-    realised_cfl: np.ndarray  # dt * cfl / stable_dt of the state; 0 on the last row
     mass_R: np.ndarray
     mass_Q: np.ndarray
-    energy: np.ndarray | None
-    dissipation: np.ndarray | None
+    energy: np.ndarray
+    dissipation: np.ndarray
     min_R: np.ndarray
     min_Q: np.ndarray
     max_u: np.ndarray
     floor_hits: np.ndarray
-    kinetic: np.ndarray | None
-    internal: np.ndarray | None
+    kinetic: np.ndarray
+    internal: np.ndarray
 
     COLUMNS = (
         "t",
@@ -305,11 +302,17 @@ class DiagnosticSeries:
 
 @dataclass
 class Trajectory:
-    """Everything one run produced: its diagnostics rows and sampled states."""
+    """Everything one run produced.
+
+    Every run has its steps and sampled states; ``diagnostics`` holds one
+    row per state, or is None for a run made with ``diagnostics=False``.
+    """
 
     params: SimParams
-    diagnostics: DiagnosticSeries
     snapshots: list[State]
+    dts: np.ndarray  # the step sizes taken
+    realised_cfl: np.ndarray  # dt * cfl / stable_dt of each step's state
+    diagnostics: DiagnosticSeries | None
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -320,11 +323,6 @@ class Trajectory:
         return np.asarray([s.t for s in self.snapshots])
 
     @property
-    def dts(self) -> np.ndarray:
-        """The step sizes taken; the diagnostics' dt column ends with a 0."""
-        return self.diagnostics.dt[:-1]
-
-    @property
     def initial(self) -> State:
         return self.snapshots[0]
 
@@ -333,41 +331,25 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-_ENERGY_COLUMNS = ("energy", "dissipation", "kinetic", "internal")
-
-
 def _record_diagnostics(
-    cols: dict[str, list],
-    state: State,
-    params: SimParams,
-    ev: Evaluation,
-    energy_rows: bool,
+    cols: dict[str, list], state: State, params: SimParams, ev: Evaluation
 ) -> None:
-    """Append the DiagnosticSeries fields other than dt for one evaluated state.
-
-    Without ``energy_rows`` the _ENERGY_COLUMNS are not computed, but the
-    state's volume fraction is still checked as ``total_energy`` checks it.
-    """
+    """Append the DiagnosticSeries row of one evaluated state."""
     g = state.grid
+    report = energy.total_energy(state, params, ev)
     row = dict(
         t=state.t,
         mass_R=grids.integrate(g, state.R),
         mass_Q=grids.integrate(g, state.Q),
+        energy=report.kinetic + report.internal,
+        dissipation=report.dissipation_rate,
         min_R=float(np.min(state.R)),
         min_Q=float(np.min(state.Q)),
         max_u=float(np.max(grids.pointwise_magnitude(g, ev.u))),
         floor_hits=ev.floor_hits,
+        kinetic=report.kinetic,
+        internal=report.internal,
     )
-    if energy_rows:
-        report = energy.total_energy(state, params, ev)
-        row.update(
-            energy=report.kinetic + report.internal,
-            dissipation=report.dissipation_rate,
-            kinetic=report.kinetic,
-            internal=report.internal,
-        )
-    else:
-        energy.check_volume_fraction(state, ev)
     for name, value in row.items():
         cols.setdefault(name, []).append(value)
 
@@ -379,9 +361,9 @@ def run(
     dt_schedule: Sequence[float] | None = None,
     source: SourceFn | None = None,
     every_state: bool = True,
-    energy_rows: bool = True,
+    diagnostics: bool = True,
 ) -> Trajectory:
-    """Advance the state to t_end, collecting diagnostics and snapshots.
+    """Advance the state to t_end, collecting its steps and snapshots.
 
     ``dt_schedule`` imposes an explicit step sequence (used to force twin
     runs onto a shared schedule); otherwise each step takes the stability
@@ -395,12 +377,12 @@ def run(
     Each state is evaluated once: the one velocity and closure solve serve
     its diagnostics row, its ``stable_dt`` and stage 1 of its step. Each
     state after the first starts its closure solve from the previous
-    state's Z, as does the stage-2 solve of every step. Every
-    state gets a diagnostics row; ``snapshots`` keeps every state, or with
-    ``every_state=False`` only the initial and the final state. With
-    ``energy_rows=False`` the rows skip the kinetic, internal and
-    dissipation integrals, whose columns are then None; the volume-fraction
-    check of ``energy.total_energy`` still runs on every state.
+    state's Z, as does the stage-2 solve of every step. Every state gets a
+    diagnostics row, or with ``diagnostics=False`` none, and
+    ``diagnostics`` is then None; the volume-fraction check of
+    ``energy.total_energy`` runs on every state either way. ``snapshots``
+    keeps every state, or with ``every_state=False`` only the initial and
+    the final state.
 
     Identical inputs produce bit-identical trajectories. The floor-hit count
     reflects the velocity reconstruction of each recorded state.
@@ -413,7 +395,10 @@ def run(
     cols: dict[str, list] = {}
     ev = state.evaluate(params)
     while True:
-        _record_diagnostics(cols, state, params, ev, energy_rows)
+        if diagnostics:
+            _record_diagnostics(cols, state, params, ev)
+        else:
+            energy.check_volume_fraction(state, ev)
         remaining = params.t_end - state.t
         if remaining <= eps_t:
             break
@@ -436,10 +421,13 @@ def run(
             state.t = params.t_end
         ev = state.evaluate(params, guess=ev.Z)
     snapshots.append(state)
-    diag = DiagnosticSeries(
-        dt=np.asarray(dts + [0.0]),
-        realised_cfl=np.asarray(realised_cfl + [0.0]),
-        **dict.fromkeys(_ENERGY_COLUMNS)
-        | {name: np.asarray(values) for name, values in cols.items()},
+    rows = None
+    if diagnostics:
+        rows = DiagnosticSeries(**{name: np.asarray(v) for name, v in cols.items()})
+    return Trajectory(
+        params=params,
+        snapshots=snapshots,
+        dts=np.asarray(dts, dtype=float),
+        realised_cfl=np.asarray(realised_cfl, dtype=float),
+        diagnostics=rows,
     )
-    return Trajectory(params=params, diagnostics=diag, snapshots=snapshots)

@@ -82,7 +82,12 @@ def _read_table(path, header: str | None = None) -> tuple[list[str], np.ndarray]
 
 
 def write_diagnostics_csv(path, traj: Trajectory) -> None:
-    columns = [getattr(traj.diagnostics, name) for name in DiagnosticSeries.COLUMNS]
+    """One row per state; the dt column is the run's steps and a trailing 0."""
+    dt = np.append(traj.dts, 0.0)
+    columns = [
+        dt if name == "dt" else getattr(traj.diagnostics, name)
+        for name in DiagnosticSeries.COLUMNS
+    ]
     _write_columns(path, DIAGNOSTICS_HEADER, columns)
 
 

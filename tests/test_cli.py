@@ -485,6 +485,20 @@ class TestErrorPaths:
         )
         assert not any(out.iterdir())
 
+    def test_overflowing_closure_derivative_exits_3(self, tmp_path, capsys):
+        # at gamma = 2 and a subnormal Z, dZ/dQ = Z**(1-gamma) = 2e323
+        argv = ["closure-table", "--r-min", "5e-324", "--r-max", "5e-324", "--r-count", "1"]
+        argv += ["--q-max", "0", "--q-count", "1"]
+        argv += ["--set", "physics.gamma_plus=3", "--set", "physics.gamma_minus=1.5"]
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "runtime error: closure derivative overflows at R=5e-324, Z=5e-324\n"
+        )
+        assert not any(out.iterdir())
+
     def test_bad_override_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--set", "x=1"]) == 2
 

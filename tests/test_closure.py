@@ -180,6 +180,14 @@ class TestDerivatives:
         # the lane beside it keeps the plain form, bit for bit
         assert dzr[1] == 2.0 / (gamma * 2.0 - (gamma - 1.0) * 1.0)
 
+    def test_overflowing_denominator_keeps_exact_values(self):
+        # at R = Z = 1e308 and gamma = 2, gamma*Z - (gamma-1)*R overflows to
+        # inf; the exact values are 1 and Z**(1-gamma) = 1e-308
+        dzr, dzq = closure.derivative_arrays(np.array([1e308, 1.0]), np.array([1e308, 2.0]), 2.0)
+        assert dzr[0] == 1.0
+        assert dzq[0] == pytest.approx(1e-308, rel=1e-15)
+        assert (dzr[1], dzq[1]) == (2.0 / 3.0, 1.0 / 3.0)
+
 
 class TestField:
     def test_constant_fields(self):
@@ -410,13 +418,23 @@ class TestProperties:
         pair=st.sampled_from(GAMMA_PAIRS + [(1.2, 5.0)]),
     )
     @example(points=[(5e-324, 0.0), (1.0, 1.0)], pair=(1.5, 3.0))
+    @example(points=[(5e-324, 0.0)], pair=(3.0, 1.5))
     def test_field_solve_matches_scalar_solve_lane_by_lane(self, points, pair):
         params = ClosureParams(*pair)
         R = np.array([r for r, _ in points])
         Q = np.array([q for _, q in points])
         Z, alpha = closure.solve_Z_field(R, Q, params)
         pos = Z > 0.0
-        dzr, dzq = closure.derivative_arrays(R[pos], Z[pos], params.gamma)
+        # dZ/dQ = Z**(1-gamma) / (gamma - (gamma-1) alpha), whose divisor
+        # lies in [1, gamma] for gamma > 1: past the float range at a
+        # subnormal Z for gamma = 2
+        with np.errstate(over="ignore"):
+            overflow = bool(np.isinf(Z[pos] ** (1.0 - params.gamma)).any())
+        if overflow:
+            with pytest.raises(DomainError, match="closure derivative overflows at R="):
+                closure.derivative_arrays(R[pos], Z[pos], params.gamma)
+        else:
+            dzr, dzq = closure.derivative_arrays(R[pos], Z[pos], params.gamma)
         p = closure.pressure(Z, params)
         res = closure.closure_residual(R, Q, Z, params)
         j = 0
@@ -426,7 +444,7 @@ class TestProperties:
             assert alpha[k] == point.alpha or (np.isnan(alpha[k]) and math.isnan(point.alpha))
             assert p[k] == closure.pressure(point.Z, params)
             assert res[k] == closure.closure_residual(r, q, point.Z, params)
-            if point.Z > 0.0:
+            if point.Z > 0.0 and not overflow:
                 assert (dzr[j], dzq[j]) == derivatives_at(point, params)
                 j += 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -261,11 +262,11 @@ class TestRun:
         assert np.array_equal(again.final.m, traj128.final.m)
         assert np.array_equal(again.diagnostics.energy, traj128.diagnostics.energy)
 
-    def test_monotone_time_and_dt_column(self, traj128):
+    def test_monotone_time_and_steps(self, traj128):
         d = traj128.diagnostics
         assert np.all(np.diff(d.t) > 0)
-        assert np.allclose(d.dt[:-1], np.diff(d.t), rtol=0, atol=1e-15)
-        assert d.dt[-1] == 0.0
+        assert len(traj128.dts) == len(traj128.realised_cfl) == len(d.t) - 1
+        assert np.allclose(traj128.dts, np.diff(d.t), rtol=0, atol=1e-15)
 
     def test_every_state_false_keeps_initial_and_final(self, std1d_initial):
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
@@ -279,19 +280,20 @@ class TestRun:
             assert getattr(ends.final, field).tobytes() == getattr(full.final, field).tobytes()
             assert getattr(ends.initial, field).tobytes() == getattr(std1d_initial, field).tobytes()
 
-    def test_energy_rows_off_leaves_the_other_columns_alone(self, std1d_initial):
+    def test_diagnostics_off_keeps_steps_and_states(self, std1d_initial):
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
         full = dynamics.run(std1d_initial, params)
-        lean = dynamics.run(std1d_initial, params, energy_rows=False)
-        for name, column in vars(lean.diagnostics).items():
-            if name in ("energy", "dissipation", "kinetic", "internal"):
-                assert column is None, name
-            else:
-                assert column.tobytes() == getattr(full.diagnostics, name).tobytes(), name
-        for field in ("R", "Q", "m"):
-            assert getattr(lean.final, field).tobytes() == getattr(full.final, field).tobytes()
+        lean = dynamics.run(std1d_initial, params, diagnostics=False)
+        assert lean.diagnostics is None
+        assert lean.dts.tobytes() == full.dts.tobytes()
+        assert lean.realised_cfl.tobytes() == full.realised_cfl.tobytes()
+        assert len(lean.snapshots) == len(full.snapshots) > 2
+        for mine, theirs in zip(lean.snapshots, full.snapshots):
+            assert mine.t == theirs.t
+            for field in ("R", "Q", "m"):
+                assert getattr(mine, field).tobytes() == getattr(theirs, field).tobytes()
 
-    def test_energy_rows_off_keeps_the_volume_fraction_check(self, std1d_initial, monkeypatch):
+    def test_diagnostics_off_keeps_the_volume_fraction_check(self, std1d_initial, monkeypatch):
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
         t2 = dynamics.run(std1d_initial, params).diagnostics.t[2]
         solve = closure.solve_Z_field
@@ -308,10 +310,10 @@ class TestRun:
 
         monkeypatch.setattr(closure, "solve_Z_field", leaky)
         messages = []
-        for energy_rows in (True, False):
+        for rows in (True, False):
             calls.clear()
             with pytest.raises(ConsistencyError, match="volume fraction left") as err:
-                dynamics.run(std1d_initial, params, energy_rows=energy_rows)
+                dynamics.run(std1d_initial, params, diagnostics=rows)
             messages.append(str(err.value))
         assert messages[0] == messages[1] == (
             f"volume fraction left [0,1] beyond {energy.ALPHA_TOL} at t={t2}"
@@ -382,14 +384,12 @@ def reference_run(initial, params, warm=True):
         dts.append(dt)
         states.append(state)
         guesses.append(ev.Z)
-    cols = {name: [] for name in dynamics.DiagnosticSeries.COLUMNS}
-    cols.update(kinetic=[], internal=[])
+    cols = {f.name: [] for f in dataclasses.fields(dynamics.DiagnosticSeries)}
     for s, guess in zip(states, guesses):
         report = energy.total_energy(s, params, evaluation(s, guess))
         u, hits = s.velocity(params.density_floor)
         row = dict(
             t=s.t,
-            dt=0.0,
             mass_R=grids.integrate(s.grid, s.R),
             mass_Q=grids.integrate(s.grid, s.Q),
             energy=report.kinetic + report.internal,
@@ -403,8 +403,8 @@ def reference_run(initial, params, warm=True):
         )
         for name, value in row.items():
             cols[name].append(value)
-    cols["dt"] = dts + [0.0]
-    return {name: np.asarray(v) for name, v in cols.items()}, states[-1]
+    cols = {name: np.asarray(v) for name, v in cols.items()}
+    return cols, np.asarray(dts), states[-1]
 
 
 def smooth_state(g):
@@ -439,8 +439,9 @@ class TestSharedEvaluation:
     def test_run_matches_unshared_reference_loop(self, case):
         initial, params = shared_evaluation_case(case)
         traj = dynamics.run(initial, params)
-        cols, final = reference_run(initial, params)
+        cols, dts, final = reference_run(initial, params)
         assert len(traj.dts) > 3
+        assert traj.dts.dtype == dts.dtype and traj.dts.tobytes() == dts.tobytes()
         for name, ref in cols.items():
             got = getattr(traj.diagnostics, name)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
@@ -452,11 +453,12 @@ class TestSharedEvaluation:
     def test_warm_started_run_stays_within_rtol_of_cold_loop(self, case):
         initial, params = shared_evaluation_case(case)
         traj = dynamics.run(initial, params)
-        cols, final = reference_run(initial, params, warm=False)
+        cols, dts, final = reference_run(initial, params, warm=False)
         assert np.array_equal(traj.diagnostics.floor_hits, cols["floor_hits"])
         got = {name: getattr(traj.diagnostics, name) for name in cols}
         got.update((name, getattr(traj.final, name)) for name in ("R", "Q", "m"))
         cols.update((name, getattr(final, name)) for name in ("R", "Q", "m"))
+        got["dts"], cols["dts"] = traj.dts, dts
         for name, ref in cols.items():
             assert got[name].shape == ref.shape, name
             scale = np.max(np.abs(ref))

@@ -64,3 +64,16 @@ def test_ulp_drift_reads_kept_digests(tmp_path):
         line for line in lines if line.startswith("simulate-std1d/diagnostics.csv energy:")
     ]
     assert drift.main([str(a), str(tmp_path / "missing")]) == 1
+
+
+def test_option_count_lists_every_kind(capsys):
+    tool = load_tool("option_count")
+    assert tool.main([]) == 0
+    *entries, api, cfg, flags, total = capsys.readouterr().out.splitlines()
+    counted = tool.options()
+    assert entries == [f"{kind} {name}" for kind, names in counted.items() for name in names]
+    assert [api, cfg, flags] == [f"{kind}: {len(names)}" for kind, names in counted.items()]
+    assert total == f"total: {len(entries)}"
+    assert "dynamics.run(diagnostics)" in counted["api"]
+    assert "time.t_end" in counted["config"] and "initial_u.mode_x" in counted["config"]
+    assert "closure-table --r-count" in counted["cli"] and "simulate --help" not in counted["cli"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import cfg_at
-from twofluid import closure, config, dynamics, grids, gronwall, twin
+from twofluid import closure, config, dynamics, energy, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State, Trajectory
 from twofluid.errors import ConfigError, ConsistencyError, DomainError
@@ -112,7 +112,6 @@ class TestMeanVelocity:
         report = twin.check_mean_velocity(twin128.weak, twin128.strong, twin128.diag)
         assert report.verdict
         assert np.all(report.residual <= 1e-12 * np.maximum(report.scale, 1e-300))
-        assert np.isfinite(report.fitted_C)
 
     def test_constant_reference_velocity_zeroes_rhs(self):
         # u~ constant makes (u~ - mean) vanish, so both sides reduce to the
@@ -131,6 +130,19 @@ class TestMeanVelocity:
         report = twin.check_mean_velocity(tW, tS, d)
         assert report.verdict
         assert np.all(report.residual <= 1e-14)
+
+    def test_takes_no_jacobian(self, twin128, monkeypatch):
+        calls = []
+        gradient = grids.gradient
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(grids, "gradient", counted)
+        report = twin.check_mean_velocity(twin128.weak, twin128.strong, twin128.diag)
+        assert report.verdict
+        assert calls == []
 
     def test_mass_mismatch_is_precondition_error(self, std1d_initial, std1d_params):
         other = std1d_initial.copy()
@@ -299,6 +311,31 @@ class TestSweep:
         assert rows[0].sup_distance == expected[0].sup_distance == 0.0
         assert rows[0].fitted_C == expected[0].fitted_C
 
+    def test_twin_runs_record_no_diagnostics(self, monkeypatch):
+        g = PeriodicGrid(1, 32)
+        x = g.axis_coords()
+        R = 1 + 0.2 * np.sin(x)
+        Q = 1 + 0.2 * np.cos(x)
+        initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
+        params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.05)
+        runs = []
+        run = dynamics.run
+
+        def capture(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        def unused(*args, **kwargs):
+            raise AssertionError("no twin output reads a diagnostics row")
+
+        monkeypatch.setattr(dynamics, "run", capture)
+        monkeypatch.setattr(energy, "total_energy", unused)
+        twin.run_twin(initial, params, 1e-3)
+        twin.stability_sweep(initial, params, deltas=(0.0, 1e-3))
+        assert len(runs) == 5
+        assert all(traj.diagnostics is None for traj in runs)
+        assert all(len(traj.dts) == len(runs[0].dts) > 0 for traj in runs)
+
     def test_weak_run_beyond_its_own_step_limit_raises(self):
         g = PeriodicGrid(1, 64)
         x = g.axis_coords()
@@ -306,7 +343,7 @@ class TestSweep:
         Q = 1 + 0.2 * np.cos(x)
         initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, cfl=1.0, t_end=0.1)
-        assert twin.run_twin(initial, params, 0.0).weak.diagnostics.realised_cfl.max() == 1.0
+        assert twin.run_twin(initial, params, 0.0).weak.realised_cfl.max() == 1.0
         with pytest.raises(ConsistencyError, match="realised CFL number"):
             twin.run_twin(initial, params, 1.0)
 
@@ -355,11 +392,10 @@ def per_sample_reference(traj, params):
     return dict(zip(("grad_u_2", "grad_u_inf", "material_3"), np.asarray(rows).T))
 
 
-def per_sample_mean_velocity(weak, strong, diag):
+def per_sample_mean_velocity(weak, strong):
     g, floor = weak.grid, weak.params.density_floor
-    m0_s = grids.integrate(g, strong.snapshots[0].R + strong.snapshots[0].Q)
-    residual, scale, fitted = [], [], 0.0
-    for k, (w, s) in enumerate(zip(weak.snapshots, strong.snapshots)):
+    residual, scale = [], []
+    for w, s in zip(weak.snapshots, strong.snapshots):
         u_w, u_s = w.velocity(floor)[0], s.velocity(floor)[0]
         diff = (w.R - s.R) + (w.Q - s.Q)
         centered = u_s - (grids.integrate(g, u_s) / g.volume).reshape((g.dim,) + (1,) * g.dim)
@@ -369,28 +405,27 @@ def per_sample_mean_velocity(weak, strong, diag):
         mag = [grids.pointwise_magnitude(g, v) for v in (u_w, u_s, centered)]
         scale.append(grids.integrate(g, (w.R + w.Q) * (mag[0] + mag[1]))
                      + grids.integrate(g, np.abs(diff) * mag[2]))
-        bracket = (diag.sup_R[k] + diag.sup_Q[k]) * diag.norm_gradU[k] + (
-            grids.lp_norm(g, grids.gradient(g, u_s), 2)
-            * (diag.norm_frakR[k] + diag.norm_calQ[k])
-        )
-        if bracket > twin.EPS_DIV:
-            fitted = max(fitted, diag.mean_U[k] * m0_s / bracket)
-    return np.asarray(residual), np.asarray(scale), fitted
+    return np.asarray(residual), np.asarray(scale)
 
 
 def random_pair(g, samples, seed):
-    """Strong and weak trajectories of random states; the weak densities are
-    the strong ones shifted by one point, so the masses match."""
+    """Weak and strong trajectories of random states, with no diagnostics;
+    the weak densities are the strong ones shifted by one point, so the
+    masses match."""
     rng = np.random.default_rng(seed)
     params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, lam=0.05, t_end=1.0)
     strong, weak = [], []
-    for k in range(samples):
+    times = [k / samples for k in range(samples)]
+    for t in times:
         R, Q = rng.uniform(0.5, 1.5, (2, *g.shape))
         m_s, m_w = rng.normal(0.0, 0.5, (2, g.dim, *g.shape))
-        t = k / samples
         strong.append(State(g, R, Q, m_s, t))
         weak.append(State(g, np.roll(R, 1), np.roll(Q, 1), m_w, t))
-    return Trajectory(params, None, weak), Trajectory(params, None, strong), params
+    steps = np.diff(times)
+    return tuple(
+        Trajectory(params, states, steps, np.zeros_like(steps), None)
+        for states in (weak, strong)
+    )
 
 
 class TestBlockReducers:
@@ -408,21 +443,20 @@ class TestBlockReducers:
     @example(grid=(3, 8), samples=5, members=2, slack=0.0, seed=2)  # blocks 2, 2, 1
     def test_equal_to_per_sample_loops(self, grid, samples, members, slack, seed):
         g = PeriodicGrid(*grid)
-        weak, strong, params = random_pair(g, samples, seed)
+        weak, strong = random_pair(g, samples, seed)
         # any block size between members and members + 1 samples holds members
         block_points = members * g.npoints + int(slack * g.npoints)
         with mock.patch.object(twin, "BLOCK_POINTS", block_points):
             diag = twin.compare(weak, strong)
-            ref = twin.reference_series(strong, params)
+            ref = twin.reference_series(strong)
             meanvel = twin.check_mean_velocity(weak, strong, diag)
         for name, want in per_sample_compare(weak, strong).items():
             assert getattr(diag, name).tobytes() == want.tobytes(), name
-        for name, want in per_sample_reference(strong, params).items():
+        for name, want in per_sample_reference(strong, strong.params).items():
             assert getattr(ref, name).tobytes() == want.tobytes(), name
-        residual, scale, fitted = per_sample_mean_velocity(weak, strong, diag)
+        residual, scale = per_sample_mean_velocity(weak, strong)
         assert meanvel.residual.tobytes() == residual.tobytes()
         assert meanvel.scale.tobytes() == scale.tobytes()
-        assert meanvel.fitted_C == fitted
 
     def test_block_sizes(self):
         snaps = random_pair(PeriodicGrid(1, 16), 7, 0)[1].snapshots
@@ -454,5 +488,5 @@ class TestClosureSolves:
         monkeypatch.setattr(twin, "BLOCK_POINTS", 10 * 64)  # ten samples a block
         blocks = len(list(twin._blocks(traj.snapshots)))
         calls.clear()
-        twin.reference_series(traj, params)
+        twin.reference_series(traj)
         assert blocks > 2 and len(calls) == blocks

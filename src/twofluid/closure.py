@@ -133,10 +133,9 @@ def _pinned(z, lo, hi):
 
     After the first update z lies strictly inside its bracket, as a Newton
     point or as the midpoint, unless no double lies strictly inside: then
-    the midpoint rounds onto an end and z can never move again. A midpoint
-    that overflows to inf is not pinned; that lane exhausts its budget.
+    the midpoint rounds onto an end and z can never move again.
     """
-    return ((z <= lo) | (z >= hi)) & (z < np.inf)
+    return (z <= lo) | (z >= hi)
 
 
 def _overflow(what: str, R, Q, finite) -> DomainError:
@@ -157,36 +156,27 @@ def _bracketed_newton(R, Q, gamma, guess=None):
     frozen roots, and the one clipped polish step afterwards starts from
     them; it pushes residuals to the rounding floor, well below the
     tolerance. Lanes never mix, so a lane's root does not depend on the
-    other lanes of the batch.
+    other lanes of the batch. Midpoints are 0.5*lo + 0.5*hi, which cannot
+    overflow and equals 0.5*(lo + hi) wherever that sum is finite.
     """
     lo0 = np.maximum(R, Z_EPS)
     with np.errstate(over="ignore"):
         hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
     if not np.isfinite(hi0).all():
         raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, np.isfinite(hi0))
-    z = 0.5 * (lo0 + hi0) if guess is None else np.clip(guess, lo0, hi0)
+    z = 0.5 * lo0 + 0.5 * hi0 if guess is None else np.clip(guess, lo0, hi0)
 
     lo, hi = lo0, hi0
     ftol = TOL_ABS + TOL_REL * np.maximum(1.0, Q)
     done = np.zeros(z.shape, dtype=bool)
-    for k in range(MAX_ITER):
+    for k in range(MAX_ITER + 1):
         f, fp = _residual_slope(R, Q, z, gamma)
         done |= np.abs(f) <= ftol
         if k:  # a clipped guess may start on an end of an open bracket
             done |= _pinned(z, lo, hi)
         if done.all():
             break
-        neg = f < 0.0
-        lo = np.where(neg, z, lo)
-        hi = np.where(neg, hi, z)
-        z_new = _newton_point(z, f, fp)
-        inside = (z_new > lo) & (z_new < hi)
-        z = np.where(done, z, np.where(inside, z_new, 0.5 * (lo + hi)))
-    else:
-        # Lanes updated on the last sweep never saw a convergence test.
-        f, fp = _residual_slope(R, Q, z, gamma)
-        done |= (np.abs(f) <= ftol) | _pinned(z, lo, hi)
-        if not done.all():
+        if k == MAX_ITER:
             i = int(np.flatnonzero(~done)[0])
             bracket = (float(lo[i]), float(hi[i]))
             raise ConvergenceError(
@@ -195,6 +185,12 @@ def _bracketed_newton(R, Q, gamma, guess=None):
                 bracket=bracket,
                 index=i,
             )
+        neg = f < 0.0
+        lo = np.where(neg, z, lo)
+        hi = np.where(neg, hi, z)
+        z_new = _newton_point(z, f, fp)
+        inside = (z_new > lo) & (z_new < hi)
+        z = np.where(done, z, np.where(inside, z_new, 0.5 * lo + 0.5 * hi))
 
     z_new = np.clip(_newton_point(z, f, fp), lo0, hi0)
     f_new, _ = _residual_slope(R, Q, z_new, gamma)

@@ -9,7 +9,7 @@ estimates, the mean-velocity identity and the Gronwall trace assembly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +43,9 @@ class PairDiagnostics:
     M_bound: np.ndarray  # running max of all four density sup-norms
     sup_R: np.ndarray  # ||R||_inf of the weak run
     sup_Q: np.ndarray  # ||Q||_inf of the weak run
+    # the mean-velocity identity, kept for check_mean_velocity, not in COLUMNS
+    meanvel_residual: np.ndarray  # |lhs - rhs|
+    meanvel_scale: np.ndarray  # summed magnitudes of the integrals on both sides
 
     COLUMNS = (
         "t",
@@ -148,8 +151,10 @@ def _vector_norms(ints: np.ndarray) -> list[float]:
 def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
     """Difference norms of two trajectories on matched grids and samples.
 
-    The samples are reduced in blocks of at most BLOCK_POINTS grid points;
-    every value equals that of a per-sample loop over the grids reducers.
+    The same pass reduces both sides of the mean-velocity identity for
+    ``check_mean_velocity``. Samples are reduced in blocks of at most
+    BLOCK_POINTS grid points; every value equals that of a per-sample loop
+    over the grids reducers.
     """
     if weak.grid != strong.grid:
         raise ConfigError("twin runs live on different grids")
@@ -161,15 +166,17 @@ def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
     g = weak.grid
     floor = weak.params.density_floor
     n = len(weak.snapshots)
-    cols = {name: np.zeros(n) for name in PairDiagnostics.COLUMNS}
+    cols = {f.name: np.zeros(n) for f in fields(PairDiagnostics)}
     cols["t"] = weak.snapshot_times
     space = tuple(range(2, g.dim + 2))  # grid axes of the 4 stacked densities
     for (k, w), (_, s) in zip(_blocks(weak.snapshots), _blocks(strong.snapshots)):
-        U = w.velocity(floor)[0] - s.velocity(floor)[0]
+        u_w, u_s = w.velocity(floor)[0], s.velocity(floor)[0]
+        U = u_w - u_s
         jac = grids.gradient(g, U)
-        cols["norm_frakR"][k] = _lp_norms(g, w.R - s.R, 2)
-        cols["norm_calQ"][k] = _lp_norms(g, w.Q - s.Q, 2)
-        cols["norm_wU"][k] = _weighted_l2s(g, w.R + w.Q, U)
+        frakR, calQ, rho_w = w.R - s.R, w.Q - s.Q, w.R + w.Q
+        cols["norm_frakR"][k] = _lp_norms(g, frakR, 2)
+        cols["norm_calQ"][k] = _lp_norms(g, calQ, 2)
+        cols["norm_wU"][k] = _weighted_l2s(g, rho_w, U)
         cols["norm_gradU"][k] = _lp_norms(g, jac, 2)
         # the trace summed in axis order equals grids.divergence bit for bit
         div = sum((jac[i, i] for i in range(1, g.dim)), jac[0, 0])
@@ -179,6 +186,17 @@ def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
         sups = np.max(np.abs([w.R, w.Q, s.R, s.Q]), axis=space)
         cols["sup_R"][k], cols["sup_Q"][k] = sups[0], sups[1]
         cols["M_bound"][k] = np.max(sups, axis=0)
+        # integral (R+Q) U dx = -integral (frakR+calQ)(u~ - mean u~) dx
+        diff = frakR + calQ
+        mean_us = grids.integrate(g, u_s) / g.volume
+        centered = u_s - mean_us.reshape(mean_us.shape + (1,) * g.dim)
+        lhs = grids.integrate(g, rho_w * U)
+        rhs = -grids.integrate(g, diff * centered)
+        cols["meanvel_residual"][k] = _vector_norms(lhs - rhs)
+        mag_w, mag_s, mag_c = (grids._magnitude(v, g.dim + 1) for v in (u_w, u_s, centered))
+        cols["meanvel_scale"][k] = grids.integrate(g, rho_w * (mag_w + mag_s)) + grids.integrate(
+            g, np.abs(diff) * mag_c
+        )
     cols["int_gradU"] = cumulative_trapezoid(cols["t"], cols["norm_gradU"])
     cols["M_bound"] = np.maximum.accumulate(cols["M_bound"])
     return PairDiagnostics(**cols)
@@ -272,40 +290,19 @@ def check_mean_velocity(
 
     The identity needs matched total masses (it encodes conservation), so a
     relative initial-mass mismatch beyond 1e-10 is a precondition error.
-    The residual is compared against rtol times the summed magnitudes of the
-    integrals entering both sides, which is the honest rounding scale for a
-    difference of near-cancelling quantities. ``diag``, the pair's
-    ``compare``, is not read: the identity needs no difference norm.
+    Both sides come from ``diag``, the pair's ``compare``, which reduces them
+    in its own pass. The residual is compared against rtol times the summed
+    magnitudes of the integrals entering both sides, which is the honest
+    rounding scale for a difference of near-cancelling quantities.
     """
     g = weak.grid
-    floor = weak.params.density_floor
     m0_w = grids.integrate(g, weak.snapshots[0].R + weak.snapshots[0].Q)
     m0_s = grids.integrate(g, strong.snapshots[0].R + strong.snapshots[0].Q)
     if abs(m0_w - m0_s) > 1e-10 * max(abs(m0_w), abs(m0_s)):
         raise DomainError(
             f"twin initial masses differ beyond 1e-10 relative: {m0_w} vs {m0_s}"
         )
-
-    n = len(weak.snapshots)
-    residual = np.zeros(n)
-    scale = np.zeros(n)
-    for (k, w), (_, s) in zip(_blocks(weak.snapshots), _blocks(strong.snapshots)):
-        u_w = w.velocity(floor)[0]
-        u_s = s.velocity(floor)[0]
-        U = u_w - u_s
-        rho_w = w.R + w.Q
-        diff = (w.R - s.R) + (w.Q - s.Q)
-        mean_us = grids.integrate(g, u_s) / g.volume
-        centered = u_s - mean_us.reshape(mean_us.shape + (1,) * g.dim)
-        lhs = grids.integrate(g, rho_w * U)
-        rhs = -grids.integrate(g, diff * centered)
-        residual[k] = _vector_norms(lhs - rhs)
-        mag_w = grids._magnitude(u_w, g.dim + 1)
-        mag_s = grids._magnitude(u_s, g.dim + 1)
-        mag_c = grids._magnitude(centered, g.dim + 1)
-        scale[k] = grids.integrate(g, rho_w * (mag_w + mag_s)) + grids.integrate(
-            g, np.abs(diff) * mag_c
-        )
+    residual, scale = diag.meanvel_residual, diag.meanvel_scale
     verdict = bool(np.all(residual <= rtol * np.maximum(scale, 1e-300)))
     return MeanVelocityReport(residual=residual, scale=scale, rtol=rtol, verdict=verdict)
 

@@ -61,14 +61,13 @@ class TestSolveZ:
         with pytest.raises(DomainError):
             closure.solve_Z(math.inf, 1.0, params)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    def test_budget_exhaustion_reports_bracket(self):
-        # the bracket is finite, but its midpoint overflows, so the
-        # iteration budget runs out
-        with pytest.raises(ConvergenceError, match="exhausted 200 iterations") as err:
-            closure.solve_Z(8e307, 1.0, ClosureParams(1.5, 3.0))
-        assert err.value.bracket == (8e307, math.inf)
-
+    def test_budget_exhaustion_reports_bracket(self, monkeypatch):
+        # one sweep moves the midpoint start 2.5 of [1, 4] towards the root
+        # 2.618..., but not within the tolerance
+        monkeypatch.setattr(closure, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="exhausted 1 iterations") as err:
+            closure.solve_Z(1.0, 1.0, ClosureParams(1.5, 3.0))
+        assert err.value.bracket == (2.5, 4.0)
 
     def test_bad_input_message_prints_plain_floats(self):
         params = ClosureParams(1.5, 3.0)
@@ -81,24 +80,23 @@ class TestSolveZ:
             "closure inputs must be finite and nonnegative at grid index (1,): R=-0.001, Q=1.0"
         )
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize(
-        "R,index",
+        "R,Q,index",
         [
-            pytest.param([0.0, 8e307], (1,), id="1d"),
-            pytest.param([[1.0, 0.0], [0.0, 8e307]], (1, 1), id="2d"),
+            pytest.param([0.0, 1.0], [1.0, 1.0], (1,), id="1d"),
+            pytest.param([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 1.0]], (1, 1), id="2d"),
         ],
     )
-    def test_field_failure_names_its_grid_index(self, R, index):
-        # the R = 0 lanes take the closed form, so only some lanes iterate;
-        # the index still counts every lane of the field
-        R = np.array(R)
+    def test_field_failure_names_its_grid_index(self, R, Q, index, monkeypatch):
+        # the R = 0 and Q = 0 lanes take the closed form, so only some lanes
+        # iterate; the index still counts every lane of the field
+        monkeypatch.setattr(closure, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            closure.solve_Z_field(R, np.ones_like(R), ClosureParams(1.5, 3.0))
+            closure.solve_Z_field(np.array(R), np.array(Q), ClosureParams(1.5, 3.0))
         assert err.value.index == index
         assert str(err.value) == (
-            f"closure solve failed at grid index {index}: closure solve exhausted 200 "
-            "iterations (R=8e+307, Q=1.0, bracket=[8e+307, inf])"
+            f"closure solve failed at grid index {index}: closure solve exhausted 1 "
+            "iterations (R=1.0, Q=1.0, bracket=[2.5, 4.0])"
         )
 
 
@@ -266,20 +264,18 @@ class TestCollapsedBracket:
         point = closure.solve_Z(100.0, 0.6, ClosureParams(3.0, 1.5))
         assert point.Z == pytest.approx(100.00599964004319, rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    @pytest.mark.parametrize(
-        "R,Q,error",
-        [
-            # the upper bracket overflows: rejected before any iteration
-            pytest.param(1e308, 1.0, DomainError, id="1e308-1.0"),
-            # the midpoint overflows to inf, which must not count as pinned
-            pytest.param(8e307, 1.0, ConvergenceError, id="8e307-1.0"),
-            pytest.param(1.0, 1e308, DomainError, id="1.0-1e308"),
-        ],
-    )
-    def test_overflowing_bracket_still_raises(self, R, Q, error):
-        with pytest.raises(error):
+    # the upper bracket overflows: rejected before any iteration
+    @pytest.mark.parametrize("R,Q", [(1e308, 1.0), (1.0, 1e308)], ids=["1e308-1.0", "1.0-1e308"])
+    def test_overflowing_bracket_still_raises(self, R, Q):
+        with pytest.raises(DomainError):
             closure.solve_Z(R, Q, ClosureParams(1.5, 3.0))
+
+    def test_bracket_near_float_max_converges(self):
+        # lo + hi of the bracket [8e307, 1.6e308] overflows, its halves do
+        # not; the true root R + ~9e153 lies below one ulp of R, so the
+        # bracket collapses onto R and pins it
+        point = closure.solve_Z(8e307, 1.0, ClosureParams(1.5, 3.0))
+        assert point.Z == 8e307 and point.alpha == 1.0
 
 
 class TestGuess:

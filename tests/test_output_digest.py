@@ -1,3 +1,4 @@
+import difflib
 import importlib.util
 import itertools
 import platform
@@ -12,6 +13,10 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 #   (echo "# python X.Y.Z, numpy A.B.C"; PYTHONPATH=src python3 tools/output_digest.py --n 16) \
 #       > tests/data/output_digest_n16.txt
 GOLDEN = Path(__file__).resolve().parent / "data" / "output_digest_n16.txt"
+# Every option of the package, one a line, then the subtotals. A change that
+# adds or removes an option on purpose regenerates it:
+#   PYTHONPATH=src python3 tools/option_count.py > tests/data/option_count.txt
+OPTIONS = GOLDEN.with_name("option_count.txt")
 
 
 def load_tool(name="output_digest"):
@@ -77,3 +82,16 @@ def test_option_count_lists_every_kind(capsys):
     assert "dynamics.run(diagnostics)" in counted["api"]
     assert "time.t_end" in counted["config"] and "initial_u.mode_x" in counted["config"]
     assert "closure-table --r-count" in counted["cli"] and "simulate --help" not in counted["cli"]
+
+
+def test_option_list_matches_the_pinned_list(capsys):
+    assert load_tool("option_count").main([]) == 0
+    fresh = capsys.readouterr().out.splitlines()
+    pinned = OPTIONS.read_text().splitlines()
+    # an added or removed option names itself, not every line after it
+    differing = [
+        f"only in {'this tree' if line[0] == '+' else OPTIONS.name}: {line[2:]!r}"
+        for line in difflib.ndiff(pinned, fresh)
+        if line[0] in "+-"
+    ]
+    assert not differing, "\n".join(differing)

@@ -144,6 +144,27 @@ class TestMeanVelocity:
         assert report.verdict
         assert calls == []
 
+    def test_reads_the_identity_from_diag(self, twin128, monkeypatch):
+        # compare reduced the identity; the check stacks no block and takes
+        # no velocity of its own
+        calls = []
+        blocks, velocity = twin._blocks, State.velocity
+
+        def counted_blocks(*args):
+            calls.append("_blocks")
+            return blocks(*args)
+
+        def counted_velocity(*args):
+            calls.append("velocity")
+            return velocity(*args)
+
+        monkeypatch.setattr(twin, "_blocks", counted_blocks)
+        monkeypatch.setattr(State, "velocity", counted_velocity)
+        report = twin.check_mean_velocity(twin128.weak, twin128.strong, twin128.diag)
+        assert calls == []
+        assert report.residual is twin128.diag.meanvel_residual
+        assert report.scale is twin128.diag.meanvel_scale
+
     def test_mass_mismatch_is_precondition_error(self, std1d_initial, std1d_params):
         other = std1d_initial.copy()
         other.R = other.R * 1.01
@@ -449,14 +470,13 @@ class TestBlockReducers:
         with mock.patch.object(twin, "BLOCK_POINTS", block_points):
             diag = twin.compare(weak, strong)
             ref = twin.reference_series(strong)
-            meanvel = twin.check_mean_velocity(weak, strong, diag)
         for name, want in per_sample_compare(weak, strong).items():
             assert getattr(diag, name).tobytes() == want.tobytes(), name
         for name, want in per_sample_reference(strong, strong.params).items():
             assert getattr(ref, name).tobytes() == want.tobytes(), name
         residual, scale = per_sample_mean_velocity(weak, strong)
-        assert meanvel.residual.tobytes() == residual.tobytes()
-        assert meanvel.scale.tobytes() == scale.tobytes()
+        assert diag.meanvel_residual.tobytes() == residual.tobytes()
+        assert diag.meanvel_scale.tobytes() == scale.tobytes()
 
     def test_block_sizes(self):
         snaps = random_pair(PeriodicGrid(1, 16), 7, 0)[1].snapshots

@@ -10,7 +10,9 @@ the partial derivatives of Z with respect to either density.
 Every solve is bracketed: F(Z) = Z**gamma - R*Z**(gamma-1) is strictly
 increasing on [R, inf) with F(R) = 0, and the root never exceeds
 max(2R, (2Q)**(1/gamma)), so a Newton iteration with bisection fallback
-cannot escape the bracket; a bracket that overflows is a DomainError, as is
+cannot escape the bracket [R, max(2R, (2Q)**(1/gamma))]. A bracket that
+overflows is a DomainError, as is one whose upper end's power gamma
+overflows for gamma > 1 (the residual could not be evaluated on it), and
 an R = 0 root Q**(1/gamma) that overflows. A
 point converges when its residual meets the tolerance, or when its bracket
 holds no double strictly inside: where Z**gamma >> Q the residual's
@@ -22,10 +24,16 @@ Newton starts at the bracket midpoint, or at a caller's ``guess`` clipped
 into the bracket (time integration passes the previous state's Z, which
 saves two of the five Newton steps of a cold start), and one clipped Newton
 polish step after convergence pushes the residual to the rounding floor.
+At gamma = 1/2 and gamma = 2 the closure is a quadratic (in sqrt(Z), or in
+Z), and Newton starts at its closed-form root instead, clipped into the
+bracket; ``guess`` goes unused there. The start meets the tolerance on the
+first sweep wherever the residual can resolve it, so such a solve costs two
+residual evaluations, the test and the polish, warm or cold.
 The iteration runs on full-length arrays: converged points are frozen in
 place rather than gathered out, so the last sweep has evaluated the residual
 at every root and the polish step reuses it. A warm solve of a nearby state
-then costs four residual evaluations (three sweeps and the polished point).
+at any other gamma costs four residual evaluations (three sweeps and the
+polished point), a cold one six.
 """
 
 from __future__ import annotations
@@ -40,9 +48,6 @@ from .errors import ConvergenceError, DomainError
 TOL_ABS = 1e-14
 TOL_REL = 1e-12
 MAX_ITER = 200
-
-# Guard against division by zero when R underflows; never binds for R > 0.
-Z_EPS = 1e-300
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,9 @@ def _newton_point(z, f, fp):
     """The Newton point z - f/fp, without a divide-by-zero warning.
 
     The slope underflows to 0 where z**gamma does, as at a guess clipped to
-    Z_EPS. The infinite point is outside every bracket, so the sweep bisects
-    and the polish clips it into the bracket. Overflow and invalid values
-    still warn.
+    a subnormal R for gamma > 1. The infinite point is outside every
+    bracket, so the sweep bisects and the polish clips it into the bracket.
+    Overflow and invalid values still warn.
     """
     with np.errstate(divide="ignore"):
         return z - f / fp
@@ -144,6 +149,24 @@ def _overflow(what: str, R, Q, finite) -> DomainError:
     return DomainError(f"closure {what} overflows at R={float(R[i])}, Q={float(Q[i])}")
 
 
+def _exact_start(R, Q, gamma):
+    """The closed-form root at gamma = 1/2 or gamma = 2, else None.
+
+    At gamma = 1/2, s = sqrt(Z) solves s**2 - Q*s - R = 0; at gamma = 2, Z
+    solves Z**2 - R*Z - Q = 0. Both roots add positive terms, so neither
+    cancels, and ``hypot`` keeps the discriminant finite. Only the square
+    at gamma = 1/2 can overflow, for a root near the float maximum; the
+    caller clips the start into the bracket.
+    """
+    if gamma not in (0.5, 2.0):
+        return None
+    with np.errstate(over="ignore"):
+        if gamma == 0.5:
+            s = 0.5 * Q + 0.5 * np.hypot(Q, 2.0 * np.sqrt(R))
+            return s * s
+        return 0.5 * R + 0.5 * np.hypot(R, 2.0 * np.sqrt(Q))
+
+
 def _bracketed_newton(R, Q, gamma, guess=None):
     """Vectorised safeguarded Newton on flat arrays with R > 0, Q > 0.
 
@@ -157,16 +180,23 @@ def _bracketed_newton(R, Q, gamma, guess=None):
     them; it pushes residuals to the rounding floor, well below the
     tolerance. Lanes never mix, so a lane's root does not depend on the
     other lanes of the batch. Midpoints are 0.5*lo + 0.5*hi, which cannot
-    overflow and equals 0.5*(lo + hi) wherever that sum is finite.
+    overflow and equals 0.5*(lo + hi) wherever that sum is finite and the
+    ends are normal doubles.
     """
-    lo0 = np.maximum(R, Z_EPS)
     with np.errstate(over="ignore"):
         hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
+        # beyond gamma = 1 the residual's z**gamma can overflow below hi0
+        top = np.isfinite(np.power(hi0, gamma)) if gamma > 1.0 else None
     if not np.isfinite(hi0).all():
         raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, np.isfinite(hi0))
-    z = 0.5 * lo0 + 0.5 * hi0 if guess is None else np.clip(guess, lo0, hi0)
+    if top is not None and not top.all():
+        raise _overflow("residual z**gamma at the upper bracket", R, Q, top)
+    exact = _exact_start(R, Q, gamma)
+    if exact is not None:
+        guess = exact
+    z = 0.5 * R + 0.5 * hi0 if guess is None else np.clip(guess, R, hi0)
 
-    lo, hi = lo0, hi0
+    lo, hi = R, hi0
     ftol = TOL_ABS + TOL_REL * np.maximum(1.0, Q)
     done = np.zeros(z.shape, dtype=bool)
     for k in range(MAX_ITER + 1):
@@ -192,7 +222,7 @@ def _bracketed_newton(R, Q, gamma, guess=None):
         inside = (z_new > lo) & (z_new < hi)
         z = np.where(done, z, np.where(inside, z_new, 0.5 * lo + 0.5 * hi))
 
-    z_new = np.clip(_newton_point(z, f, fp), lo0, hi0)
+    z_new = np.clip(_newton_point(z, f, fp), R, hi0)
     f_new, _ = _residual_slope(R, Q, z_new, gamma)
     return np.where(np.abs(f_new) < np.abs(f), z_new, z)
 
@@ -259,7 +289,9 @@ def solve_Z_field(
 
     ``guess``, a finite array of R's shape such as the Z of a nearby state,
     starts Newton there instead of at the bracket midpoint. It changes the
-    root by a few ulp at most, not the bracket or the tolerance.
+    root by a few ulp at most, not the bracket or the tolerance. At
+    gamma = 1/2 and gamma = 2 Newton starts at the closed-form root, and
+    ``guess`` is validated but unused.
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)

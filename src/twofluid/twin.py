@@ -291,10 +291,14 @@ def check_mean_velocity(
     The identity needs matched total masses (it encodes conservation), so a
     relative initial-mass mismatch beyond 1e-10 is a precondition error.
     Both sides come from ``diag``, the pair's ``compare``, which reduces them
-    in its own pass. The residual is compared against rtol times the summed
-    magnitudes of the integrals entering both sides, which is the honest
-    rounding scale for a difference of near-cancelling quantities.
+    in its own pass; a ``diag`` whose sample times are not the weak run's
+    snapshot times belongs to another pair and is a DomainError. The
+    residual is compared against rtol times the summed magnitudes of the
+    integrals entering both sides, which is the honest rounding scale for a
+    difference of near-cancelling quantities.
     """
+    if not np.array_equal(diag.t, weak.snapshot_times):
+        raise DomainError("diag is not this pair's compare: its sample times differ")
     g = weak.grid
     m0_w = grids.integrate(g, weak.snapshots[0].R + weak.snapshots[0].Q)
     m0_s = grids.integrate(g, strong.snapshots[0].R + strong.snapshots[0].Q)

@@ -472,6 +472,21 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not any(out.iterdir())
 
+    def test_overflowing_residual_power_exits_3(self, tmp_path, capsys):
+        # at gamma = 2 the bracket [1e200, 2e200] is finite, but z**2 is not
+        argv = ["closure-table", "--r-min", "1e200", "--r-max", "1e200", "--r-count", "1"]
+        argv += ["--q-min", "1", "--q-max", "1", "--q-count", "1"]
+        argv += ["--set", "physics.gamma_plus=3", "--set", "physics.gamma_minus=1.5"]
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "runtime error: closure residual z**gamma at the upper bracket overflows "
+            "at R=1e+200, Q=1.0\n"
+        )
+        assert not any(out.iterdir())
+
     def test_overflowing_r_zero_root_exits_3(self, tmp_path, capsys):
         # at R = 0 the root is Q**(1/gamma), which overflows for gamma = 1/2
         argv = ["closure-table", "--r-max", "0", "--r-count", "1"]

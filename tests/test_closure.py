@@ -1,4 +1,8 @@
+import decimal
 import math
+import struct
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +13,9 @@ from twofluid.closure import ClosureParams
 from twofluid.errors import ConvergenceError, DomainError
 
 GAMMA_PAIRS = [(1.5, 4.5), (1.5, 3.0), (2.0, 2.0), (3.0, 1.5)]
+# gamma = 1/2 and gamma = 2 start Newton at the closed-form root; tests of the
+# midpoint or warm start run at gamma = 3/4, which has none
+GAMMA_3_4 = ClosureParams(1.5, 2.0)
 
 
 def bisect_oracle(R, Q, gamma, lo, hi, tol=1e-12):
@@ -62,12 +69,13 @@ class TestSolveZ:
             closure.solve_Z(math.inf, 1.0, params)
 
     def test_budget_exhaustion_reports_bracket(self, monkeypatch):
-        # one sweep moves the midpoint start 2.5 of [1, 4] towards the root
-        # 2.618..., but not within the tolerance
+        # at gamma = 3/4, which has no closed-form start, one sweep moves the
+        # midpoint start 1.7599... of [1, 2**(4/3)] towards the root 1.96...,
+        # but not within the tolerance
         monkeypatch.setattr(closure, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="exhausted 1 iterations") as err:
-            closure.solve_Z(1.0, 1.0, ClosureParams(1.5, 3.0))
-        assert err.value.bracket == (2.5, 4.0)
+            closure.solve_Z(1.0, 1.0, GAMMA_3_4)
+        assert err.value.bracket == (1.7599210498948732, 2.5198420997897464)
 
     def test_bad_input_message_prints_plain_floats(self):
         params = ClosureParams(1.5, 3.0)
@@ -92,11 +100,11 @@ class TestSolveZ:
         # iterate; the index still counts every lane of the field
         monkeypatch.setattr(closure, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            closure.solve_Z_field(np.array(R), np.array(Q), ClosureParams(1.5, 3.0))
+            closure.solve_Z_field(np.array(R), np.array(Q), GAMMA_3_4)
         assert err.value.index == index
         assert str(err.value) == (
             f"closure solve failed at grid index {index}: closure solve exhausted 1 "
-            "iterations (R=1.0, Q=1.0, bracket=[2.5, 4.0])"
+            "iterations (R=1.0, Q=1.0, bracket=[1.7599210498948732, 2.5198420997897464])"
         )
 
 
@@ -303,7 +311,7 @@ class TestGuess:
 
         monkeypatch.setattr(closure, "_residual_slope", counted)
         rng = np.random.default_rng(3)
-        params = ClosureParams(1.5, 3.0)
+        params = GAMMA_3_4
         R, Q = rng.uniform(0.5, 1.5, (2, 256))
         Z, _ = closure.solve_Z_field(R, Q, params)
         cold = len(calls)
@@ -313,11 +321,13 @@ class TestGuess:
         assert len(calls) == 4 < cold
 
     def test_guess_clipped_to_z_eps_falls_back_to_bisection(self):
-        # At Z_EPS, z**gamma underflows to 0 and so does the first slope; the
-        # Newton division must hand the lane to bisection without a warning,
-        # which tier-1 turns into an error.
+        # A guess of 0 clips to the lower bracket end R = 5e-324. There, at
+        # gamma = 3/2 (gamma = 2 would start at its closed form), z**gamma
+        # underflows to 0 and so does the first slope; the Newton division
+        # must hand the lane to bisection without a warning, which tier-1
+        # turns into an error.
         R, Q = np.array([5e-324]), np.array([1.0])
-        params = ClosureParams(3.0, 1.5)
+        params = ClosureParams(3.0, 2.0)
         Z, _ = closure.solve_Z_field(R, Q, params, guess=np.array([0.0]))
         res = closure.closure_residual(R, Q, Z, params)
         assert abs(res[0]) <= closure.TOL_ABS + closure.TOL_REL * max(1.0, Q[0])
@@ -328,6 +338,71 @@ class TestGuess:
             closure.solve_Z_field(np.ones(4), np.ones(4), params, guess=np.ones(5))
         with pytest.raises(DomainError):
             closure.solve_Z_field(np.ones(4), np.ones(4), params, guess=np.full(4, np.nan))
+
+
+# bit patterns of the positive finite doubles, drawn uniformly: log-uniform
+# from 5e-324 to the float maximum, both ends included
+FLOAT_MAX_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
+positive_double = st.integers(1, FLOAT_MAX_BITS).map(
+    lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]
+)
+GAMMA_1_2, GAMMA_2 = ClosureParams(1.5, 3.0), ClosureParams(3.0, 1.5)
+# the largest ulp distance from the oracle measured over 800 000 such draws
+EXACT_START_ULPS = 3
+
+
+def closed_form_oracle(R, Q, gamma):
+    """The root at gamma = 1/2 or 2 in 50-digit decimals, rounded once to a double."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        r, q = decimal.Decimal(R), decimal.Decimal(Q)
+        if gamma == 0.5:  # s = sqrt(Z) solves s**2 - Q s - R = 0
+            s = (q + (q * q + 4 * r).sqrt()) / 2
+            return float(s * s)
+        return float((r + (r * r + 4 * q).sqrt()) / 2)  # Z**2 - R Z - Q = 0
+
+
+class TestExactStart:
+    @settings(max_examples=300, deadline=None)
+    @given(R=positive_double, Q=positive_double, params=st.sampled_from([GAMMA_1_2, GAMMA_2]))
+    # a root below 1e-300: the lower bracket end is R itself, with no floor
+    @example(R=5.1407e-319, Q=1.8493946314151696e-151, params=GAMMA_1_2)
+    # z**2 overflows inside the finite bracket [1e200, 2e200]
+    @example(R=1e200, Q=1.0, params=GAMMA_2)
+    @example(R=5e-324, Q=5e-324, params=GAMMA_2)
+    @example(R=sys.float_info.max, Q=sys.float_info.max, params=GAMMA_1_2)
+    def test_root_within_ulps_of_the_decimal_oracle(self, R, Q, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                Z = closure.solve_Z(R, Q, params).Z
+            except DomainError as err:
+                assert str(err).endswith(f"overflows at R={R}, Q={Q}")
+                # the bracket max(2R, (2Q)**(1/gamma)), or its power gamma
+                # beyond gamma = 1, reaches the float maximum
+                top = max(1.0 + math.log2(R), (1.0 + math.log2(Q)) / params.gamma)
+                assert top * max(1.0, params.gamma) >= math.log2(sys.float_info.max) - 1e-12
+                return
+        oracle = closed_form_oracle(R, Q, params.gamma)
+        assert ulp_distance(np.float64(Z), np.float64(oracle)) <= EXACT_START_ULPS
+
+    @pytest.mark.parametrize("params", [GAMMA_1_2, GAMMA_2], ids=["gamma-1/2", "gamma-2"])
+    def test_one_residual_test_and_the_polish(self, params, std1d_initial, monkeypatch):
+        calls = []
+        slope = closure._residual_slope
+
+        def counted(*args):
+            calls.append(1)
+            return slope(*args)
+
+        monkeypatch.setattr(closure, "_residual_slope", counted)
+        R, Q = std1d_initial.R, std1d_initial.Q
+        Z, _ = closure.solve_Z_field(R * 1.001, Q, params)
+        assert len(calls) == 2
+        calls.clear()
+        warm, _ = closure.solve_Z_field(R * 1.001, Q, params, guess=std1d_initial.R)
+        assert len(calls) == 2
+        # the closed form replaces the guess
+        assert warm.tobytes() == Z.tobytes()
 
 
 class TestSwap:
@@ -444,8 +519,9 @@ class TestProperties:
                 assert (dzr[j], dzq[j]) == derivatives_at(point, params)
                 j += 1
 
-    # a guess of 0 at the subnormal lane starts at Z_EPS, where the slope
-    # underflows to 0: the Newton step divides by zero and bisection takes over
+    # a guess of 0 at the subnormal lane starts at R = 5e-324, where the slope
+    # underflows to 0 for gamma > 1: the Newton step divides by zero and
+    # bisection takes over
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(
@@ -474,6 +550,8 @@ class TestProperties:
         warm=True,
         pair=(3.0, 1.5),
     )
+    # the same subnormal lane at a ratio without a closed-form start
+    @example(lanes=[(5e-324, 1.0, 0.0), (1.0, 1.0, 1.5)], warm=True, pair=(3.0, 2.0))
     def test_batch_solve_matches_lanes_solved_one_by_one(self, lanes, warm, pair):
         # converged lanes stay in the batch while the others iterate, so each
         # lane's root must not depend on which lanes it was solved with

@@ -165,6 +165,14 @@ class TestMeanVelocity:
         assert report.residual is twin128.diag.meanvel_residual
         assert report.scale is twin128.diag.meanvel_scale
 
+    def test_another_pairs_diag_is_rejected(self):
+        a, b = (
+            twin.run_twin(config.build_initial_state(cfg), cfg.sim_params(), delta=1e-3)
+            for cfg in (cfg_at(32), cfg_at(64))
+        )
+        with pytest.raises(DomainError, match="sample times differ"):
+            twin.check_mean_velocity(a.weak, a.strong, b.diag)
+
     def test_mass_mismatch_is_precondition_error(self, std1d_initial, std1d_params):
         other = std1d_initial.copy()
         other.R = other.R * 1.01

@@ -65,6 +65,12 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
     twin3d = ["--set", f"grid.n={N_COMPARE_3D}", "--set", "time.t_end=0.05", *dim3]
     return [
         ("simulate-std1d", ["simulate", "--out", "simulate-std1d", *grid, *fields]),
+        # gamma = 1.5/2 has no closed-form start, so this run keeps the
+        # warm-started Newton path under the digest
+        (
+            "simulate-gamma34",
+            ["simulate", "--out", "simulate-gamma34", *grid, "--set", "physics.gamma_minus=2", *fields],
+        ),
         ("simulate-2d", ["simulate", "--out", "simulate-2d", *grid, *mix2d, *fields]),
         ("simulate-3d", ["simulate", "--out", "simulate-3d", *mix3d, *fields]),
         ("compare-1e-3", ["compare", "--out", "compare-1e-3", *grid, "--set", "perturbation.delta=1e-3"]),

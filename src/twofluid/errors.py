@@ -8,8 +8,9 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solve exhausted its budget.
 
-    Carries the last bracket (and, for field solves, the grid index of the
-    offending point) so callers can report exactly where iteration stalled.
+    Carries ``bracket``, the offending point's last iterate and the upper
+    bound of its root (and, for field solves, its grid index), so callers
+    can report exactly where iteration stalled.
     """
 
     def __init__(self, message, bracket=None, index=None):

@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -228,6 +229,21 @@ class TestClosureTable:
         )
         assert code == 0
         assert len(read_lines(out / "closure_table.csv")) > 1
+
+    def test_small_density_root_is_within_ulps_of_the_oracle(self, tmp_path):
+        # gamma = 3/4 has no closed-form start; an absolute residual tolerance
+        # accepted Z = 1.0752743912400353e-20 here, 2.5 % off, with a
+        # residual of 26 % of Q
+        out = tmp_path / "tab"
+        argv = ["closure-table", "--out", str(out), "--set", "physics.gamma_minus=2"]
+        argv += ["--r-min", "1e-20", "--r-max", "1e-20", "--r-count", "1"]
+        argv += ["--q-min", "1e-16", "--q-max", "1e-16", "--q-count", "1"]
+        assert cli.main(argv) == 0
+        row = read_lines(out / "closure_table.csv")[1].split(",")
+        Z, residual = float(row[4]), float(row[9])
+        oracle = 1.1024687822859552e-20  # 50-digit decimal Newton, rounded once
+        assert abs(Z - oracle) <= 4 * math.ulp(oracle)
+        assert abs(residual) <= 1e-12 * 1e-16
 
     @pytest.mark.parametrize(
         "flag,value,message",

@@ -8,18 +8,21 @@ total momentum telescope exactly on the periodic grid.
 The pointwise work on a state -- its velocity with the floor hits, and the
 implicit closure solve for Z and alpha -- is an ``Evaluation``, which only
 ``State.evaluate`` makes and ``rhs``, ``stable_dt`` and ``step`` require.
-``run`` evaluates each state once for its diagnostics row (or, in a run
-without rows, its volume-fraction check), ``stable_dt`` and stage 1, so a
-run of N steps solves the closure 2N + 1 times: each state and each
-stage 2. Both solves of a step start Newton from the Z of the state the
-step began at, which moves Z by a few ulp against a cold solve and saves
-residual evaluations.
+``run`` evaluates each state once and then works on it in one order: the
+volume-fraction check, ``stable_dt``, stage 1 of the step, the diagnostics
+row, and the rest of the step. The row takes stage 1's pressure and
+dissipation density and the speed ``stable_dt`` took, so no pointwise
+field is computed twice for a state. A run of N steps solves the closure
+2N + 1 times: each state and each stage 2. Both solves of a step start
+Newton from the Z of the state the step began at, which moves Z by a few
+ulp against a cold solve and saves residual evaluations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,6 +116,15 @@ class Evaluation:
     Z: np.ndarray
     alpha: np.ndarray
 
+    @cached_property
+    def speed(self) -> np.ndarray:
+        """Pointwise |u|, taken once on first use.
+
+        ``stable_dt`` and the diagnostics row read it; stage 2 of a step
+        never does, so its evaluation never takes it.
+        """
+        return grids._magnitude(self.u, self.u.ndim - 1)
+
 
 @dataclass
 class Tendencies:
@@ -152,6 +164,20 @@ def rhs(
     composed from ``grids.divergence`` and ``grids.gradient``.
 
     A batched state gives each member the tendencies of its own call.
+    ``run`` takes stage 1 of a state with a diagnostics row through the
+    same pass, which then also hands back p and the dissipation density.
+    """
+    return _rhs(state, params, ev, source, with_density=False)[0]
+
+
+def _rhs(state, params, ev, source, with_density):
+    """``rhs``, with the pressure field and, if asked, the dissipation density.
+
+    Returns (tendencies, p, density). The density
+    mu*sum_ij (d_i u_j)**2 + (mu+lam)*(div u)**2 is accumulated from the
+    Jacobian rows as they are taken, in ``energy.dissipation``'s order (i
+    outer, j inner), so it equals that oracle's bit for bit; without
+    ``with_density`` it is None and no square is taken.
     """
     g = state.grid
     u = ev.u
@@ -168,6 +194,7 @@ def rhs(
         else:
             div_flux += grids._centered(g, flux, i)
     del flux
+    density = None
     for i in range(g.dim):
         jac_row = grids._centered(g, u, i)
         if i == 0:
@@ -175,7 +202,19 @@ def rhs(
         else:
             wide += grids._centered(g, jac_row, i)
             div_u += jac_row[i]  # writes into the axis-0 row, no longer read
+        if with_density:
+            for j in range(g.dim):
+                if i == j == 0:
+                    density, square = np.square(jac_row[0]), np.empty_like(jac_row[0])
+                else:
+                    density += np.square(jac_row[j], out=square)
     del jac_row
+    if with_density:
+        density *= params.mu
+        np.square(div_u, out=square)
+        square *= params.mu + params.lam
+        density += square
+        del square
     np.negative(div_flux, out=div_flux)
     dR, dQ, dm = div_flux[0], div_flux[1], div_flux[2:]
     p = closure.pressure(ev.Z, params.closure)
@@ -192,13 +231,16 @@ def rhs(
         dR = dR + sR
         dQ = dQ + sQ
         dm = dm + sm
-    for name, arr in (("dR", dR), ("dQ", dQ), ("dm", dm)):
-        if not np.all(np.isfinite(arr)):
-            loc = tuple(int(k) for k in np.argwhere(~np.isfinite(arr))[0])
-            raise ConsistencyError(
-                f"non-finite tendency {name} at index {loc}, t={state.t}"
-            )
-    return Tendencies(dR, dQ, dm)
+    # Without a source dR, dQ and dm share one buffer, so one test covers
+    # all three; the field-by-field scan runs only to name a failing field.
+    if source is not None or not np.isfinite(div_flux).all():
+        for name, arr in (("dR", dR), ("dQ", dQ), ("dm", dm)):
+            if not np.all(np.isfinite(arr)):
+                loc = tuple(int(k) for k in np.argwhere(~np.isfinite(arr))[0])
+                raise ConsistencyError(
+                    f"non-finite tendency {name} at index {loc}, t={state.t}"
+                )
+    return Tendencies(dR, dQ, dm), p, density
 
 
 def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
@@ -206,20 +248,23 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
 
     dt = cfl * min(dx/(max|u| + c_max), dx^2/(2 dim nu_max)) with the
     sound-speed proxy c_max = max sqrt(gamma_plus Z^(gamma_plus-1)
-    max(|dZ/dR|, |dZ/dQ|)) taken pointwise over the grid.
+    max(|dZ/dR|, |dZ/dQ|)) taken pointwise over the grid. |u| is
+    ``ev.speed``, which the state's diagnostics row reads again; vacuum
+    points (Z = 0) are gathered out only where there are some.
     """
     g = state.grid
-    umax = float(np.max(grids.pointwise_magnitude(g, ev.u)))
+    umax = float(np.max(ev.speed))
 
-    Z = ev.Z
-    pos = Z > 0.0
+    Z, R = ev.Z, state.R
+    if not Z.all():
+        pos = Z > 0.0
+        Z, R = Z[pos], R[pos]
     c_max = 0.0
-    if pos.any():
-        zp = Z[pos]
-        dzr, dzq = closure.derivative_arrays(state.R[pos], zp, params.closure.gamma)
+    if Z.size:
+        dzr, dzq = closure.derivative_arrays(R, Z, params.closure.gamma)
         stiff = (
             params.closure.gamma_plus
-            * np.power(zp, params.closure.gamma_plus - 1.0)
+            * np.power(Z, params.closure.gamma_plus - 1.0)
             * np.maximum(np.abs(dzr), np.abs(dzq))
         )
         c_max = float(np.sqrt(np.max(stiff)))
@@ -246,8 +291,12 @@ def step(
     Stage 1 reads the state's ``ev``; stage 2 evaluates its own state, with
     the closure solve started from ``ev.Z``.
     """
+    return _finish_step(state, params, dt, ev, rhs(state, params, ev, source), source)
+
+
+def _finish_step(state, params, dt, ev, k1, source) -> State:
+    """The Heun update of ``step`` from its stage-1 tendencies ``k1``."""
     g = state.grid
-    k1 = rhs(state, params, ev, source)
     s1 = State(
         g,
         state.R + dt * k1.dR,
@@ -331,12 +380,17 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _record_diagnostics(
-    cols: dict[str, list], state: State, params: SimParams, ev: Evaluation
-) -> None:
-    """Append the DiagnosticSeries row of one evaluated state."""
+def _recorded_stage(
+    cols: dict[str, list], state: State, params: SimParams, ev: Evaluation, source
+) -> Tendencies:
+    """Stage-1 tendencies of a state, appending its DiagnosticSeries row.
+
+    The row takes the pressure and dissipation density of the same ``rhs``
+    pass and ``ev.speed``; ``run`` has checked the state's volume fraction.
+    """
     g = state.grid
-    report = energy.total_energy(state, params, ev)
+    k1, p, density = _rhs(state, params, ev, source, with_density=True)
+    report = energy._report(state, params, ev, p, density)
     row = dict(
         t=state.t,
         mass_R=grids.integrate(g, state.R),
@@ -345,13 +399,14 @@ def _record_diagnostics(
         dissipation=report.dissipation_rate,
         min_R=float(np.min(state.R)),
         min_Q=float(np.min(state.Q)),
-        max_u=float(np.max(grids.pointwise_magnitude(g, ev.u))),
+        max_u=float(np.max(ev.speed)),
         floor_hits=ev.floor_hits,
         kinetic=report.kinetic,
         internal=report.internal,
     )
     for name, value in row.items():
         cols.setdefault(name, []).append(value)
+    return k1
 
 
 def run(
@@ -374,13 +429,18 @@ def run(
     its realised CFL number, dt * cfl / ``stable_dt``, which exceeds 1 when
     a replayed step is longer than the state's own step limit.
 
-    Each state is evaluated once: the one velocity and closure solve serve
-    its diagnostics row, its ``stable_dt`` and stage 1 of its step. Each
-    state after the first starts its closure solve from the previous
-    state's Z, as does the stage-2 solve of every step. Every state gets a
-    diagnostics row, or with ``diagnostics=False`` none, and
-    ``diagnostics`` is then None; the volume-fraction check of
-    ``energy.total_energy`` runs on every state either way. ``snapshots``
+    Each state is evaluated once, and the one velocity and closure solve
+    serve, in this order, the volume-fraction check of
+    ``energy.total_energy``, ``stable_dt``, stage 1 of the state's step,
+    its diagnostics row and the rest of the step. The row is
+    ``energy.total_energy``'s, taken from stage 1's pressure and
+    dissipation density, and equals it bit for bit. The final state takes
+    no step; with rows, its stage 1 is still taken for its row, so its
+    tendencies must be finite too, and are then discarded. Each state
+    after the first starts its closure solve from the previous state's Z,
+    as does the stage-2 solve of every step. Every state gets a
+    diagnostics row, or with ``diagnostics=False`` none: ``diagnostics``
+    is then None, and no stage computes a dissipation density. ``snapshots``
     keeps every state, or with ``every_state=False`` only the initial and
     the final state.
 
@@ -395,10 +455,7 @@ def run(
     cols: dict[str, list] = {}
     ev = state.evaluate(params)
     while True:
-        if diagnostics:
-            _record_diagnostics(cols, state, params, ev)
-        else:
-            energy.check_volume_fraction(state, ev)
+        energy.check_volume_fraction(state, ev)
         remaining = params.t_end - state.t
         if remaining <= eps_t:
             break
@@ -416,10 +473,19 @@ def run(
             dt = min(limit, remaining)
         dts.append(dt)
         realised_cfl.append(dt * params.cfl / limit)
-        state = step(state, params, dt, ev, source)
+        if diagnostics:
+            k1 = _recorded_stage(cols, state, params, ev, source)
+        else:
+            k1 = rhs(state, params, ev, source)
+        state = _finish_step(state, params, dt, ev, k1, source)
+        del k1  # not alive through the next state's stage 1
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
         ev = state.evaluate(params, guess=ev.Z)
+    if diagnostics:
+        # The final state takes no step: its stage-1 tendencies serve only
+        # its row, and are discarded.
+        _recorded_stage(cols, state, params, ev, source)
     snapshots.append(state)
     rows = None
     if diagnostics:

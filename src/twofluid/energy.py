@@ -30,12 +30,15 @@ class EnergyReport:
     dissipation_rate: float
 
 
-def _internal_integrand(Z, alpha, params):
+def _internal_integrand(p, Z, alpha, params):
+    """p*(alpha/(gamma_plus-1) + (1-alpha)/(gamma_minus-1)) where Z > 0, else 0."""
     gp, gm = params.gamma_plus, params.gamma_minus
+    if Z.all():  # no vacuum point: skip the gather and scatter
+        return p * (alpha / (gp - 1.0) + (1.0 - alpha) / (gm - 1.0))
     pos = Z > 0.0
     out = np.zeros_like(Z)
     a = alpha[pos]
-    out[pos] = Z[pos] ** gp * (a / (gp - 1.0) + (1.0 - a) / (gm - 1.0))
+    out[pos] = p[pos] * (a / (gp - 1.0) + (1.0 - a) / (gm - 1.0))
     return out
 
 
@@ -75,37 +78,55 @@ def total_energy(state, params, ev) -> EnergyReport:
     """Kinetic + internal energy of a state, with the dissipation rate.
 
     ``ev`` is the state's ``Evaluation``. The internal energy is taken only
-    after ``check_volume_fraction`` passes.
+    after ``check_volume_fraction`` passes. This is the library entry and
+    the oracle of the diagnostics rows of ``dynamics.run``, which feed the
+    same integrals the pressure and dissipation density of their stage-1
+    ``rhs``; here they come from ``closure.pressure`` and ``grids.gradient``.
+    """
+    check_volume_fraction(state, ev)
+    p = closure.pressure(ev.Z, params.closure)
+    return _report(state, params, ev, p, _dissipation_density(state, params, ev))
+
+
+def _report(state, params, ev, p, density) -> EnergyReport:
+    """The integrals of ``total_energy``, from the state's pointwise fields.
+
+    ``p`` is the pressure Z**gamma_plus and ``density`` the dissipation
+    density of the state's ``ev``, whose volume fraction has passed
+    ``check_volume_fraction``; the kinetic term reads the speed ``ev.speed``.
     """
     g = state.grid
-    rho = state.R + state.Q
-    mag2 = grids.pointwise_magnitude(g, ev.u) ** 2
-    kinetic = 0.5 * grids.integrate(g, rho * mag2)
-
-    check_volume_fraction(state, ev)
-    internal = grids.integrate(g, _internal_integrand(ev.Z, ev.alpha, params.closure))
+    kinetic = 0.5 * grids.integrate(g, (state.R + state.Q) * ev.speed**2)
+    internal = _internal_integrand(p, ev.Z, ev.alpha, params.closure)
     return EnergyReport(
         t=state.t,
         kinetic=kinetic,
-        internal=internal,
-        dissipation_rate=dissipation(state, params, ev),
+        internal=grids.integrate(g, internal),
+        dissipation_rate=grids.integrate(g, density),
     )
 
 
 def dissipation(state, params, ev) -> float:
     """Viscous dissipation rate, integral of mu|grad u|^2 + (mu+lam)(div u)^2.
 
-    Only the velocity ``ev.u`` of the state's ``Evaluation`` is read. div u
-    is the Jacobian's diagonal summed in axis order, which equals
+    Only the velocity ``ev.u`` of the state's ``Evaluation`` is read. This
+    is the oracle of the density that stage-1 ``rhs`` accumulates for a
+    diagnostics row, which takes the same terms in the same order.
+    """
+    return grids.integrate(state.grid, _dissipation_density(state, params, ev))
+
+
+def _dissipation_density(state, params, ev):
+    """mu*sum_ij (d_i u_j)**2 + (mu+lam)*(div u)**2 from ``grids.gradient``.
+
+    The squares are summed with i outer and j inner, and div u is the
+    Jacobian's diagonal summed in axis order, which equals
     ``grids.divergence`` bit for bit without taking its differences again.
     """
     g = state.grid
     jac = grids.gradient(g, ev.u)
     div = sum((jac[i, i] for i in range(1, g.dim)), jac[0, 0])
-    quad = params.mu * np.sum(jac * jac, axis=(0, 1)) + (
-        params.mu + params.lam
-    ) * div**2
-    return grids.integrate(g, quad)
+    return params.mu * np.sum(jac * jac, axis=(0, 1)) + (params.mu + params.lam) * div**2
 
 
 @dataclass

@@ -149,10 +149,16 @@ def pointwise_magnitude(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _magnitude(values: np.ndarray, point_ndim: int) -> np.ndarray:
-    """Euclidean magnitude over the axes before the last ``point_ndim``."""
+    """Euclidean magnitude over the axes before the last ``point_ndim``.
+
+    A single component takes ``np.abs``, which equals sqrt(v*v) wherever
+    v*v neither overflows nor underflows, and stays exact where it would.
+    """
     if values.ndim == point_ndim:
         return np.abs(values)
     flat = values.reshape(-1, *values.shape[values.ndim - point_ndim :])
+    if len(flat) == 1:
+        return np.abs(flat[0])
     return np.sqrt(np.sum(flat * flat, axis=0))
 
 

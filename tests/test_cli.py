@@ -530,6 +530,20 @@ class TestErrorPaths:
         )
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("setting", ["initial_u.constant_x=1e200", "grid.length=1e-300"])
+    def test_vanishing_time_step_before_any_row_exits_3(self, tmp_path, capsys, setting):
+        # a speed of 1e200 is not squared, and the row whose velocity Jacobian
+        # would overflow at dx = 6e-302 comes after stable_dt
+        out = tmp_path / "o"
+        sets = ["grid.n=16", "time.t_end=0.01", setting]
+        argv = ["simulate", "--out", str(out), *(a for s in sets for a in ("--set", s))]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("runtime error: vanishing time step: dt=")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not any(out.iterdir())
+
     def test_bad_override_exits_2(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path / "o"), "--set", "x=1"]) == 2
 

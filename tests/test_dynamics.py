@@ -562,6 +562,87 @@ class TestFusedRhs:
             dynamics.rhs(state, FUSED_PARAMS, ev)
 
 
+def rough_run(dim, n, seed, source):
+    """A few steps of run() from random fields, every state kept."""
+    g = PeriodicGrid(dim, n)
+    rng = np.random.default_rng(seed)
+    R, Q = rng.uniform(0.5, 1.5, (2, *g.shape))
+    initial = State(g, R, Q, rng.normal(0.0, 0.5, (g.dim, *g.shape)), 0.0)
+    limit = dynamics.stable_dt(initial, FUSED_PARAMS, initial.evaluate(FUSED_PARAMS))
+    params = dataclasses.replace(FUSED_PARAMS, t_end=2.5 * limit)
+    return dynamics.run(initial, params, source=source), params
+
+
+class TestRowFromStageOne:
+    """A state's row reads stage 1's pressure and dissipation density."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        grid=st.sampled_from(FUSED_GRIDS),
+        seed=st.integers(0, 2**32 - 1),
+        source=st.sampled_from([None, wavy_source]),
+    )
+    @example(grid=(3, 8), seed=0, source=wavy_source)
+    def test_rows_equal_total_energy_and_integrate_bit_for_bit(self, grid, seed, source):
+        traj, params = rough_run(*grid, seed, source)
+        assert len(traj.dts) >= 3
+        want = {f.name: [] for f in dataclasses.fields(dynamics.DiagnosticSeries)}
+        guess = None
+        for s in traj.snapshots:
+            ev = s.evaluate(params, guess=guess)  # run's warm start
+            guess = ev.Z
+            report = energy.total_energy(s, params, ev)
+            row = dict(
+                t=s.t,
+                mass_R=grids.integrate(s.grid, s.R),
+                mass_Q=grids.integrate(s.grid, s.Q),
+                energy=report.kinetic + report.internal,
+                dissipation=report.dissipation_rate,
+                min_R=float(np.min(s.R)),
+                min_Q=float(np.min(s.Q)),
+                max_u=float(np.max(grids.pointwise_magnitude(s.grid, ev.u))),
+                floor_hits=ev.floor_hits,
+                kinetic=report.kinetic,
+                internal=report.internal,
+            )
+            for name, value in row.items():
+                want[name].append(value)
+        for name, values in want.items():
+            got, ref = getattr(traj.diagnostics, name), np.asarray(values)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
+    def test_a_recorded_state_takes_no_gradient_and_stage_two_no_density(self, dim, n, monkeypatch):
+        calls = {"gradient": 0, "centered": 0}
+        densities = []
+        gradient, centered, private_rhs = grids.gradient, grids._centered, dynamics._rhs
+
+        def counted_gradient(*args):
+            calls["gradient"] += 1
+            return gradient(*args)
+
+        def counted_centered(*args):
+            calls["centered"] += 1
+            return centered(*args)
+
+        def spied_rhs(*args, **kwargs):
+            out = private_rhs(*args, **kwargs)
+            densities.append(out[2] is not None)
+            return out
+
+        monkeypatch.setattr(grids, "gradient", counted_gradient)
+        monkeypatch.setattr(grids, "_centered", counted_centered)
+        monkeypatch.setattr(dynamics, "_rhs", spied_rhs)
+        traj, params = rough_run(dim, n, 1, None)
+        steps = len(traj.dts)
+        # each step's stage 1 and stage 2, and the final state's stage 1
+        assert calls == {"gradient": 0, "centered": (2 * steps + 1) * 5 * dim}
+        assert densities == [True, False] * steps + [True]
+        densities.clear()
+        traj = dynamics.run(traj.initial, params, diagnostics=False)
+        assert densities == [False] * (2 * len(traj.dts))
+
+
 class TestBatchedState:
     """Members stacked on an axis after the component axis act as their own."""
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import cfg_at
-from twofluid import closure, config, dynamics, energy, grids, gronwall, twin
+from twofluid import closure, config, dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State, Trajectory
 from twofluid.errors import ConfigError, ConsistencyError, DomainError
@@ -358,7 +358,7 @@ class TestSweep:
             raise AssertionError("no twin output reads a diagnostics row")
 
         monkeypatch.setattr(dynamics, "run", capture)
-        monkeypatch.setattr(energy, "total_energy", unused)
+        monkeypatch.setattr(dynamics, "_recorded_stage", unused)
         twin.run_twin(initial, params, 1e-3)
         twin.stability_sweep(initial, params, deltas=(0.0, 1e-3))
         assert len(runs) == 5

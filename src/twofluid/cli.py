@@ -161,6 +161,17 @@ def cmd_closure_table(args) -> int:
     dzq = np.full_like(Z, math.nan)
     pos = Z > 0.0
     dzr[pos], dzq[pos] = closure.derivative_arrays(R[pos], Z[pos], params.gamma)
+    # A finite root can still have a pressure Z**gamma_plus or a residual
+    # (1 - R/Z)*Z**gamma past the float range: no row is written then.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = closure.pressure(Z, params)
+        residual = closure.closure_residual(R, Q, Z, params)
+    finite = np.isfinite(p) & np.isfinite(residual)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(
+            f"closure pressure or residual overflows at R={float(R[i])}, Q={float(Q[i])}"
+        )
     columns = [
         R,
         Q,
@@ -168,10 +179,10 @@ def cmd_closure_table(args) -> int:
         np.full_like(Z, params.gamma_minus),
         Z,
         alpha,
-        closure.pressure(Z, params),
+        p,
         dzr,
         dzq,
-        closure.closure_residual(R, Q, Z, params),
+        residual,
     ]
     iofmt.write_closure_table(out / "closure_table.csv", columns)
     print(f"closure-table: {Z.size} rows in {out / 'closure_table.csv'}")

@@ -530,6 +530,26 @@ class TestErrorPaths:
         )
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            # gamma = 1/2: the root 1e300 is finite, its power 3/2 is not
+            (["--r-min", "1e300", "--r-max", "1e300", "--q-min", "1", "--q-max", "1"], "R=1e+300, Q=1.0"),
+            # gamma = 2 with Q = 0: Z = R needs no Newton, but Z**3 overflows
+            # and the residual (1 - R/Z)*Z**2 is 0*inf
+            (["--r-min", "1e200", "--r-max", "1e200", "--q-min", "0", "--q-max", "0",
+              "--set", "physics.gamma_plus=3", "--set", "physics.gamma_minus=1.5"], "R=1e+200, Q=0.0"),
+        ],
+    )
+    def test_overflowing_pressure_or_residual_exits_3(self, tmp_path, capsys, argv, where):
+        out = tmp_path / "o"
+        argv = ["closure-table", "--out", str(out), "--r-count", "1", "--q-count", "1", *argv]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"runtime error: closure pressure or residual overflows at {where}\n"
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("setting", ["initial_u.constant_x=1e200", "grid.length=1e-300"])
     def test_vanishing_time_step_before_any_row_exits_3(self, tmp_path, capsys, setting):
         # a speed of 1e200 is not squared, and the row whose velocity Jacobian

@@ -24,9 +24,9 @@ previous state's Z), clipped into [lo, hi0], replaces that start. At
 gamma = 1/2 and gamma = 2 the closure is a quadratic (in sqrt(Z), or in Z),
 and Newton starts at its closed-form root instead; ``guess`` goes unused
 there. A point whose Newton step from that start is within STEP_TOL
-stops on the first sweep (every point of the std1d state, and 998 in 1000
-on [0.7, 1.3]**2 at gamma = 1/2), so such a solve costs one residual
-evaluation, or two where a point needs a second sweep. The iteration runs on
+stops on the first sweep (at gamma = 1/2, every one of 200 000 uniform
+points on [0.7, 1.3]**2 and all but one on [0.5, 1.5]**2), so such a solve
+costs one residual evaluation, or two where a point needs a second sweep. The iteration runs on
 full-length arrays: stopped points are frozen in place rather than gathered
 out. On (R, Q) in [0.5, 1.5]**2 at gamma = 3/4 a warm solve of a nearby
 state costs four or five evaluations, a cold one eight or nine.
@@ -129,18 +129,21 @@ def _overflow(what: str, R, Q, finite) -> DomainError:
 def _exact_start(R, Q, gamma):
     """The closed-form root at gamma = 1/2 or gamma = 2, else None.
 
-    At gamma = 1/2, s = sqrt(Z) solves s**2 - Q*s - R = 0; at gamma = 2, Z
+    At gamma = 1/2, s = sqrt(Z) solves s**2 - Q*s - R = 0, and Z is taken
+    as R + Q*s rather than s*s: the two are equal, but the sum of positive
+    terms rounds closer to the root, close enough for the first Newton
+    step to stop where s*s missed by more than STEP_TOL. At gamma = 2, Z
     solves Z**2 - R*Z - Q = 0. Both roots add positive terms, so neither
-    cancels, and ``hypot`` keeps the discriminant finite. Only the square
+    cancels, and ``hypot`` keeps the discriminant finite. Only the start
     at gamma = 1/2 can overflow, for a root near the float maximum; the
-    caller clips the start into [lo, hi0].
+    caller clips it into [lo, hi0].
     """
     if gamma not in (0.5, 2.0):
         return None
     with np.errstate(over="ignore"):
         if gamma == 0.5:
             s = 0.5 * Q + 0.5 * np.hypot(Q, 2.0 * np.sqrt(R))
-            return s * s
+            return R + Q * s
         return 0.5 * R + 0.5 * np.hypot(R, 2.0 * np.sqrt(Q))
 
 

@@ -295,15 +295,17 @@ def step(
 
 
 def _finish_step(state, params, dt, ev, k1, source) -> State:
-    """The Heun update of ``step`` from its stage-1 tendencies ``k1``."""
+    """The Heun update of ``step`` from its stage-1 tendencies ``k1``.
+
+    The Euler stage s1 = state + dt*k1 is formed in k1's arrays, which the
+    caller gives up; dt*k1 + state rounds as state + dt*k1 does, and no
+    tendency of stage 1 stays alive through stage 2.
+    """
+    for k, y in ((k1.dR, state.R), (k1.dQ, state.Q), (k1.dm, state.m)):
+        k *= dt
+        k += y
     g = state.grid
-    s1 = State(
-        g,
-        state.R + dt * k1.dR,
-        state.Q + dt * k1.dQ,
-        state.m + dt * k1.dm,
-        state.t + dt,
-    )
+    s1 = State(g, k1.dR, k1.dQ, k1.dm, state.t + dt)
     k2 = rhs(s1, params, s1.evaluate(params, guess=ev.Z), source)
     return State(
         g,
@@ -478,7 +480,6 @@ def run(
         else:
             k1 = rhs(state, params, ev, source)
         state = _finish_step(state, params, dt, ev, k1, source)
-        del k1  # not alive through the next state's stage 1
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
         ev = state.evaluate(params, guess=ev.Z)

@@ -31,15 +31,13 @@ class EnergyReport:
 
 
 def _internal_integrand(p, Z, alpha, params):
-    """p*(alpha/(gamma_plus-1) + (1-alpha)/(gamma_minus-1)) where Z > 0, else 0."""
+    """p*(alpha/(gamma_plus-1) + (1-alpha)/(gamma_minus-1)) where Z > 0, else 0.
+
+    At vacuum alpha is NaN, which the product carries silently until the
+    ``np.where`` drops it.
+    """
     gp, gm = params.gamma_plus, params.gamma_minus
-    if Z.all():  # no vacuum point: skip the gather and scatter
-        return p * (alpha / (gp - 1.0) + (1.0 - alpha) / (gm - 1.0))
-    pos = Z > 0.0
-    out = np.zeros_like(Z)
-    a = alpha[pos]
-    out[pos] = p[pos] * (a / (gp - 1.0) + (1.0 - a) / (gm - 1.0))
-    return out
+    return np.where(Z > 0.0, p * (alpha / (gp - 1.0) + (1.0 - alpha) / (gm - 1.0)), 0.0)
 
 
 def internal_energy_raw(state, params) -> float:
@@ -63,15 +61,14 @@ def internal_energy_raw(state, params) -> float:
 def check_volume_fraction(state, ev) -> None:
     """Raise ConsistencyError where alpha = R/Z leaves [0, 1] beyond ALPHA_TOL.
 
-    ``ev`` is the state's ``Evaluation``; vacuum points (Z = 0) are skipped.
+    ``ev`` is the state's ``Evaluation``. Vacuum points (Z = 0) have a NaN
+    alpha, which fails both comparisons, so they pass without a gather.
     """
-    defined = ev.Z > 0.0
-    if defined.any():
-        a = ev.alpha[defined]
-        if np.any(a < -ALPHA_TOL) or np.any(a > 1.0 + ALPHA_TOL):
-            raise ConsistencyError(
-                f"volume fraction left [0,1] beyond {ALPHA_TOL} at t={state.t}"
-            )
+    a = ev.alpha
+    if np.any(a < -ALPHA_TOL) or np.any(a > 1.0 + ALPHA_TOL):
+        raise ConsistencyError(
+            f"volume fraction left [0,1] beyond {ALPHA_TOL} at t={state.t}"
+        )
 
 
 def total_energy(state, params, ev) -> EnergyReport:

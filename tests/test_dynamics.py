@@ -495,9 +495,9 @@ def composed_rhs(state, params, source=None):
     return dR, dQ, dm
 
 
-def rough_state(g):
+def rough_state(g, seed=5):
     """Random fields: every term of the tendencies takes part in the rounding."""
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     R, Q = rng.uniform(0.5, 1.5, (2, *g.shape))
     return State(g, R, Q, rng.normal(0.0, 0.5, (g.dim, *g.shape)), 0.0)
 
@@ -564,10 +564,7 @@ class TestFusedRhs:
 
 def rough_run(dim, n, seed, source):
     """A few steps of run() from random fields, every state kept."""
-    g = PeriodicGrid(dim, n)
-    rng = np.random.default_rng(seed)
-    R, Q = rng.uniform(0.5, 1.5, (2, *g.shape))
-    initial = State(g, R, Q, rng.normal(0.0, 0.5, (g.dim, *g.shape)), 0.0)
+    initial = rough_state(PeriodicGrid(dim, n), seed)
     limit = dynamics.stable_dt(initial, FUSED_PARAMS, initial.evaluate(FUSED_PARAMS))
     params = dataclasses.replace(FUSED_PARAMS, t_end=2.5 * limit)
     return dynamics.run(initial, params, source=source), params

@@ -384,9 +384,15 @@ def reference_run(initial, params, warm=True):
         dts.append(dt)
         states.append(state)
         guesses.append(ev.Z)
+    cols = expected_rows(params, states, (evaluation(s, g) for s, g in zip(states, guesses)))
+    return cols, np.asarray(dts), states[-1]
+
+
+def expected_rows(params, states, evs):
+    """DiagnosticSeries columns of the states, from the public oracles."""
     cols = {f.name: [] for f in dataclasses.fields(dynamics.DiagnosticSeries)}
-    for s, guess in zip(states, guesses):
-        report = energy.total_energy(s, params, evaluation(s, guess))
+    for s, ev in zip(states, evs):
+        report = energy.total_energy(s, params, ev)
         u, hits = s.velocity(params.density_floor)
         row = dict(
             t=s.t,
@@ -403,8 +409,7 @@ def reference_run(initial, params, warm=True):
         )
         for name, value in row.items():
             cols[name].append(value)
-    cols = {name: np.asarray(v) for name, v in cols.items()}
-    return cols, np.asarray(dts), states[-1]
+    return {name: np.asarray(v) for name, v in cols.items()}
 
 
 def smooth_state(g):
@@ -583,29 +588,12 @@ class TestRowFromStageOne:
     def test_rows_equal_total_energy_and_integrate_bit_for_bit(self, grid, seed, source):
         traj, params = rough_run(*grid, seed, source)
         assert len(traj.dts) >= 3
-        want = {f.name: [] for f in dataclasses.fields(dynamics.DiagnosticSeries)}
-        guess = None
+        evs, guess = [], None
         for s in traj.snapshots:
-            ev = s.evaluate(params, guess=guess)  # run's warm start
-            guess = ev.Z
-            report = energy.total_energy(s, params, ev)
-            row = dict(
-                t=s.t,
-                mass_R=grids.integrate(s.grid, s.R),
-                mass_Q=grids.integrate(s.grid, s.Q),
-                energy=report.kinetic + report.internal,
-                dissipation=report.dissipation_rate,
-                min_R=float(np.min(s.R)),
-                min_Q=float(np.min(s.Q)),
-                max_u=float(np.max(grids.pointwise_magnitude(s.grid, ev.u))),
-                floor_hits=ev.floor_hits,
-                kinetic=report.kinetic,
-                internal=report.internal,
-            )
-            for name, value in row.items():
-                want[name].append(value)
-        for name, values in want.items():
-            got, ref = getattr(traj.diagnostics, name), np.asarray(values)
+            evs.append(s.evaluate(params, guess=guess))  # run's warm start
+            guess = evs[-1].Z
+        for name, ref in expected_rows(params, traj.snapshots, evs).items():
+            got = getattr(traj.diagnostics, name)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
     @pytest.mark.parametrize("dim,n", FUSED_GRIDS)

@@ -11,13 +11,13 @@ Newton runs on the scaled residual g(z) = 1 - R/z - Q/z**gamma, which has
 the same root and is increasing and concave for every gamma > 0, so a
 Newton step from any z lands at or left of the root and from there climbs
 to it: one monotone loop converges from any start. The root lies in
-[lo, hi0] with lo = max(R, Q**(1/gamma)/2) and hi0 = max(2R,
-(2Q)**(1/gamma)). An hi0 that overflows is a DomainError, as is one whose
-power gamma overflows for gamma > 1 (the CSV residual could not be
-evaluated on it), and an R = 0 root Q**(1/gamma) that overflows. A lane
-stops once a step moves it by at most STEP_TOL = 2 eps relative, a stop
-that holds at every scale of R and Q; only a point that runs out of
-``MAX_ITER`` sweeps first raises ConvergenceError.
+[lo, hi0] with lo = max(R, c*Q**(1/gamma)), c = max(1/2, (1/2)**(1/gamma)),
+and hi0 = max(2R, (2Q)**(1/gamma)). An hi0 that overflows is a
+DomainError, as is one whose power gamma overflows for gamma > 1 (the CSV
+residual could not be evaluated on it), and an R = 0 root Q**(1/gamma)
+that overflows. A lane stops once a step moves it by at most STEP_TOL =
+2 eps relative, a stop that holds at every scale of R and Q; only a point
+that runs out of ``MAX_ITER`` sweeps first raises ConvergenceError.
 
 A cold solve starts at lo; a caller's ``guess`` (time integration passes the
 previous state's Z), clipped into [lo, hi0], replaces that start. At
@@ -112,8 +112,8 @@ def _residual_slope(R, Q, z, gamma):
 
     Beyond gamma = 1, z**gamma underflows at a tiny Q, so Q/z**gamma is
     formed there as (Q/z) * z**(1-gamma): 1 - gamma is then exact, and at
-    a z no smaller than max(R, Q**(1/gamma)/2) neither factor leaves the
-    float range.
+    a z no smaller than the cold start lo of ``_newton_climb`` neither
+    factor leaves the float range.
     """
     w = R / z
     u = Q / z * z ** (1.0 - gamma) if gamma > 1.0 else Q / z**gamma
@@ -152,15 +152,20 @@ def _newton_climb(R, Q, gamma, guess=None):
 
     g is increasing and concave, so a Newton step from any z lands at or
     left of the root, and from there Newton climbs to it. A cold start is
-    lo = max(R, Q**(1/gamma)/2), below the root; the half absorbs the
-    rounding of 1/gamma, which moves Q**(1/gamma) by hundreds of ulp at
-    extreme Q. A start from ``guess`` or the closed form may lie right of
-    the root: its first sweep stops a lane whose step is at most STEP_TOL
-    relative either way, at the Newton point, and clips the others up to
-    lo. After that a lane stops once it rises by at most STEP_TOL relative,
-    keeping the larger of z and the Newton point. Stopped lanes are frozen
-    with one ``np.where``, so a lane's root does not depend on the other
-    lanes of the batch, and the loop ends once every lane has stopped.
+    lo = max(R, c*Q**(1/gamma)) with c = max(1/2, (1/2)**(1/gamma)), below
+    the root Z >= Q**(1/gamma); c < 1 absorbs the rounding of 1/gamma,
+    which moves Q**(1/gamma) by hundreds of ulp at extreme Q. c is 1/2
+    below gamma = 1 and tends to 1 beyond it, since a sweep from the left
+    climbs by a factor of only about 1 + 1/gamma: from half the root, a
+    large gamma would exhaust ``MAX_ITER``. c scales the power, not Q,
+    since (Q/2)**(1/gamma) underflows at a subnormal Q. A start from
+    ``guess`` or the closed form may lie right of the root: its first
+    sweep stops a lane whose step is at most STEP_TOL relative either way,
+    at the Newton point, and clips the others up to lo. After that a lane
+    stops once it rises by at most STEP_TOL relative, keeping the larger
+    of z and the Newton point. Stopped lanes are frozen with one
+    ``np.where``, so a lane's root does not depend on the other lanes of
+    the batch, and the loop ends once every lane has stopped.
     """
     with np.errstate(over="ignore"):
         hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
@@ -170,7 +175,7 @@ def _newton_climb(R, Q, gamma, guess=None):
         raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, np.isfinite(hi0))
     if top is not None and not top.all():
         raise _overflow("residual z**gamma at the upper bracket", R, Q, top)
-    lo = np.maximum(R, 0.5 * np.power(Q, 1.0 / gamma))
+    lo = np.maximum(R, max(0.5, 0.5 ** (1.0 / gamma)) * np.power(Q, 1.0 / gamma))
     exact = _exact_start(R, Q, gamma)
     if exact is not None:
         guess = exact

@@ -10,9 +10,9 @@ implicit closure solve for Z and alpha -- is an ``Evaluation``, which only
 ``State.evaluate`` makes and ``rhs``, ``stable_dt`` and ``step`` require.
 ``run`` evaluates each state once and then works on it in one order: the
 volume-fraction check, ``stable_dt``, stage 1 of the step, the diagnostics
-row, and the rest of the step. The row takes stage 1's pressure and
-dissipation density and the speed ``stable_dt`` took, so no pointwise
-field is computed twice for a state. A run of N steps solves the closure
+row, and ``step``, which finishes the step from stage 1's tendencies. The
+row takes stage 1's pressure and dissipation density and the speed
+``stable_dt`` took, so no pointwise field is computed twice for a state. A run of N steps solves the closure
 2N + 1 times: each state and each stage 2. Both solves of a step start
 Newton from the Z of the state the step began at, which moves Z by a few
 ulp against a cold solve and saves residual evaluations.
@@ -175,7 +175,7 @@ def _rhs(state, params, ev, source, with_density):
 
     Returns (tendencies, p, density). The density
     mu*sum_ij (d_i u_j)**2 + (mu+lam)*(div u)**2 is accumulated from the
-    Jacobian rows as they are taken, in ``energy.dissipation``'s order (i
+    Jacobian rows as they are taken, in ``energy.total_energy``'s order (i
     outer, j inner), so it equals that oracle's bit for bit; without
     ``with_density`` it is None and no square is taken.
     """
@@ -284,22 +284,17 @@ def step(
     params: SimParams,
     dt: float,
     ev: Evaluation,
+    k1: Tendencies,
     source: SourceFn | None = None,
 ) -> State:
     """One SSP-RK2 (Heun) update; the caller guarantees dt <= stable_dt.
 
-    Stage 1 reads the state's ``ev``; stage 2 evaluates its own state, with
-    the closure solve started from ``ev.Z``.
-    """
-    return _finish_step(state, params, dt, ev, rhs(state, params, ev, source), source)
-
-
-def _finish_step(state, params, dt, ev, k1, source) -> State:
-    """The Heun update of ``step`` from its stage-1 tendencies ``k1``.
-
-    The Euler stage s1 = state + dt*k1 is formed in k1's arrays, which the
-    caller gives up; dt*k1 + state rounds as state + dt*k1 does, and no
-    tendency of stage 1 stays alive through stage 2.
+    ``ev`` is the state's ``Evaluation`` and ``k1`` its stage-1 tendencies,
+    ``rhs(state, params, ev, source)``. The Euler stage s1 = state + dt*k1
+    is formed in k1's arrays, which the caller gives up; dt*k1 + state
+    rounds as state + dt*k1 does, and no tendency of stage 1 stays alive
+    through stage 2. Stage 2 evaluates s1, with the closure solve started
+    from ``ev.Z``.
     """
     for k, y in ((k1.dR, state.R), (k1.dQ, state.Q), (k1.dm, state.m)):
         k *= dt
@@ -479,7 +474,7 @@ def run(
             k1 = _recorded_stage(cols, state, params, ev, source)
         else:
             k1 = rhs(state, params, ev, source)
-        state = _finish_step(state, params, dt, ev, k1, source)
+        state = step(state, params, dt, ev, k1, source)
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
         ev = state.evaluate(params, guess=ev.Z)

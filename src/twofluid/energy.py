@@ -79,10 +79,19 @@ def total_energy(state, params, ev) -> EnergyReport:
     the oracle of the diagnostics rows of ``dynamics.run``, which feed the
     same integrals the pressure and dissipation density of their stage-1
     ``rhs``; here they come from ``closure.pressure`` and ``grids.gradient``.
+
+    The dissipation density mu*sum_ij (d_i u_j)**2 + (mu+lam)*(div u)**2
+    sums the squares with i outer and j inner, and div u is the Jacobian's
+    diagonal summed in axis order, which equals ``grids.divergence`` bit
+    for bit without taking its differences again.
     """
     check_volume_fraction(state, ev)
     p = closure.pressure(ev.Z, params.closure)
-    return _report(state, params, ev, p, _dissipation_density(state, params, ev))
+    g = state.grid
+    jac = grids.gradient(g, ev.u)
+    div = sum((jac[i, i] for i in range(1, g.dim)), jac[0, 0])
+    density = params.mu * np.sum(jac * jac, axis=(0, 1)) + (params.mu + params.lam) * div**2
+    return _report(state, params, ev, p, density)
 
 
 def _report(state, params, ev, p, density) -> EnergyReport:
@@ -101,29 +110,6 @@ def _report(state, params, ev, p, density) -> EnergyReport:
         internal=grids.integrate(g, internal),
         dissipation_rate=grids.integrate(g, density),
     )
-
-
-def dissipation(state, params, ev) -> float:
-    """Viscous dissipation rate, integral of mu|grad u|^2 + (mu+lam)(div u)^2.
-
-    Only the velocity ``ev.u`` of the state's ``Evaluation`` is read. This
-    is the oracle of the density that stage-1 ``rhs`` accumulates for a
-    diagnostics row, which takes the same terms in the same order.
-    """
-    return grids.integrate(state.grid, _dissipation_density(state, params, ev))
-
-
-def _dissipation_density(state, params, ev):
-    """mu*sum_ij (d_i u_j)**2 + (mu+lam)*(div u)**2 from ``grids.gradient``.
-
-    The squares are summed with i outer and j inner, and div u is the
-    Jacobian's diagonal summed in axis order, which equals
-    ``grids.divergence`` bit for bit without taking its differences again.
-    """
-    g = state.grid
-    jac = grids.gradient(g, ev.u)
-    div = sum((jac[i, i] for i in range(1, g.dim)), jac[0, 0])
-    return params.mu * np.sum(jac * jac, axis=(0, 1)) + (params.mu + params.lam) * div**2
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+import warnings
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -229,6 +230,21 @@ class TestClosureTable:
         )
         assert code == 0
         assert len(read_lines(out / "closure_table.csv")) > 1
+
+    def test_large_gamma_ratio_cold_start_exits_0(self, tmp_path, capsys):
+        # gamma = 300/1.001: a cold start at half the root climbed by about
+        # 1 + 1/gamma per sweep and ran out of sweeps at R = Q = 0.1
+        out = tmp_path / "tab"
+        argv = ["closure-table", "--out", str(out), "--r-max", "1", "--q-max", "1"]
+        argv += ["--set", "physics.gamma_plus=300", "--set", "physics.gamma_minus=1.001"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in read_lines(out / "closure_table.csv")[1:]]
+        assert len(rows) == 121
+        for row in rows:
+            assert abs(float(row[9])) <= 1e-12 * max(1.0, float(row[1]))
 
     def test_small_density_root_is_within_ulps_of_the_oracle(self, tmp_path):
         # gamma = 3/4 has no closed-form start; an absolute residual tolerance
@@ -528,6 +544,20 @@ class TestErrorPaths:
         assert captured.err == (
             "runtime error: closure derivative overflows at R=5e-324, Z=5e-324\n"
         )
+        assert not any(out.iterdir())
+
+    def test_huge_gamma_ratio_ends_in_the_derivative_error(self, tmp_path, capsys):
+        # gamma = 1000/1.001: every Newton solve converges, but at Q = 0 the
+        # derivative dZ/dQ = Z**(1-gamma) of Z = R = 0.1 overflows
+        argv = ["closure-table", "--r-max", "1", "--q-max", "1"]
+        argv += ["--set", "physics.gamma_plus=1000", "--set", "physics.gamma_minus=1.001"]
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime error: closure derivative overflows at R=0.1, Z=0.1\n"
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize(

@@ -31,6 +31,20 @@ def bisect_oracle(R, Q, gamma, lo, hi, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """A list that gains one entry per evaluation of the scaled residual."""
+    calls = []
+    slope = closure._residual_slope
+
+    def counted(*args):
+        calls.append(1)
+        return slope(*args)
+
+    monkeypatch.setattr(closure, "_residual_slope", counted)
+    return calls
+
+
 class TestSolveZ:
     def test_gamma_one_reduces_to_sum(self):
         point = closure.solve_Z(1.0, 2.0, ClosureParams(2.0, 2.0))
@@ -301,15 +315,7 @@ class TestGuess:
         assert np.all((R <= warm) & (warm <= closure.z_upper_bound(R, Q, params)))
         assert np.all(np.abs(warm - cold) <= 1e-14 * cold)
 
-    def test_good_guess_saves_residual_evaluations(self, monkeypatch):
-        calls = []
-        slope = closure._residual_slope
-
-        def counted(*args):
-            calls.append(1)
-            return slope(*args)
-
-        monkeypatch.setattr(closure, "_residual_slope", counted)
+    def test_good_guess_saves_residual_evaluations(self, calls):
         rng = np.random.default_rng(3)
         params = GAMMA_3_4
         R, Q = rng.uniform(0.5, 1.5, (2, 256))
@@ -321,7 +327,7 @@ class TestGuess:
         assert len(calls) == 4 < cold
 
     def test_zero_guess_at_a_subnormal_r_meets_the_tolerance(self):
-        # A guess of 0 clips to the lower end max(R, Q**(1/gamma)/2) = 0.5,
+        # A guess of 0 clips to the lower end max(R, (Q/2)**(1/gamma)) = 0.63,
         # not to R = 5e-324, where z**gamma would underflow at gamma = 3/2
         # (gamma = 2 would start at its closed form); no warning, which
         # tier-1 turns into an error.
@@ -389,15 +395,7 @@ class TestExactStart:
         assert ulp_distance(np.float64(Z), np.float64(oracle)) <= EXACT_START_ULPS
 
     @pytest.mark.parametrize("params", [GAMMA_1_2, GAMMA_2], ids=["gamma-1/2", "gamma-2"])
-    def test_one_residual_evaluation_warm_or_cold(self, params, std1d_initial, monkeypatch):
-        calls = []
-        slope = closure._residual_slope
-
-        def counted(*args):
-            calls.append(1)
-            return slope(*args)
-
-        monkeypatch.setattr(closure, "_residual_slope", counted)
+    def test_one_residual_evaluation_warm_or_cold(self, params, std1d_initial, calls):
         R, Q = std1d_initial.R, std1d_initial.Q
         Z, _ = closure.solve_Z_field(R * 1.001, Q, params)
         assert len(calls) == 1
@@ -454,6 +452,10 @@ class TestGeneralRatio:
     @example(R=7.528816235824027e157, Q=2.1993700834280967e65, params=ClosureParams(1.05, 4.9))
     # the table point that an absolute tolerance put 2.5 % off
     @example(R=1e-20, Q=1e-16, params=GAMMA_3_4)
+    # large gamma: a cold start at half the root ran out of sweeps, and
+    # z**(1-gamma) overflowed at a start that far left of the root
+    @example(R=0.1, Q=0.1, params=ClosureParams(300.0, 1.001))
+    @example(R=4.58e-287, Q=2.11e-286, params=ClosureParams(1e6, 1.0 + 1e-9))
     def test_root_within_ulps_of_the_decimal_oracle(self, R, Q, params):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -464,6 +466,18 @@ class TestGeneralRatio:
                 return
         oracle = newton_oracle(R, Q, params.gamma)
         assert ulp_distance(np.float64(Z), np.float64(oracle)) <= oracle_ulps(params.gamma)
+
+    @pytest.mark.parametrize(
+        "R,Q,params",
+        [(0.1, 0.1, ClosureParams(300.0, 1.001)), (4.58e-287, 2.11e-286, ClosureParams(1e6, 1.0 + 1e-9))],
+        ids=["gamma-300", "gamma-1e6"],
+    )
+    def test_large_ratio_cold_start_needs_few_evaluations(self, R, Q, params, calls):
+        # a start within (1/2)**(1/gamma) of Q**(1/gamma), not half of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closure.solve_Z(R, Q, params)
+        assert len(calls) <= 15
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -189,7 +189,9 @@ class TestStep:
     def test_equilibrium_is_bitwise_fixed_point(self, std1d_params):
         g = PeriodicGrid(1, 32)
         state = uniform_state(g)
-        stepped = dynamics.step(state, std1d_params, 1e-3, state.evaluate(std1d_params))
+        ev = state.evaluate(std1d_params)
+        k1 = dynamics.rhs(state, std1d_params, ev)
+        stepped = dynamics.step(state, std1d_params, 1e-3, ev, k1)
         assert np.array_equal(stepped.R, state.R)
         assert np.array_equal(stepped.Q, state.Q)
         assert np.array_equal(stepped.m, state.m)
@@ -199,7 +201,8 @@ class TestStep:
         state = uniform_state(g)
 
         def step(s, dt):
-            return dynamics.step(s, std1d_params, dt, s.evaluate(std1d_params))
+            ev = s.evaluate(std1d_params)
+            return dynamics.step(s, std1d_params, dt, ev, dynamics.rhs(s, std1d_params, ev))
 
         once = step(state, 2e-3)
         twice = step(step(state, 1e-3), 1e-3)
@@ -319,6 +322,21 @@ class TestRun:
             f"volume fraction left [0,1] beyond {energy.ALPHA_TOL} at t={t2}"
         )
 
+    @pytest.mark.parametrize("rows", [True, False], ids=["rows", "no-rows"])
+    def test_every_step_goes_through_the_public_step(self, std1d_initial, rows, monkeypatch):
+        # a tracer that wraps dynamics.step then sees every step of a run
+        params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
+        step = dynamics.step
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "step", spy)
+        traj = dynamics.run(std1d_initial, params, diagnostics=rows)
+        assert len(calls) == len(traj.dts) > 2
+
     def test_floor_hits_counted(self):
         g = PeriodicGrid(1, 32)
         state = State(
@@ -376,7 +394,7 @@ def reference_run(initial, params, warm=True):
         )
         ev = evaluation(state, guess)
         if warm:
-            state = dynamics.step(state, params, dt, ev)
+            state = dynamics.step(state, params, dt, ev, dynamics.rhs(state, params, ev))
         else:
             state = cold_step(state, params, dt)
         if abs(params.t_end - state.t) <= eps_t:

@@ -80,7 +80,7 @@ class TestDissipation:
         g = PeriodicGrid(1, 32)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=1.0)
         state = state_of(g, 1.0, 1.0, u=2.5)
-        assert energy.dissipation(state, params, state.evaluate(params)) == 0.0
+        assert energy.total_energy(state, params, state.evaluate(params)).dissipation_rate == 0.0
 
     def test_sine_velocity_matches_stencil_symbol(self):
         # mu |grad u|^2 + (mu+lam)(div u)^2 with u = sin: both terms carry
@@ -91,7 +91,7 @@ class TestDissipation:
         state = State(g, rho, rho, (2 * np.sin(x))[None, :], 0.0)
         params = SimParams(closure=ClosureParams(2.0, 2.0), mu=1.0, lam=0.0)
         expected = 2 * math.pi * (math.sin(g.dx) / g.dx) ** 2
-        rate = energy.dissipation(state, params, state.evaluate(params))
+        rate = energy.total_energy(state, params, state.evaluate(params)).dissipation_rate
         assert rate == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
@@ -109,11 +109,12 @@ class TestDissipation:
             jac = grids.gradient(g, u)
             div = grids.divergence(g, u)
             quad = params.mu * np.sum(jac * jac, axis=(0, 1)) + (params.mu + params.lam) * div**2
-            assert energy.dissipation(state, params, ev).hex() == grids.integrate(g, quad).hex(), seed
+            rate = energy.total_energy(state, params, ev).dissipation_rate
+            assert rate.hex() == grids.integrate(g, quad).hex(), seed
 
     def test_quadratic_scaling(self, std1d_initial, std1d_params):
         def rate(state):
-            return energy.dissipation(state, std1d_params, state.evaluate(std1d_params))
+            return energy.total_energy(state, std1d_params, state.evaluate(std1d_params)).dissipation_rate
 
         doubled = std1d_initial.copy()
         doubled.m = doubled.m * 2.0

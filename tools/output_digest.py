@@ -88,6 +88,15 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
                 "--r-max", "1e-15", "--q-max", "1e-15",
             ],
         ),
+        # gamma = 3/2: a general ratio above 1, whose cold start
+        # max(1/2, (1/2)**(1/gamma)) * Q**(1/gamma) differs from gamma < 1's
+        (
+            "closure-table-gamma32",
+            [
+                "closure-table", "--out", "closure-table-gamma32",
+                "--set", "physics.gamma_plus=3", "--set", "physics.gamma_minus=2",
+            ],
+        ),
         (
             "gronwall-check",
             ["gronwall-check", "--trace", "compare-1e-3/trace.csv", "--out", "gronwall-check"],

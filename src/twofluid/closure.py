@@ -14,7 +14,9 @@ to it: one monotone loop converges from any start. The root lies in
 [lo, hi0] with lo = max(R, c*Q**(1/gamma)), c = max(1/2, (1/2)**(1/gamma)),
 and hi0 = max(2R, (2Q)**(1/gamma)). An hi0 that overflows is a
 DomainError, as is one whose power gamma overflows for gamma > 1 (the CSV
-residual could not be evaluated on it), and an R = 0 root Q**(1/gamma)
+residual could not be evaluated on it), an lo whose power 1 - gamma
+overflows for gamma > 1 (the scaled residual could not be evaluated on
+it; a subnormal Q from gamma ~ 21.5 up), and an R = 0 root Q**(1/gamma)
 that overflows. A lane stops once a step moves it by at most STEP_TOL =
 2 eps relative, a stop that holds at every scale of R and Q; only a point
 that runs out of ``MAX_ITER`` sweeps first raises ConvergenceError.
@@ -112,8 +114,8 @@ def _residual_slope(R, Q, z, gamma):
 
     Beyond gamma = 1, z**gamma underflows at a tiny Q, so Q/z**gamma is
     formed there as (Q/z) * z**(1-gamma): 1 - gamma is then exact, and at
-    a z no smaller than the cold start lo of ``_newton_climb`` neither
-    factor leaves the float range.
+    a z no smaller than the cold start lo of ``_newton_climb``, whose
+    lo**(1-gamma) it checks, neither factor leaves the float range.
     """
     w = R / z
     u = Q / z * z ** (1.0 - gamma) if gamma > 1.0 else Q / z**gamma
@@ -168,14 +170,18 @@ def _newton_climb(R, Q, gamma, guess=None):
     the batch, and the loop ends once every lane has stopped.
     """
     with np.errstate(over="ignore"):
+        lo = np.maximum(R, max(0.5, 0.5 ** (1.0 / gamma)) * np.power(Q, 1.0 / gamma))
         hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
-        # beyond gamma = 1 the CSV residual's z**gamma can overflow below hi0
+        # beyond gamma = 1 the CSV residual's z**gamma can overflow below
+        # hi0, and the scaled residual's z**(1-gamma) above lo
         top = np.isfinite(np.power(hi0, gamma)) if gamma > 1.0 else None
+        bottom = np.isfinite(np.power(lo, 1.0 - gamma)) if gamma > 1.0 else None
     if not np.isfinite(hi0).all():
         raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, np.isfinite(hi0))
     if top is not None and not top.all():
         raise _overflow("residual z**gamma at the upper bracket", R, Q, top)
-    lo = np.maximum(R, max(0.5, 0.5 ** (1.0 / gamma)) * np.power(Q, 1.0 / gamma))
+    if bottom is not None and not bottom.all():
+        raise _overflow("residual z**(1-gamma) at the lower bracket", R, Q, bottom)
     exact = _exact_start(R, Q, gamma)
     if exact is not None:
         guess = exact
@@ -302,39 +308,23 @@ def solve_Z_field(
 
 
 def derivative_arrays(R, Z, gamma):
-    """Analytic dZ/dR and dZ/dQ on arrays with Z > 0.
+    """dZ/dR = 1/s and dZ/dQ = Z**(1-gamma)/s on arrays with Z >= R, Z > 0.
 
-    For gamma <= 1 the exact inequalities |dZ/dR| <= 1/gamma and
-    |dZ/dQ| <= Z**(1-gamma)/gamma hold in real arithmetic; rounding can
-    overshoot them by an ulp, so the values are clipped to the bounds.
-
-    At subnormal points gamma*Z - (gamma-1)*R can underflow, and near the
-    float maximum it can overflow; those lanes divide by its alpha = R/Z
-    form, gamma - (gamma-1)*alpha, instead. A derivative past the float
-    range (dZ/dQ = Z**(1-gamma) at a subnormal Z for gamma > 1) is a
-    DomainError naming the first such lane's R and Z.
+    s = gamma - (gamma-1)*alpha with alpha = R/Z in [0, 1], so s lies
+    between min(1, gamma) and max(1, gamma) at every scale of R and Z, and
+    both derivatives are positive. Rounding is monotone: for gamma <= 1,
+    (gamma-1)*alpha rounds to at most 0, so s >= gamma and the bounds
+    dZ/dR <= 1/gamma and dZ/dQ <= Z**(1-gamma)/gamma hold exactly. dZ/dQ
+    past the float range (Z**(1-gamma) at a subnormal Z for gamma > 1) is
+    a DomainError naming the first such lane's R and Z.
     """
     R = np.asarray(R, dtype=float)
     Z = np.asarray(Z, dtype=float)
+    s = gamma - (gamma - 1.0) * (R / Z)
+    dzr = 1.0 / s
     with np.errstate(over="ignore"):
-        denom = gamma * Z - (gamma - 1.0) * R
-        under = (np.abs(denom) < np.finfo(float).tiny) | np.isinf(denom)
-        if under.any():
-            scaled = np.where(under, gamma - (gamma - 1.0) * (R / Z), 1.0)
-            denom = np.where(under, 1.0, denom)
-            dzr = np.where(under, 1.0 / scaled, Z / denom)
-            dzq = np.where(
-                under,
-                np.power(Z, 1.0 - gamma) / scaled,
-                np.power(Z, 2.0 - gamma) / denom,
-            )
-        else:
-            dzr = Z / denom
-            dzq = np.power(Z, 2.0 - gamma) / denom
-    if gamma <= 1.0:
-        dzr = np.minimum(dzr, 1.0 / gamma)
-        dzq = np.minimum(dzq, np.power(Z, 1.0 - gamma) / gamma)
-    finite = np.isfinite(dzr) & np.isfinite(dzq)
+        dzq = np.power(Z, 1.0 - gamma) / s
+    finite = np.isfinite(dzq)
     if not finite.all():
         i = np.unravel_index(int(np.argmin(finite)), finite.shape)
         raise DomainError(

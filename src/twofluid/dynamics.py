@@ -248,9 +248,10 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
 
     dt = cfl * min(dx/(max|u| + c_max), dx^2/(2 dim nu_max)) with the
     sound-speed proxy c_max = max sqrt(gamma_plus Z^(gamma_plus-1)
-    max(|dZ/dR|, |dZ/dQ|)) taken pointwise over the grid. |u| is
-    ``ev.speed``, which the state's diagnostics row reads again; vacuum
-    points (Z = 0) are gathered out only where there are some.
+    max(dZ/dR, dZ/dQ)) taken pointwise over the grid; both derivatives
+    are positive. |u| is ``ev.speed``, which the state's diagnostics row
+    reads again; vacuum points (Z = 0) are gathered out only where there
+    are some.
     """
     g = state.grid
     umax = float(np.max(ev.speed))
@@ -265,7 +266,7 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
         stiff = (
             params.closure.gamma_plus
             * np.power(Z, params.closure.gamma_plus - 1.0)
-            * np.maximum(np.abs(dzr), np.abs(dzq))
+            * np.maximum(dzr, dzq)
         )
         c_max = float(np.sqrt(np.max(stiff)))
 

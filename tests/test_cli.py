@@ -420,13 +420,25 @@ class TestEnergyAudit:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_nan_defect_fails_the_gate(self, tmp_path):
-        # the dissipation integral overflows to inf, then adds -inf: nan
+        # an increment 1e308 * 10 overflows to inf, a later one to -inf: nan
         path = tmp_path / "diagnostics.csv"
         path.write_text(
-            "t,energy,dissipation\n0,1,1e308\n0.1,1,1e308\n0.2,1,-1e308\n0.3,1,-1e308\n"
+            "t,energy,dissipation\n0,1,1e308\n10,1,1e308\n20,1,-1e308\n30,1,-1e308\n"
         )
         args = ["energy-audit", "--diagnostics", str(path), "--out", str(tmp_path / "o")]
         assert cli.main([*args, "--defect-tol", "1e-6"]) == 1
+
+    def test_finite_integral_of_huge_rates_stays_finite(self, tmp_path, capsys):
+        # the midpoint of 1e308 and 1e308 is formed from halves: 1e308 * 0.1
+        path = tmp_path / "diagnostics.csv"
+        path.write_text("t,energy,dissipation\n0,1,1e308\n0.1,1,1e308\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["energy-audit", "--diagnostics", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "energy-audit: max defect=1.000000e+307\n"
+        defect = iofmt.read_diagnostics_csv(out / "energy_audit.csv")["defect"]
+        assert np.isfinite(defect).all() and defect[-1] == 1e308 * 0.1
 
 
 class TestFieldDumpErrors:
@@ -558,6 +570,24 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "runtime error: closure derivative overflows at R=0.1, Z=0.1\n"
+        assert not any(out.iterdir())
+
+    def test_subnormal_densities_at_large_gamma_end_before_iterating(self, tmp_path, capsys):
+        # gamma = 30/1.000000001: at R = Q = 5e-321 the cold start's
+        # lo**(1-gamma) overflows, although Q/lo**gamma is about 2 there
+        argv = ["closure-table", "--r-min", "0", "--r-max", "1e-320", "--r-count", "3"]
+        argv += ["--q-min", "0", "--q-max", "1e-320", "--q-count", "3"]
+        argv += ["--set", "physics.gamma_plus=30", "--set", "physics.gamma_minus=1.000000001"]
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "runtime error: closure residual z**(1-gamma) at the lower bracket "
+            "overflows at R=5e-321, Q=5e-321\n"
+        )
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize(

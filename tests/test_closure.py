@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import struct
 import sys
@@ -6,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twofluid import closure
 from twofluid.closure import ClosureParams
@@ -189,24 +190,57 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("R", [5e-324, 0.0])
     def test_subnormal_point_keeps_exact_values(self, R):
-        # gamma*Z - (gamma-1)*R underflows to 0 at Z = 5e-324; the exact
-        # values are 1/(gamma - (gamma-1) alpha) and Z**(1-gamma) times it
+        # the divisor gamma - (gamma-1)*alpha lies in [gamma, 1] at any Z,
+        # 5e-324 included, where gamma*Z - (gamma-1)*R would underflow to 0
         Z, gamma = 5e-324, 0.5
         alpha = R / Z
         with np.errstate(divide="raise", invalid="raise"):
             dzr, dzq = closure.derivative_arrays(np.array([R, 1.0]), np.array([Z, 2.0]), gamma)
         assert dzr[0] == 1.0 / (gamma - (gamma - 1.0) * alpha)
         assert dzq[0] == pytest.approx(Z ** (1.0 - gamma) / (gamma - (gamma - 1.0) * alpha), rel=1e-15)
-        # the lane beside it keeps the plain form, bit for bit
+        # at R = 1, Z = 2 the alpha form equals Z/(gamma*Z - (gamma-1)*R), bit for bit
         assert dzr[1] == 2.0 / (gamma * 2.0 - (gamma - 1.0) * 1.0)
 
     def test_overflowing_denominator_keeps_exact_values(self):
-        # at R = Z = 1e308 and gamma = 2, gamma*Z - (gamma-1)*R overflows to
-        # inf; the exact values are 1 and Z**(1-gamma) = 1e-308
+        # at R = Z = 1e308 and gamma = 2, alpha = 1 gives the divisor
+        # gamma - (gamma-1)*alpha = 1, where gamma*Z - (gamma-1)*R would
+        # overflow to inf; the exact values are 1 and Z**(1-gamma) = 1e-308
         dzr, dzq = closure.derivative_arrays(np.array([1e308, 1.0]), np.array([1e308, 2.0]), 2.0)
         assert dzr[0] == 1.0
         assert dzq[0] == pytest.approx(1e-308, rel=1e-15)
         assert (dzr[1], dzq[1]) == (2.0 / 3.0, 1.0 / 3.0)
+
+
+# ratios far beyond 1 on either side, and one rounding off the closed-form
+# starts 2 and 1/2, each on every pair of densities from 0 to the float maximum
+EXTREME_PAIRS = [
+    (1e7, 1.0 + 1e-9),
+    (1e10, 1.0000001),
+    (1.5, 1e300),
+    (1.0 + 1e-15, 1e300),
+    (2.0, 1.0 + 2.0**-52),
+    (1.0 + 2.0**-52, 2.0),
+]
+EXTREME_DENSITIES = [
+    0.0, 5e-324, 1e-320, 2.2e-308, 1e-300, 1e-200, 1e-16,
+    0.5, 1.0, 2.0, 1e16, 1e200, 1e300, sys.float_info.max,
+]
+
+
+@pytest.mark.parametrize("pair", EXTREME_PAIRS)
+def test_every_lane_gives_a_root_or_one_domain_error(pair):
+    params = ClosureParams(*pair)
+    for R, Q in itertools.product(EXTREME_DENSITIES, repeat=2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                Z, _ = closure.solve_Z_field(np.array([R]), np.array([Q]), params)
+                assert np.isfinite(Z[0]) and Z[0] >= R
+                if Z[0] > 0.0:
+                    dzr, dzq = closure.derivative_arrays(np.array([R]), Z, params.gamma)
+                    assert 0.0 < dzr[0] < math.inf and 0.0 <= dzq[0] < math.inf
+            except DomainError:
+                pass
 
 
 class TestField:
@@ -479,6 +513,23 @@ class TestGeneralRatio:
             closure.solve_Z(R, Q, params)
         assert len(calls) <= 15
 
+    @pytest.mark.parametrize("guess", [None, 2.0149438068192557e-15], ids=["cold", "at-the-root"])
+    def test_subnormal_q_at_large_ratio_ends_before_iterating(self, guess, calls):
+        # at gamma = 22 the lower bracket lo = max(R, (1/2)**(1/gamma) * Q**(1/gamma))
+        # of R = Q = 5e-324 has lo**(1-gamma) past the float maximum, so the
+        # scaled residual cannot be evaluated there, whatever the start (the
+        # root is 2.01e-15)
+        R = Q = np.array([5e-324])
+        start = None if guess is None else np.array([guess])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                closure.solve_Z_field(R, Q, ClosureParams(33.0, 1.5), guess=start)
+        assert str(err.value) == (
+            "closure residual z**(1-gamma) at the lower bracket overflows at R=5e-324, Q=5e-324"
+        )
+        assert calls == []
+
     @settings(max_examples=300, deadline=None)
     @given(
         R=positive_double,
@@ -563,17 +614,25 @@ class TestProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        R=st.floats(1e-2, 10.0),
-        Q=st.floats(1e-2, 10.0),
+        R=finite_density,
+        Q=finite_density,
         pair=st.sampled_from([(1.5, 4.5), (1.5, 3.0), (2.0, 2.0)]),
     )
+    # subnormal and huge roots; the Q = 0 lane at the float maximum has Z = R
+    @example(R=5e-324, Q=0.0, pair=(1.5, 4.5))
+    @example(R=0.0, Q=5e-324, pair=(1.5, 3.0))
+    @example(R=5e-324, Q=5e-324, pair=(1.5, 4.5))
+    @example(R=1e300, Q=1.0, pair=(1.5, 3.0))
+    @example(R=sys.float_info.max, Q=0.0, pair=(1.5, 4.5))
     def test_derivative_bounds_for_gamma_below_one(self, R, Q, pair):
+        # no clip: rounding keeps the divisor gamma - (gamma-1)*alpha >= gamma
         params = ClosureParams(*pair)
         point = closure.solve_Z(R, Q, params)
+        assume(point.Z > 0.0)
         gamma = params.gamma
         dzr, dzq = derivatives_at(point, params)
-        assert abs(dzr) <= 1.0 / gamma
-        assert abs(dzq) <= point.Z ** (1.0 - gamma) / gamma
+        assert 0.0 < dzr <= 1.0 / gamma
+        assert 0.0 < dzq <= point.Z ** (1.0 - gamma) / gamma
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -54,9 +54,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     # Only the initial and final states are written, so no other is kept.
-    traj = dynamics.run(
-        config.build_initial_state(cfg), cfg.sim_params(), every_state=False
-    )
+    traj = dynamics.run(config.build_initial_state(cfg), cfg.params, every_state=False)
     iofmt.write_diagnostics_csv(out / "diagnostics.csv", traj)
     iofmt.write_energy_csv(
         out / "energy.csv",
@@ -80,19 +78,16 @@ def cmd_compare(args) -> int:
     out = _outdir(args)
     result = twin.run_twin(
         config.build_initial_state(cfg),
-        cfg.sim_params(),
+        cfg.params,
         delta=p.delta,
         wavevector=p.wavevector,
         phase=p.phase,
     )
     iofmt.write_compare_csv(out / "compare.csv", result.diag)
     stability = twin.check_density_stability(result.diag)
-    meanvel = twin.check_mean_velocity(result.weak, result.strong, result.diag)
-    C = max(
-        stability.fitted_C,
-        twin.fit_gronwall_constant(result.diag, result.ref, cfg.sim_params()),
-    )
-    trace = twin.build_gronwall_trace(result.diag, result.ref, cfg.sim_params(), C=C)
+    meanvel = twin.check_mean_velocity(result.diag)
+    C = max(stability.fitted_C, twin.fit_gronwall_constant(result.diag, result.ref))
+    trace = twin.build_gronwall_trace(result.diag, result.ref, C=C)
     iofmt.write_trace_csv(out / "trace.csv", trace)
     conclusion = gronwall.check_conclusion(trace)
     print(f"density stability: fitted_C={stability.fitted_C:.6g} verdict={stability.verdict}")
@@ -122,7 +117,7 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     rows = twin.stability_sweep(
         config.build_initial_state(cfg),
-        cfg.sim_params(),
+        cfg.params,
         deltas,
         wavevector=p.wavevector,
         phase=p.phase,
@@ -154,7 +149,7 @@ def cmd_closure_table(args) -> int:
     r_values = _table_axis(args, "r")
     q_values = _table_axis(args, "q")
     out = _outdir(args)
-    params = cfg.closure_params()
+    params = cfg.params.closure
     R, Q = (a.ravel() for a in np.meshgrid(r_values, q_values, indexing="ij"))
     Z, alpha = closure.solve_Z_field(R, Q, params)
     dzr = np.full_like(Z, math.nan)

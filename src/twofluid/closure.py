@@ -116,10 +116,15 @@ def _residual_slope(R, Q, z, gamma):
     formed there as (Q/z) * z**(1-gamma): 1 - gamma is then exact, and at
     a z no smaller than the cold start lo of ``_newton_climb``, whose
     lo**(1-gamma) it checks, neither factor leaves the float range.
+    gamma*u overflows only at a gamma near the float maximum, where
+    |g/s| <= (1+u)/(gamma*u) is below STEP_TOL: the infinite s gives the
+    zero step at which Newton stops anyway.
     """
     w = R / z
     u = Q / z * z ** (1.0 - gamma) if gamma > 1.0 else Q / z**gamma
-    return 1.0 - w - u, w + gamma * u
+    with np.errstate(over="ignore"):
+        s = w + gamma * u
+    return 1.0 - w - u, s
 
 
 def _overflow(what: str, R, Q, finite) -> DomainError:

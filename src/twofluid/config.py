@@ -49,31 +49,12 @@ class PerturbationSpec:
 @dataclass(frozen=True)
 class RunConfig:
     grid: PeriodicGrid
-    gamma_plus: float
-    gamma_minus: float
-    mu: float
-    lam: float
-    t_end: float
-    cfl: float
-    density_floor: float
+    params: SimParams
     initial_R: FieldSpec
     initial_Q: FieldSpec
     initial_u: tuple[FieldSpec, ...]
     perturbation: PerturbationSpec
     fields: bool  # write the initial and final field dumps
-
-    def closure_params(self) -> ClosureParams:
-        return ClosureParams(self.gamma_plus, self.gamma_minus)
-
-    def sim_params(self) -> SimParams:
-        return SimParams(
-            closure=self.closure_params(),
-            mu=self.mu,
-            lam=self.lam,
-            cfl=self.cfl,
-            density_floor=self.density_floor,
-            t_end=self.t_end,
-        )
 
 
 def _fmt(x: float) -> str:
@@ -175,7 +156,7 @@ _MODE_KEYS = {
     "initial_Q": ("mode",),
     "initial_u": tuple(f"mode_{c}" for c in _COMPONENTS),
 }
-# Keys whose RunConfig field has another name.
+# Keys whose field has another name.
 _FIELD_NAMES = {"lambda": "lam"}
 
 
@@ -281,17 +262,17 @@ def parse_config(text: str) -> RunConfig:
     for c in _COMPONENTS[dim:]:
         if f"constant_{c}" in raw["initial_u"] or f"mode_{c}" in raw["initial_u"]:
             raise ConfigError(f"velocity component {c!r} exceeds grid dimension {dim}")
+    physics = _scalars(raw, "physics")
+    closure = _checked(ClosureParams, physics.pop("gamma_plus"), physics.pop("gamma_minus"))
     cfg = RunConfig(
         grid=grid,
-        **_scalars(raw, "physics"),
-        **_scalars(raw, "time"),
+        params=_checked(SimParams, closure, **physics, **_scalars(raw, "time")),
         initial_R=initial_R,
         initial_Q=initial_Q,
         initial_u=initial_u,
         perturbation=PerturbationSpec(**_scalars(raw, "perturbation")),
         **_scalars(raw, "output"),
     )
-    _checked(cfg.sim_params)
     _validate_positivity(cfg)
     return cfg
 
@@ -365,19 +346,15 @@ def _field_raw(spec: FieldSpec, suffix: str) -> dict[str, list[str]]:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) reproduces cfg exactly."""
-    owners = {
-        "grid": cfg.grid,
-        "physics": cfg,
-        "time": cfg,
-        "perturbation": cfg.perturbation,
-        "output": cfg,
-    }
+    # The scalar keys of these sections name distinct fields of these objects.
+    values = {}
+    for owner in (cfg.grid, cfg.params, cfg.params.closure, cfg.perturbation, cfg):
+        values.update(vars(owner))
     raw = {
         section: {
-            key: [_text(getattr(owner, _FIELD_NAMES.get(key, key)))]
-            for key in _SCALAR_KEYS[section]
+            key: [_text(values[_FIELD_NAMES.get(key, key)])] for key in _SCALAR_KEYS[section]
         }
-        for section, owner in owners.items()
+        for section in ("grid", "physics", "time", "perturbation", "output")
     }
     raw["initial_R"] = _field_raw(cfg.initial_R, "")
     raw["initial_Q"] = _field_raw(cfg.initial_Q, "")

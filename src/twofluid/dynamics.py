@@ -53,7 +53,7 @@ class SimParams:
             raise DomainError(f"mu + lambda must be nonnegative, got {self.mu + self.lam}")
         if not (0.0 < self.cfl <= 1.0):
             raise DomainError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.density_floor < 0.0:
+        if not (math.isfinite(self.density_floor) and self.density_floor >= 0.0):
             raise DomainError("density_floor must be nonnegative")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise DomainError(f"t_end must be nonnegative, got {self.t_end}")

@@ -21,6 +21,8 @@ from .grids import PeriodicGrid
 from .gronwall import GronwallTrace, check_hypothesis, cumulative_trapezoid
 
 EPS_DIV = 1e-14
+# Relative tolerance of the mean-velocity identity, against its rounding scale.
+MEANVEL_RTOL = 1e-12
 
 # The reducers below stack this many grid points of samples at most, so a
 # block's arrays stay small; a 2D or 3D grid usually gives one-sample blocks.
@@ -151,10 +153,11 @@ def _vector_norms(ints: np.ndarray) -> list[float]:
 def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
     """Difference norms of two trajectories on matched grids and samples.
 
-    The same pass reduces both sides of the mean-velocity identity for
-    ``check_mean_velocity``. Samples are reduced in blocks of at most
-    BLOCK_POINTS grid points; every value equals that of a per-sample loop
-    over the grids reducers.
+    The twins must also start from the same total mass, within 1e-10
+    relative: the mean-velocity identity, whose two sides the same pass
+    reduces for ``check_mean_velocity``, encodes conservation. Samples are
+    reduced in blocks of at most BLOCK_POINTS grid points; every value
+    equals that of a per-sample loop over the grids reducers.
     """
     if weak.grid != strong.grid:
         raise ConfigError("twin runs live on different grids")
@@ -162,8 +165,12 @@ def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
         raise ConfigError("twin runs use different parameters")
     if not np.array_equal(weak.snapshot_times, strong.snapshot_times):
         raise ConfigError("twin runs sampled different times; share a dt schedule")
-
     g = weak.grid
+    m0_w, m0_s = (grids.integrate(g, tr.initial.R + tr.initial.Q) for tr in (weak, strong))
+    if abs(m0_w - m0_s) > 1e-10 * max(abs(m0_w), abs(m0_s)):
+        raise DomainError(
+            f"twin initial masses differ beyond 1e-10 relative: {m0_w} vs {m0_s}"
+        )
     floor = weak.params.density_floor
     n = len(weak.snapshots)
     cols = {f.name: np.zeros(n) for f in fields(PairDiagnostics)}
@@ -280,40 +287,21 @@ class MeanVelocityReport:
     verdict: bool
 
 
-def check_mean_velocity(
-    weak: Trajectory,
-    strong: Trajectory,
-    diag: PairDiagnostics,
-    rtol: float = 1e-12,
-) -> MeanVelocityReport:
+def check_mean_velocity(diag: PairDiagnostics) -> MeanVelocityReport:
     """Verify integral (R+Q) U dx = -integral (frakR+calQ)(u~ - mean u~) dx.
 
-    The identity needs matched total masses (it encodes conservation), so a
-    relative initial-mass mismatch beyond 1e-10 is a precondition error.
-    Both sides come from ``diag``, the pair's ``compare``, which reduces them
-    in its own pass; a ``diag`` whose sample times are not the weak run's
-    snapshot times belongs to another pair and is a DomainError. The
-    residual is compared against rtol times the summed magnitudes of the
-    integrals entering both sides, which is the honest rounding scale for a
-    difference of near-cancelling quantities.
+    Both sides come from ``diag``, which ``compare`` reduces in its own pass
+    after checking the matched initial masses the identity needs. The
+    residual is compared against MEANVEL_RTOL times the summed magnitudes of
+    the integrals entering both sides, which is the honest rounding scale for
+    a difference of near-cancelling quantities.
     """
-    if not np.array_equal(diag.t, weak.snapshot_times):
-        raise DomainError("diag is not this pair's compare: its sample times differ")
-    g = weak.grid
-    m0_w = grids.integrate(g, weak.snapshots[0].R + weak.snapshots[0].Q)
-    m0_s = grids.integrate(g, strong.snapshots[0].R + strong.snapshots[0].Q)
-    if abs(m0_w - m0_s) > 1e-10 * max(abs(m0_w), abs(m0_s)):
-        raise DomainError(
-            f"twin initial masses differ beyond 1e-10 relative: {m0_w} vs {m0_s}"
-        )
     residual, scale = diag.meanvel_residual, diag.meanvel_scale
-    verdict = bool(np.all(residual <= rtol * np.maximum(scale, 1e-300)))
-    return MeanVelocityReport(residual=residual, scale=scale, rtol=rtol, verdict=verdict)
+    verdict = bool(np.all(residual <= MEANVEL_RTOL * np.maximum(scale, 1e-300)))
+    return MeanVelocityReport(residual=residual, scale=scale, rtol=MEANVEL_RTOL, verdict=verdict)
 
 
-def fit_gronwall_constant(
-    diag: PairDiagnostics, ref: ReferenceSeries, params: SimParams
-) -> float:
+def fit_gronwall_constant(diag: PairDiagnostics, ref: ReferenceSeries) -> float:
     """Smallest C for which the trace satisfies the Gronwall hypothesis.
 
     The paper's constant is existential and absorbs the viscosity
@@ -322,19 +310,14 @@ def fit_gronwall_constant(
     ``check_hypothesis`` on the C = 1 trace, over the intervals with
     rhs > EPS_DIV and lhs > 0. Identically zero traces fit C = 0.
     """
-    report = check_hypothesis(build_gronwall_trace(diag, ref, params, C=1.0))
+    report = check_hypothesis(build_gronwall_trace(diag, ref, C=1.0))
     valid = (report.rhs > EPS_DIV) & (report.lhs > 0.0)
     if not valid.any():
         return 0.0
     return float(np.max(report.lhs[valid] / report.rhs[valid]))
 
 
-def build_gronwall_trace(
-    diag: PairDiagnostics,
-    ref: ReferenceSeries,
-    params: SimParams,
-    C: float,
-) -> GronwallTrace:
+def build_gronwall_trace(diag: PairDiagnostics, ref: ReferenceSeries, C: float) -> GronwallTrace:
     """Assemble the Gronwall trace of the difference system.
 
     f = 1/2 ||sqrt(R+Q) U||^2 + 1/2 int (g')^2, g' = ||grad U||_2,

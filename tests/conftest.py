@@ -12,7 +12,7 @@ def std1d_cfg():
 
 @pytest.fixture(scope="session")
 def std1d_params(std1d_cfg):
-    return std1d_cfg.sim_params()
+    return std1d_cfg.params
 
 
 @pytest.fixture(scope="session")

@@ -572,6 +572,20 @@ class TestErrorPaths:
         assert captured.err == "runtime error: closure derivative overflows at R=0.1, Z=0.1\n"
         assert not any(out.iterdir())
 
+    def test_overflowing_newton_slope_is_a_zero_step(self, tmp_path, capsys):
+        # gamma = 7e299/1.0000001: gamma * Q/z**gamma overflows in the Newton
+        # slope, where the step is already zero; Z = Q**(1/gamma) rounds to 1
+        argv = ["closure-table", "--r-min", "5e-324", "--r-max", "5e-324", "--r-count", "1"]
+        argv += ["--q-min", "1e16", "--q-max", "1e16", "--q-count", "1"]
+        argv += ["--set", "physics.gamma_plus=7e299", "--set", "physics.gamma_minus=1.0000001"]
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, row = read_lines(out / "closure_table.csv")
+        assert float(row.split(",")[header.split(",").index("Z")]) == 1.0
+
     def test_subnormal_densities_at_large_gamma_end_before_iterating(self, tmp_path, capsys):
         # gamma = 30/1.000000001: at R = Q = 5e-321 the cold start's
         # lo**(1-gamma) overflows, although Q/lo**gamma is about 2 there

@@ -243,6 +243,18 @@ def test_every_lane_gives_a_root_or_one_domain_error(pair):
                 pass
 
 
+def test_overflowing_newton_slope_stops_at_the_root():
+    # gamma = 7e299/1.0000001 lies beyond 2**53, so it cannot join
+    # EXTREME_PAIRS (its Q = 0 derivatives divide by zero). Here the cold
+    # start rounds onto the root Q**(1/gamma) = 1 + 5e-299, which rounds to 1,
+    # and gamma * Q/z**gamma overflows in the slope: a zero step, no warning.
+    params = ClosureParams(7e299, 1.0000001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z, _ = closure.solve_Z_field(np.array([5e-324]), np.array([1e16]), params)
+    assert Z[0] == 1.0
+
+
 class TestField:
     def test_constant_fields(self):
         R = np.full((8, 8), 1.0)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twofluid import config
+from twofluid.closure import ClosureParams
+from twofluid.dynamics import SimParams
 from twofluid.errors import ConfigError
 
 
@@ -14,13 +16,27 @@ class TestDefaults:
         assert cfg.grid.dim == 1
         assert cfg.grid.n == 128
         assert cfg.grid.length == pytest.approx(2 * math.pi, rel=1e-16)
-        assert (cfg.gamma_plus, cfg.gamma_minus) == (1.5, 3.0)
-        assert (cfg.mu, cfg.lam) == (0.1, 0.0)
-        assert (cfg.t_end, cfg.cfl) == (0.5, 0.4)
+        p = cfg.params
+        assert (p.closure.gamma_plus, p.closure.gamma_minus) == (1.5, 3.0)
+        assert (p.mu, p.lam) == (0.1, 0.0)
+        assert (p.t_end, p.cfl) == (0.5, 0.4)
         assert cfg.initial_R.constant == 1.0
         assert cfg.initial_R.modes[0].amplitude == 0.2
         assert cfg.initial_Q.modes[0].phase == pytest.approx(math.pi / 2)
         assert cfg.perturbation.delta == 1e-3
+
+    @pytest.mark.parametrize(
+        "overrides,expected",
+        [
+            ([], SimParams(ClosureParams(1.5, 3.0), mu=0.1, lam=0.0, cfl=0.4,
+                           density_floor=1e-10, t_end=0.5)),
+            (["physics.gamma_minus=2", "physics.lambda=0.05", "time.t_end=0.25"],
+             SimParams(ClosureParams(1.5, 2.0), mu=0.1, lam=0.05, cfl=0.4,
+                       density_floor=1e-10, t_end=0.25)),
+        ],
+    )
+    def test_params_hold_every_physics_and_time_key(self, overrides, expected):
+        assert config.parse_config(config.apply_overrides("", overrides)).params == expected
 
     def test_std1d_initial_fields(self):
         cfg = config.default_config()
@@ -178,7 +194,7 @@ class TestOverrides:
     def test_set_scalar(self):
         text = config.apply_overrides("", ["physics.mu=0.25", "grid.n=64"])
         cfg = config.parse_config(text)
-        assert cfg.mu == 0.25
+        assert cfg.params.mu == 0.25
         assert cfg.grid.n == 64
 
     def test_set_mode(self):

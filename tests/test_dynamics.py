@@ -77,6 +77,12 @@ class TestParams:
         with pytest.raises(DomainError):
             SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, cfl=1.5)
 
+    @pytest.mark.parametrize("floor", [math.inf, math.nan])
+    def test_density_floor_must_be_finite(self, floor):
+        # an infinite floor would stall u = m/max(R+Q, floor) at zero
+        with pytest.raises(DomainError, match="density_floor must be nonnegative"):
+            SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, density_floor=floor)
+
 
 class TestRhs:
     def test_uniform_state_is_equilibrium(self, std1d_params):
@@ -442,7 +448,7 @@ def shared_evaluation_case(case):
     """(initial state, params) of the std1d-n64, 2d-n16 and 3d-n8 runs."""
     if case == "std1d-n64":
         cfg = cfg_at(64)
-        return config.build_initial_state(cfg), cfg.sim_params()
+        return config.build_initial_state(cfg), cfg.params
     dim, n = (2, 16) if case == "2d-n16" else (3, 8)
     params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=1.0)
     return smooth_state(PeriodicGrid(dim, n)), params
@@ -733,7 +739,7 @@ class TestGalilean:
         for n in (64, 128):
             cfg = cfgmod.parse_config(f"[grid]\nn = {n}\n[time]\nt_end = {T!r}\n")
             base = cfgmod.build_initial_state(cfg)
-            params = cfg.sim_params()
+            params = cfg.params
             boosted = base.copy()
             boosted.m = boosted.m + (boosted.R + boosted.Q) * U0
 

@@ -109,7 +109,7 @@ class TestDensityStability:
 
 class TestMeanVelocity:
     def test_identity_on_twin(self, twin128):
-        report = twin.check_mean_velocity(twin128.weak, twin128.strong, twin128.diag)
+        report = twin.check_mean_velocity(twin128.diag)
         assert report.verdict
         assert np.all(report.residual <= 1e-12 * np.maximum(report.scale, 1e-300))
 
@@ -127,7 +127,7 @@ class TestMeanVelocity:
         tW = dynamics.run(weak, params)
         tS = dynamics.run(strong, params)
         d = twin.compare(tW, tS)
-        report = twin.check_mean_velocity(tW, tS, d)
+        report = twin.check_mean_velocity(d)
         assert report.verdict
         assert np.all(report.residual <= 1e-14)
 
@@ -140,7 +140,7 @@ class TestMeanVelocity:
             return gradient(*args, **kwargs)
 
         monkeypatch.setattr(grids, "gradient", counted)
-        report = twin.check_mean_velocity(twin128.weak, twin128.strong, twin128.diag)
+        report = twin.check_mean_velocity(twin128.diag)
         assert report.verdict
         assert calls == []
 
@@ -160,27 +160,18 @@ class TestMeanVelocity:
 
         monkeypatch.setattr(twin, "_blocks", counted_blocks)
         monkeypatch.setattr(State, "velocity", counted_velocity)
-        report = twin.check_mean_velocity(twin128.weak, twin128.strong, twin128.diag)
+        report = twin.check_mean_velocity(twin128.diag)
         assert calls == []
         assert report.residual is twin128.diag.meanvel_residual
         assert report.scale is twin128.diag.meanvel_scale
-
-    def test_another_pairs_diag_is_rejected(self):
-        a, b = (
-            twin.run_twin(config.build_initial_state(cfg), cfg.sim_params(), delta=1e-3)
-            for cfg in (cfg_at(32), cfg_at(64))
-        )
-        with pytest.raises(DomainError, match="sample times differ"):
-            twin.check_mean_velocity(a.weak, a.strong, b.diag)
 
     def test_mass_mismatch_is_precondition_error(self, std1d_initial, std1d_params):
         other = std1d_initial.copy()
         other.R = other.R * 1.01
         t0 = dynamics.run(std1d_initial, SimParams(closure=std1d_params.closure, mu=0.1, t_end=0.0))
         t1 = dynamics.run(other, SimParams(closure=std1d_params.closure, mu=0.1, t_end=0.0))
-        d = twin.compare(t1, t0)
-        with pytest.raises(DomainError):
-            twin.check_mean_velocity(t1, t0, d)
+        with pytest.raises(DomainError, match="initial masses differ"):
+            twin.compare(t1, t0)
 
 
 
@@ -217,31 +208,31 @@ class TestGronwallPipeline:
         result = twin.run_twin(std1d_initial, std1d_params, delta=0.0)
         C = max(
             twin.check_density_stability(result.diag).fitted_C,
-            twin.fit_gronwall_constant(result.diag, result.ref, std1d_params),
+            twin.fit_gronwall_constant(result.diag, result.ref),
         )
         assert C == 0.0
-        trace = twin.build_gronwall_trace(result.diag, result.ref, std1d_params, C=C)
+        trace = twin.build_gronwall_trace(result.diag, result.ref, C=C)
         assert np.all(trace.f == 0.0)
         assert np.all(trace.gprime == 0.0)
         report = gronwall.check_conclusion(trace)
         assert report.verdict
         assert report.max_margin == 0.0
 
-    def test_zero_constant_flags_hypothesis(self, twin128, std1d_params):
-        trace = twin.build_gronwall_trace(twin128.diag, twin128.ref, std1d_params, C=0.0)
+    def test_zero_constant_flags_hypothesis(self, twin128):
+        trace = twin.build_gronwall_trace(twin128.diag, twin128.ref, C=0.0)
         report = gronwall.check_hypothesis(trace)
         assert not report.ok
 
-    def test_fitted_constant_passes_conclusion(self, twin128, std1d_params):
-        C = twin.fit_gronwall_constant(twin128.diag, twin128.ref, std1d_params)
+    def test_fitted_constant_passes_conclusion(self, twin128):
+        C = twin.fit_gronwall_constant(twin128.diag, twin128.ref)
         assert np.isfinite(C) and C > 0.0
-        trace = twin.build_gronwall_trace(twin128.diag, twin128.ref, std1d_params, C=C)
+        trace = twin.build_gronwall_trace(twin128.diag, twin128.ref, C=C)
         assert gronwall.check_hypothesis(trace).ok
         assert gronwall.check_conclusion(trace).verdict
 
-    def test_negative_constant_rejected(self, twin128, std1d_params):
+    def test_negative_constant_rejected(self, twin128):
         with pytest.raises(DomainError):
-            twin.build_gronwall_trace(twin128.diag, twin128.ref, std1d_params, C=-1.0)
+            twin.build_gronwall_trace(twin128.diag, twin128.ref, C=-1.0)
 
 
 class TestHorizonMonotonicity:
@@ -273,10 +264,10 @@ class TestRestrictedReference:
         errs = []
         for n in (128, 256):
             cfg = cfgmod.parse_config(f"[grid]\nn = {2 * n}\n")
-            fine = dynamics.run(cfgmod.build_initial_state(cfg), cfg.sim_params())
+            fine = dynamics.run(cfgmod.build_initial_state(cfg), cfg.params)
             coarse_cfg = cfgmod.parse_config(f"[grid]\nn = {n}\n")
             coarse = dynamics.run(
-                cfgmod.build_initial_state(coarse_cfg), coarse_cfg.sim_params()
+                cfgmod.build_initial_state(coarse_cfg), coarse_cfg.params
             )
             assert fine.final.t == coarse.final.t == 0.5
             errs.append(
@@ -501,7 +492,7 @@ class TestClosureSolves:
 
     def test_run_solves_each_state_and_stage_and_reference_each_block(self, monkeypatch):
         cfg = cfg_at(64)
-        initial, params = config.build_initial_state(cfg), cfg.sim_params()
+        initial, params = config.build_initial_state(cfg), cfg.params
         solve = closure.solve_Z_field
         calls = []
 

@@ -16,6 +16,7 @@ dumps flatten in C order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,14 +91,18 @@ _NEIGHBOUR_SLICES = (
 )
 
 
+@functools.cache
+def _neighbour_index(ax: int) -> tuple:
+    return tuple(tuple((slice(None),) * ax + (s,) for s in triple) for triple in _NEIGHBOUR_SLICES)
+
+
 def _neighbours(op, values: np.ndarray, ax: int, out: np.ndarray) -> None:
     """out[j] = op(values[j+1], values[j-1]) along axis ax, wrapping periodically.
 
     This is op(np.roll(values, -1), np.roll(values, 1)) without the copies.
     """
-    at = (slice(None),) * ax
-    for here, ahead, behind in _NEIGHBOUR_SLICES:
-        op(values[at + (ahead,)], values[at + (behind,)], out=out[at + (here,)])
+    for here, ahead, behind in _neighbour_index(ax):
+        op(values[ahead], values[behind], out=out[here])
 
 
 def _centered(grid: PeriodicGrid, values: np.ndarray, i: int) -> np.ndarray:
@@ -139,8 +144,8 @@ def laplacian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
 def integrate(grid: PeriodicGrid, f: np.ndarray):
     """Cell-volume-weighted sum; vector fields integrate per component."""
     space = tuple(range(f.ndim - grid.dim, f.ndim))
-    out = np.sum(f, axis=space) * grid.cell_volume
-    return float(out) if np.ndim(out) == 0 else out
+    out = f.sum(axis=space) * grid.cell_volume
+    return float(out) if out.ndim == 0 else out
 
 
 def pointwise_magnitude(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:

@@ -246,6 +246,19 @@ class TestClosureTable:
         for row in rows:
             assert abs(float(row[9])) <= 1e-12 * max(1.0, float(row[1]))
 
+    def test_gamma_ratio_beyond_2_53_exits_3_without_a_warning(self, tmp_path, capsys):
+        # fl(gamma - 1) = gamma, so the Q = 0 row's derivatives divide by zero
+        out = tmp_path / "tab"
+        argv = ["closure-table", "--out", str(out), "--r-min", "1", "--r-max", "1"]
+        argv += ["--r-count", "1", "--q-max", "0", "--q-count", "1"]
+        argv += ["--set", "physics.gamma_plus=1e17", "--set", "physics.gamma_minus=1.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime error: closure derivative overflows at R=1.0, Z=1.0\n"
+
     def test_small_density_root_is_within_ulps_of_the_oracle(self, tmp_path):
         # gamma = 3/4 has no closed-form start; an absolute residual tolerance
         # accepted Z = 1.0752743912400353e-20 here, 2.5 % off, with a

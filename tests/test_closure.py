@@ -220,6 +220,9 @@ EXTREME_PAIRS = [
     (1.0 + 1e-15, 1e300),
     (2.0, 1.0 + 2.0**-52),
     (1.0 + 2.0**-52, 2.0),
+    # beyond 2**53, where fl(gamma - 1) = gamma
+    (1e17, 1.5),
+    (7e299, 1.0000001),
 ]
 EXTREME_DENSITIES = [
     0.0, 5e-324, 1e-320, 2.2e-308, 1e-300, 1e-200, 1e-16,
@@ -244,15 +247,27 @@ def test_every_lane_gives_a_root_or_one_domain_error(pair):
 
 
 def test_overflowing_newton_slope_stops_at_the_root():
-    # gamma = 7e299/1.0000001 lies beyond 2**53, so it cannot join
-    # EXTREME_PAIRS (its Q = 0 derivatives divide by zero). Here the cold
-    # start rounds onto the root Q**(1/gamma) = 1 + 5e-299, which rounds to 1,
-    # and gamma * Q/z**gamma overflows in the slope: a zero step, no warning.
+    # gamma = 7e299/1.0000001: the cold start rounds onto the root
+    # Q**(1/gamma) = 1 + 5e-299, which rounds to 1, and gamma * Q/z**gamma
+    # overflows in the slope: a zero step, no warning.
     params = ClosureParams(7e299, 1.0000001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Z, _ = closure.solve_Z_field(np.array([5e-324]), np.array([1e16]), params)
     assert Z[0] == 1.0
+
+
+def test_ratio_beyond_2_53_gives_one_derivative_error_and_no_warning():
+    # fl(gamma - 1) = gamma, so s = gamma - (gamma-1)*alpha is 0 at alpha = 1:
+    # dZ/dR and dZ/dQ divide by zero, and the Q = 0 lane is one DomainError
+    params = ClosureParams(1e17, 1.5)
+    R, Q = np.array([1.0]), np.array([0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z, _ = closure.solve_Z_field(R, Q, params)
+        with pytest.raises(DomainError) as err:
+            closure.derivative_arrays(R, Z, params.gamma)
+    assert str(err.value) == "closure derivative overflows at R=1.0, Z=1.0"
 
 
 class TestField:
@@ -290,6 +305,86 @@ class TestField:
         with pytest.raises(DomainError) as err:
             closure.solve_Z_field(R, np.ones((3, 3)), params)
         assert "(1, 2)" in str(err.value)
+
+
+class TestReductionChecks:
+    """Each check reduces a whole field; a failing one names its first lane."""
+
+    @pytest.mark.parametrize("index", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("field", ["R", "Q"])
+    def test_bad_input_names_its_lane(self, field, value, index):
+        fields = {"R": np.linspace(0.5, 1.5, 7), "Q": np.linspace(1.5, 0.5, 7)}
+        fields[field][index] = value
+        R, Q = fields["R"], fields["Q"]
+        with pytest.raises(DomainError) as err:
+            closure.solve_Z_field(R, Q, GAMMA_3_4)
+        assert str(err.value) == (
+            f"closure inputs must be finite and nonnegative at grid index ({index},): "
+            f"R={float(R[index])}, Q={float(Q[index])}"
+        )
+
+    def test_bad_input_names_the_first_of_several_lanes(self):
+        R = np.ones((3, 4))
+        R[1, 2], R[2, 0] = -math.inf, math.nan
+        Q = np.ones((3, 4))
+        Q[1, 1] = math.nan
+        with pytest.raises(DomainError) as err:
+            closure.solve_Z_field(R, Q, GAMMA_3_4)
+        assert str(err.value) == (
+            "closure inputs must be finite and nonnegative at grid index (1, 1): R=1.0, Q=nan"
+        )
+
+    @pytest.mark.parametrize("index", [0, 3, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_guess_is_rejected(self, value, index):
+        guess = np.ones(7)
+        guess[index] = value
+        with pytest.raises(DomainError) as err:
+            closure.solve_Z_field(np.ones(7), np.ones(7), GAMMA_3_4, guess=guess)
+        assert str(err.value) == "guess must be a finite array of shape (7,)"
+
+    @pytest.mark.parametrize("index", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_negative_guess_starts_at_the_lower_bracket(self, index):
+        R, Q = np.linspace(0.5, 1.5, 7), np.linspace(1.5, 0.5, 7)
+        guess = np.full(7, 1.5)
+        guess[index] = -1.0
+        Z, alpha = closure.solve_Z_field(R, Q, GAMMA_3_4, guess=guess)
+        guess[index] = 0.0
+        want_Z, want_alpha = closure.solve_Z_field(R, Q, GAMMA_3_4, guess=guess)
+        assert Z.tobytes() == want_Z.tobytes() and alpha.tobytes() == want_alpha.tobytes()
+
+    @pytest.mark.parametrize(
+        "R,Q,pair,what",
+        [
+            ([1.0, 1e308, 1.5e308], [1.0, 1.0, 1.0], (1.5, 3.0), "upper bracket max(2R, (2Q)**(1/gamma))"),
+            ([1.0, 1e154, 1e155], [1.0, 1.0, 1.0], (3.0, 1.5), "residual z**gamma at the upper bracket"),
+            ([1.0, 5e-324, 1e-323], [1.0, 5e-324, 1e-323], (33.0, 1.5), "residual z**(1-gamma) at the lower bracket"),
+        ],
+        ids=["upper", "power-gamma", "power-1-gamma"],
+    )
+    def test_bracket_check_names_the_first_failing_lane(self, R, Q, pair, what, calls):
+        with pytest.raises(DomainError) as err:
+            closure.solve_Z_field(np.array(R), np.array(Q), ClosureParams(*pair))
+        assert str(err.value) == f"closure {what} overflows at R={R[1]}, Q={Q[1]}"
+        assert calls == []
+
+    def test_derivative_overflow_names_the_first_failing_lane(self):
+        # Z**(1-gamma) past the float range at a subnormal Z, gamma = 2
+        R = np.array([1.0, 5e-324, 1e-323])
+        with pytest.raises(DomainError) as err:
+            closure.derivative_arrays(R, R.copy(), 2.0)
+        assert str(err.value) == "closure derivative overflows at R=5e-324, Z=5e-324"
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 4)])
+    @pytest.mark.parametrize("params", [GAMMA_3_4, ClosureParams(1.5, 3.0)], ids=["3/4", "1/2"])
+    def test_empty_fields_pass_every_check(self, shape, params):
+        R = Q = np.empty(shape)
+        for guess in (None, np.empty(shape)):
+            Z, alpha = closure.solve_Z_field(R, Q, params, guess=guess)
+            assert Z.shape == alpha.shape == shape
+            dzr, dzq = closure.derivative_arrays(R, Z, params.gamma)
+            assert dzr.shape == dzq.shape == shape
 
 
 def collapse_bisection(R, Q, gamma):

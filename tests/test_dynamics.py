@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -695,6 +696,61 @@ class TestBatchedState:
     def test_batched_shapes_are_accepted(self):
         g = PeriodicGrid(2, 8)
         State(g, np.ones((3, 8, 8)), np.ones((3, 8, 8)), np.ones((2, 3, 8, 8)), 0.0)
+
+
+def batch_source(state):
+    """A source that reads every field, for states with or without a batch axis."""
+    return 0.1 * np.sin(state.R), -0.2 * state.Q * state.R, 0.3 * np.cos(state.m)
+
+
+class TestHeunBuffer:
+    """step forms the Heun update in the tendency arrays, bit for bit."""
+
+    @pytest.mark.parametrize("source", [None, batch_source], ids=["no-source", "source"])
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch"])
+    @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
+    def test_step_equals_the_per_field_formula(self, dim, n, members, source):
+        g = PeriodicGrid(dim, n)
+        rng = np.random.default_rng(dim)
+        batch = () if members is None else (members,)
+        R, Q = rng.uniform(0.5, 1.5, (2, *batch, *g.shape))
+        state = State(g, R, Q, rng.normal(0.0, 0.5, (g.dim, *batch, *g.shape)), 0.25)
+        params = FUSED_PARAMS
+        ev = state.evaluate(params)
+        dt = 0.5 * dynamics.stable_dt(state, params, ev)
+        k1 = dynamics.rhs(state, params, ev, source)
+        s1 = State(
+            g, state.R + dt * k1.dR, state.Q + dt * k1.dQ, state.m + dt * k1.dm, state.t + dt
+        )
+        k2 = dynamics.rhs(s1, params, s1.evaluate(params, guess=ev.Z), source)
+        want = [
+            0.5 * y + 0.5 * (s + dt * k)
+            for y, s, k in ((R, s1.R, k2.dR), (Q, s1.Q, k2.dQ), (state.m, s1.m, k2.dm))
+        ]
+        got = dynamics.step(state, params, dt, ev, dynamics.rhs(state, params, ev, source), source)
+        assert got.t == state.t + dt
+        for name, w in zip("RQm", want):
+            a = getattr(got, name)
+            assert a.shape == w.shape and a.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
+    def test_kept_states_are_not_written_by_later_steps(self, dim, n, monkeypatch):
+        # every_state=True keeps each state step returns; a run whose steps
+        # take and return deep copies shares no array with any other step
+        initial = rough_state(PeriodicGrid(dim, n), 2)
+        limit = dynamics.stable_dt(initial, FUSED_PARAMS, initial.evaluate(FUSED_PARAMS))
+        params = dataclasses.replace(FUSED_PARAMS, t_end=4.5 * limit)
+        traj = dynamics.run(initial, params, source=batch_source)
+        step = dynamics.step
+        monkeypatch.setattr(
+            dynamics, "step", lambda state, *rest: copy.deepcopy(step(copy.deepcopy(state), *rest))
+        )
+        copied = dynamics.run(initial, params, source=batch_source)
+        assert len(traj.snapshots) == len(copied.snapshots) > 4
+        for kept, own in zip(traj.snapshots, copied.snapshots):
+            assert kept.t == own.t
+            for name in "RQm":
+                assert getattr(kept, name).tobytes() == getattr(own, name).tobytes(), name
 
 
 class Test3DSmoke:

@@ -7,6 +7,7 @@ import pytest
 from twofluid import dynamics, energy, grids
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State
+from twofluid.errors import ConsistencyError
 from twofluid.grids import PeriodicGrid
 
 
@@ -73,6 +74,50 @@ class TestTotalEnergy:
             assert report.kinetic >= 0.0
             assert report.internal >= 0.0
             assert report.dissipation_rate >= 0.0
+
+
+def vacuum_state(shape, dim):
+    """Densities 1 and 2 with R = Q = 0 at two points, so alpha is NaN there."""
+    g = PeriodicGrid(dim, 8)
+    R, Q = np.ones(shape), np.full(shape, 2.0)
+    for flat in (3, R.size - 1):
+        R.flat[flat] = Q.flat[flat] = 0.0
+    return State(g, R, Q, np.zeros((dim, *shape)), 0.0)
+
+
+VACUUM_SHAPES = [((8,), 1), ((8, 8), 2), ((3, 8, 8), 2), ((8, 8, 8), 3)]
+
+
+class TestVolumeFraction:
+    """Vacuum lanes (NaN alpha) pass; any alpha outside [0, 1] still fails."""
+
+    @pytest.mark.parametrize("shape,dim", VACUUM_SHAPES)
+    def test_vacuum_lanes_alone_pass(self, shape, dim):
+        state = vacuum_state(shape, dim)
+        ev = state.evaluate(SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1))
+        assert np.isnan(ev.alpha).sum() == 2
+        energy.check_volume_fraction(state, ev)
+        vacuum_only = dataclasses.replace(ev, alpha=np.full(shape, np.nan))
+        energy.check_volume_fraction(state, vacuum_only)
+
+    @pytest.mark.parametrize("value", [-1e-9, 1.0 + 1e-9, -math.inf, math.inf])
+    @pytest.mark.parametrize("flat", [0, 5, -2])
+    @pytest.mark.parametrize("shape,dim", VACUUM_SHAPES)
+    def test_out_of_range_lane_beside_vacuum_fails(self, shape, dim, flat, value):
+        state = vacuum_state(shape, dim)
+        ev = state.evaluate(SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1))
+        alpha = ev.alpha.copy()
+        alpha.flat[flat] = value
+        with pytest.raises(ConsistencyError, match="volume fraction left"):
+            energy.check_volume_fraction(state, dataclasses.replace(ev, alpha=alpha))
+
+    @pytest.mark.parametrize("value", [-1e-13, 1.0 + 1e-13])
+    def test_rounding_within_the_tolerance_passes(self, value):
+        state = vacuum_state((8, 8), 2)
+        ev = state.evaluate(SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1))
+        alpha = ev.alpha.copy()
+        alpha[0, 0] = value
+        energy.check_volume_fraction(state, dataclasses.replace(ev, alpha=alpha))
 
 
 class TestDissipation:

@@ -1,6 +1,7 @@
 import difflib
 import importlib.util
 import itertools
+import json
 import platform
 import shutil
 from pathlib import Path
@@ -95,3 +96,17 @@ def test_option_list_matches_the_pinned_list(capsys):
         if line[0] in "+-"
     ]
     assert not differing, "\n".join(differing)
+
+
+def test_run_pairs_times_a_tree_against_itself(tmp_path, capsys):
+    tool = load_tool("run_pairs")
+    root, path = str(TOOLS.parent), tmp_path / "pairs.json"
+    argv = [root, root, "--set", "grid.n=16", "--set", "time.t_end=0.05"]
+    assert tool.main(argv + ["--pairs", "2", "--repeat", "1", "--json", str(path)]) == 0
+    record = json.loads(path.read_text())
+    rows, wins = record["pairs"], record["summary"]["wins"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[-1].endswith(f"change won {wins} of 2 pairs")
+    assert [row["first"] for row in rows] == ["base", "change"]
+    assert all(row["base"]["steps"] == row["change"]["steps"] > 0 for row in rows)
+    assert all(row["ratio"] == row["change"]["seconds"] / row["base"]["seconds"] for row in rows)

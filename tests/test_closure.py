@@ -357,11 +357,19 @@ class TestReductionChecks:
     @pytest.mark.parametrize(
         "R,Q,pair,what",
         [
-            ([1.0, 1e308, 1.5e308], [1.0, 1.0, 1.0], (1.5, 3.0), "upper bracket max(2R, (2Q)**(1/gamma))"),
-            ([1.0, 1e154, 1e155], [1.0, 1.0, 1.0], (3.0, 1.5), "residual z**gamma at the upper bracket"),
-            ([1.0, 5e-324, 1e-323], [1.0, 5e-324, 1e-323], (33.0, 1.5), "residual z**(1-gamma) at the lower bracket"),
+            pytest.param(
+                [1.0, 1e308, 1.5e308], [1.0] * 3, (1.5, 3.0),
+                "upper bracket max(2R, (2Q)**(1/gamma))", id="upper",
+            ),
+            pytest.param(
+                [1.0, 1e154, 1e155], [1.0] * 3, (3.0, 1.5),
+                "residual z**gamma at the upper bracket", id="power-gamma",
+            ),
+            pytest.param(
+                [1.0, 5e-324, 1e-323], [1.0, 5e-324, 1e-323], (33.0, 1.5),
+                "residual z**(1-gamma) at the lower bracket", id="power-1-gamma",
+            ),
         ],
-        ids=["upper", "power-gamma", "power-1-gamma"],
     )
     def test_bracket_check_names_the_first_failing_lane(self, R, Q, pair, what, calls):
         with pytest.raises(DomainError) as err:

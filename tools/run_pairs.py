@@ -61,19 +61,22 @@ def measure(tree: Path, text: str, overrides: list[str], repeat: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def run_pairs(base: Path, change: Path, text: str, overrides: list[str], pairs: int, repeat: int, out=print):
-    """Measure ``pairs`` alternating pairs; return the pairs and the summary."""
+def run_pairs(base: Path, change: Path, text: str, overrides: list[str], pairs: int, repeat: int):
+    """Measure and print ``pairs`` alternating pairs; return the pairs and the summary."""
     rows = []
     for k in range(pairs):
-        order = (("base", base), ("change", change)) if k % 2 == 0 else (("change", change), ("base", base))
+        order = [("base", base), ("change", change)]
+        if k % 2:
+            order.reverse()
         row = {"pair": k, "first": order[0][0]}
         for side, tree in order:
             row[side] = measure(tree, text, overrides, repeat)
         if row["base"]["steps"] != row["change"]["steps"]:
-            raise SystemExit(f"pair {k}: the trees take {row['base']['steps']} and {row['change']['steps']} steps")
+            steps = (row["base"]["steps"], row["change"]["steps"])
+            raise SystemExit(f"pair {k}: the trees take {steps[0]} and {steps[1]} steps")
         row["ratio"] = row["change"]["seconds"] / row["base"]["seconds"]
         rows.append(row)
-        out(
+        print(
             f"pair {k} ({row['first']} first): base {row['base']['seconds']:.4f} s, "
             f"change {row['change']['seconds']:.4f} s, ratio {row['ratio']:.4f}"
         )
@@ -85,7 +88,7 @@ def run_pairs(base: Path, change: Path, text: str, overrides: list[str], pairs: 
         "wins": sum(r["change"]["seconds"] < r["base"]["seconds"] for r in rows),
         "pairs": pairs,
     }
-    out(
+    print(
         f"{summary['steps']} steps; median base {summary['base_median_s']:.4f} s, "
         f"change {summary['change_median_s']:.4f} s; median ratio {summary['median_ratio']:.4f}; "
         f"change won {summary['wins']} of {pairs} pairs"
@@ -108,7 +111,8 @@ def main(argv=None) -> int:
     text = args.config.read_text(encoding="utf-8") if args.config else ""
     rows, summary = run_pairs(args.base, args.change, text, args.set, args.pairs, args.repeat)
     if args.json:
-        record = {"config": text, "overrides": args.set, "repeat": args.repeat, "pairs": rows, "summary": summary}
+        record = {"config": text, "overrides": args.set, "repeat": args.repeat}
+        record.update(pairs=rows, summary=summary)
         args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -120,11 +120,12 @@ def _residual_slope(R, Q, z, gamma):
     lo**(1-gamma) it checks, neither factor leaves the float range.
     gamma*u overflows only at a gamma near the float maximum, where
     |g/s| <= (1+u)/(gamma*u) is below STEP_TOL: the infinite s gives the
-    zero step at which Newton stops anyway (the caller ignores overflow).
+    zero step at which Newton stops anyway.
     """
     w = R / z
     u = Q / z * z ** (1.0 - gamma) if gamma > 1.0 else Q / z**gamma
-    s = w + gamma * u
+    with np.errstate(over="ignore"):
+        s = w + gamma * u
     return 1.0 - w - u, s
 
 
@@ -146,10 +147,12 @@ def _exact_start(R, Q, gamma):
     at gamma = 1/2 can overflow, for a root near the float maximum; the
     caller ignores that overflow and clips the start into [lo, hi0].
     """
+    if gamma not in (0.5, 2.0):
+        return None
     if gamma == 0.5:
         s = 0.5 * Q + 0.5 * np.hypot(Q, 2.0 * np.sqrt(R))
         return R + Q * s
-    return 0.5 * R + 0.5 * np.hypot(R, 2.0 * np.sqrt(Q)) if gamma == 2.0 else None
+    return 0.5 * R + 0.5 * np.hypot(R, 2.0 * np.sqrt(Q))
 
 
 def _newton_climb(R, Q, gamma, guess=None):
@@ -173,7 +176,7 @@ def _newton_climb(R, Q, gamma, guess=None):
     every lane has stopped. hi0**gamma rises and lo**(1-gamma) falls with
     the lane, so each bracket check reduces to one extreme.
     """
-    with np.errstate(over="ignore"):  # one for the whole solve
+    with np.errstate(over="ignore"):
         lo = np.maximum(R, max(0.5, 0.5 ** (1.0 / gamma)) * np.power(Q, 1.0 / gamma))
         hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
         top = hi0.max()
@@ -190,34 +193,34 @@ def _newton_climb(R, Q, gamma, guess=None):
             guess = exact
         z = lo if guess is None else np.minimum(np.maximum(guess, lo), hi0)
 
-        climbing = guess is None
-        for k in range(MAX_ITER + 1):
-            g, s = _residual_slope(R, Q, z, gamma)
-            g /= s
-            g *= z
-            z_new = np.subtract(z, g, out=g)  # z - z*(g/s), in place
-            if climbing:
-                stop = np.subtract(z_new, z, out=s) <= STEP_TOL * z
-                np.maximum(z_new, z, out=z_new)
-            else:
-                stop = np.abs(np.subtract(z_new, z, out=s), out=s) <= STEP_TOL * z
-                np.maximum(z_new, lo, out=z_new)
-                climbing = True
-            if k:  # stopped lanes keep their z
-                np.copyto(z_new, z, where=done)
-                stop |= done
-            z, done = z_new, stop
-            if done.all():
-                break
-            if k == MAX_ITER:
-                i = int(np.flatnonzero(~done)[0])
-                bracket = (float(z[i]), float(hi0[i]))
-                raise ConvergenceError(
-                    f"closure solve exhausted {MAX_ITER} iterations "
-                    f"(R={float(R[i])}, Q={float(Q[i])}, bracket=[{bracket[0]}, {bracket[1]}])",
-                    bracket=bracket,
-                    index=i,
-                )
+    climbing = guess is None
+    for k in range(MAX_ITER + 1):
+        g, s = _residual_slope(R, Q, z, gamma)
+        g /= s
+        g *= z
+        z_new = np.subtract(z, g, out=g)  # z - z*(g/s), in place
+        if climbing:
+            stop = np.subtract(z_new, z, out=s) <= STEP_TOL * z
+            np.maximum(z_new, z, out=z_new)
+        else:
+            stop = np.abs(np.subtract(z_new, z, out=s), out=s) <= STEP_TOL * z
+            np.maximum(z_new, lo, out=z_new)
+            climbing = True
+        if k:  # stopped lanes keep their z
+            np.copyto(z_new, z, where=done)
+            stop |= done
+        z, done = z_new, stop
+        if done.all():
+            break
+        if k == MAX_ITER:
+            i = int(np.flatnonzero(~done)[0])
+            bracket = (float(z[i]), float(hi0[i]))
+            raise ConvergenceError(
+                f"closure solve exhausted {MAX_ITER} iterations "
+                f"(R={float(R[i])}, Q={float(Q[i])}, bracket=[{bracket[0]}, {bracket[1]}])",
+                bracket=bracket,
+                index=i,
+            )
     return np.minimum(z, hi0, out=z)
 
 
@@ -259,7 +262,8 @@ def _validate_inputs(R, Q) -> bool:
     i = tuple(int(k) for k in np.argwhere(bad)[0])
     where = f" at grid index {i}" if i else ""
     raise DomainError(
-        f"closure inputs must be finite and nonnegative{where}: R={float(R[i])}, Q={float(Q[i])}"
+        f"closure inputs must be finite and nonnegative{where}: "
+        f"R={float(R[i])}, Q={float(Q[i])}"
     )
 
 
@@ -313,10 +317,9 @@ def solve_Z_field(
                 index=tuple(int(k) for k in loc),
             ) from err
         raise
-    if Z.all():  # no vacuum lane
-        return Z, np.divide(R, Z, out=np.empty_like(Z))
-    alpha = np.full_like(Z, np.nan)
-    np.divide(R, Z, out=alpha, where=Z > 0.0)
+    # Z >= R, and Z = 0 only where R = 0 too: 0/0 is the vacuum lanes' NaN
+    with np.errstate(invalid="ignore"):
+        alpha = np.divide(R, Z, out=np.empty_like(Z))
     return Z, alpha
 
 
@@ -341,7 +344,9 @@ def derivative_arrays(R, Z, gamma):
     if dzq.size and not dzq.max() < math.inf:
         finite = np.isfinite(dzq)
         i = np.unravel_index(int(np.argmin(finite)), finite.shape)
-        raise DomainError(f"closure derivative overflows at R={float(R[i])}, Z={float(Z[i])}")
+        raise DomainError(
+            f"closure derivative overflows at R={float(R[i])}, Z={float(Z[i])}"
+        )
     return dzr, dzq
 
 

@@ -5,17 +5,18 @@ two-stage strong-stability-preserving Runge-Kutta (Heun) step. All flux
 divergences use the centered conservative form, so the discrete masses and
 total momentum telescope exactly on the periodic grid.
 
-The pointwise work on a state -- its density R + Q, its velocity with the
-floor hits, and the implicit closure solve for Z and alpha -- is an
-``Evaluation``, which only ``State.evaluate`` makes and ``rhs``,
-``stable_dt`` and ``step`` require. ``run`` evaluates each state once and
-then works on it in one order: the volume-fraction check, ``stable_dt``,
-stage 1 of the step, the diagnostics row, and ``step``, which finishes the
-step from stage 1's tendencies, so no pointwise field is computed twice
-for a state. A run of N steps solves the closure 2N + 1 times, each state
-and each stage 2 from the Z of the state the step began at: Z moves by a
-few ulp against a cold solve, and residual evaluations are saved. A std1d
-step at n = 512 takes about 340 us in-process (2 vCPUs, numpy 2.4.6).
+The pointwise work on a state -- its velocity with the floor hits, and the
+implicit closure solve for Z and alpha -- is an ``Evaluation``, which only
+``State.evaluate`` makes and ``rhs``, ``stable_dt`` and ``step`` require.
+``run`` evaluates each state once and then works on it in one order: the
+volume-fraction check, ``stable_dt``, stage 1 of the step, the diagnostics
+row, and ``step``, which finishes the step from stage 1's tendencies. The
+row takes stage 1's pressure and dissipation density and the speed
+``stable_dt`` took, so no pointwise field is computed twice for a state. A run of N steps solves the closure
+2N + 1 times: each state and each stage 2. Both solves of a step start
+Newton from the Z of the state the step began at, which moves Z by a few
+ulp against a cold solve and saves residual evaluations. A std1d step at
+n = 512 takes about 340 us in-process (2 vCPUs, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -85,21 +86,18 @@ class State:
 
     def velocity(self, floor: float) -> tuple[np.ndarray, int]:
         """u = m / (R+Q) with the density floor; returns (u, floor hits)."""
-        return self._flow(floor)[1:]
-
-    def _flow(self, floor: float) -> tuple[np.ndarray, np.ndarray, int]:
-        """(R+Q, u, floor hits): ``velocity`` with the density it divides by."""
         rho = self.R + self.Q
-        return rho, self.m / np.maximum(rho, floor), int(np.count_nonzero(rho < floor))
+        hits = int(np.count_nonzero(rho < floor))
+        return self.m / np.maximum(rho, floor), hits
 
     def evaluate(self, params: SimParams, guess: np.ndarray | None = None) -> "Evaluation":
-        """Density, velocity, floor hits and closure solve of this state.
+        """Velocity, floor hits and closure solve of this state.
 
         ``guess`` (the Z of a nearby state) warm-starts the closure solve.
         """
-        rho, u, hits = self._flow(params.density_floor)
+        u, hits = self.velocity(params.density_floor)
         Z, alpha = closure.solve_Z_field(self.R, self.Q, params.closure, guess=guess)
-        return Evaluation(rho, u, hits, Z, alpha)
+        return Evaluation(u, hits, Z, alpha)
 
     def copy(self) -> "State":
         return State(self.grid, self.R.copy(), self.Q.copy(), self.m.copy(), self.t)
@@ -114,7 +112,6 @@ class Evaluation:
     state, for any guess; none of them solves the closure itself.
     """
 
-    rho: np.ndarray  # R + Q, which u divides by
     u: np.ndarray
     floor_hits: int
     Z: np.ndarray
@@ -242,7 +239,9 @@ def _rhs(state, params, ev, source, with_density):
         for name, arr in (("dR", div_flux[0]), ("dQ", div_flux[1]), ("dm", dm)):
             if not np.all(np.isfinite(arr)):
                 loc = tuple(int(k) for k in np.argwhere(~np.isfinite(arr))[0])
-                raise ConsistencyError(f"non-finite tendency {name} at index {loc}, t={state.t}")
+                raise ConsistencyError(
+                    f"non-finite tendency {name} at index {loc}, t={state.t}"
+                )
     return Tendencies(div_flux), p, density
 
 
@@ -252,9 +251,9 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
     dt = cfl * min(dx/(max|u| + c_max), dx^2/(2 dim nu_max)) with the
     sound-speed proxy c_max = max sqrt(gamma_plus Z^(gamma_plus-1)
     max(dZ/dR, dZ/dQ)) taken pointwise over the grid; both derivatives
-    are positive. |u| is ``ev.speed`` and R + Q is ``ev.rho``, which the
-    state's diagnostics row reads again; vacuum points (Z = 0) are gathered
-    out only where there are some.
+    are positive. |u| is ``ev.speed``, which the state's diagnostics row
+    reads again; vacuum points (Z = 0) are gathered out only where there
+    are some.
     """
     g = state.grid
     umax = float(ev.speed.max())
@@ -271,7 +270,7 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
         stiff *= np.maximum(dzr, dzq, out=dzr)
         c_max = math.sqrt(stiff.max())
 
-    rho_min = float(ev.rho.min())
+    rho_min = float((state.R + state.Q).min())
     nu_max = (2.0 * params.mu + params.lam) / max(params.density_floor, rho_min)
     advective = g.dx / (umax + c_max) if umax + c_max > 0.0 else math.inf
     viscous = g.dx**2 / (2.0 * g.dim * nu_max) if nu_max > 0.0 else math.inf

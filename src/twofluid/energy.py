@@ -66,7 +66,9 @@ def check_volume_fraction(state, ev) -> None:
     """
     a = ev.alpha
     if np.fmin.reduce(a, axis=None) < -ALPHA_TOL or np.fmax.reduce(a, axis=None) > 1 + ALPHA_TOL:
-        raise ConsistencyError(f"volume fraction left [0,1] beyond {ALPHA_TOL} at t={state.t}")
+        raise ConsistencyError(
+            f"volume fraction left [0,1] beyond {ALPHA_TOL} at t={state.t}"
+        )
 
 
 def total_energy(state, params, ev) -> EnergyReport:
@@ -97,10 +99,10 @@ def _report(state, params, ev, p, density) -> EnergyReport:
 
     ``p`` is the pressure Z**gamma_plus and ``density`` the dissipation
     density of the state's ``ev``, whose volume fraction has passed
-    ``check_volume_fraction``; the kinetic term reads ``ev.rho`` and ``ev.speed``.
+    ``check_volume_fraction``; the kinetic term reads the speed ``ev.speed``.
     """
     g = state.grid
-    kinetic = 0.5 * grids.integrate(g, ev.rho * ev.speed**2)
+    kinetic = 0.5 * grids.integrate(g, (state.R + state.Q) * ev.speed**2)
     internal = _internal_integrand(p, ev.Z, ev.alpha, params.closure)
     return EnergyReport(
         t=state.t,

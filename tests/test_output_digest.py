@@ -110,3 +110,40 @@ def test_run_pairs_times_a_tree_against_itself(tmp_path, capsys):
     assert [row["first"] for row in rows] == ["base", "change"]
     assert all(row["base"]["steps"] == row["change"]["steps"] > 0 for row in rows)
     assert all(row["ratio"] == row["change"]["seconds"] / row["base"]["seconds"] for row in rows)
+
+
+STUB_PERFBENCH = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open("order.txt", "a") as log:
+    log.write(args["--workload"] + " " + args["--seed"] + "\\n")
+wall = {WALL} + int(args["--seed"])
+metrics = {{"wall_ref": {{"value": wall}}, "work_per_ref": {{"value": 1.0 / wall}}}}
+print("log line")
+print(json.dumps({{"correct": True, "attempted": 4, "failed": {FAILED}, "metrics": metrics}}))
+"""
+
+
+def test_run_pairs_alternates_perfbench_runs_of_two_trees(tmp_path, capsys):
+    tool = load_tool("run_pairs")
+    metrics = [{"name": "wall_ref", "better": "lower"}, {"name": "work_per_ref", "better": "higher"}]
+    trees = {}
+    for side, wall, failed in (("base", 10, 0), ("change", 5, 1)):
+        tree = trees[side] = tmp_path / side
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(STUB_PERFBENCH.format(WALL=wall, FAILED=failed))
+        (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    path = tmp_path / "pairs.json"
+    argv = [str(trees["base"]), str(trees["change"]), "--perfbench", "w1", "--perfbench", "w2"]
+    assert tool.main(argv + ["--pairs", "3", "--seed", "100", "--json", str(path)]) == 0
+    runs = json.loads(path.read_text())["runs"]
+    sides = [(r["pair"], r["side"]) for r in runs if r["workload"] == "w1"]
+    assert sides == [(0, "base"), (0, "change"), (1, "change"), (1, "base"), (2, "base"), (2, "change")]
+    assert (trees["base"] / "order.txt").read_text().split() == "w1 100 w2 100 w1 101 w2 101 w1 102 w2 102".split()
+    summary = json.loads(path.read_text())["summary"]
+    assert list(summary) == ["w1", "w2"]
+    entry = summary["w2"]
+    assert (entry["pairs"], entry["base_failed"], entry["change_failed"], entry["change_attempted"]) == (3, 0, 3, 12)
+    assert entry["wall_ref"]["base_median"] == 111 and entry["wall_ref"]["change_median"] == 106
+    assert entry["wall_ref"]["wins"] == entry["work_per_ref"]["wins"] == 3
+    assert capsys.readouterr().out.count("change won 3 of 3 pairs") == 4

@@ -11,7 +11,7 @@ host's speed falls on both sides alike.
 
 With ``--perfbench`` a measurement is one ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` run in the tree's root (S = ``--seed`` + k),
-and the workloads named run back to back within a pair. This is the
+and each workload's pair runs back to back, one workload after another. This is the
 benchmark's own end-to-end measurement, so its pairs are the ones a speed
 claim rests on. Each workload's summary gives, per end-to-end metric of
 BASE's ``BENCHMARK.json``, the median of each side, BASE's quartiles, the
@@ -33,6 +33,7 @@ standard library; the trees need numpy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -79,22 +80,18 @@ def measure_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> d
     return last_json_line(tree, argv + ["--seconds", str(seconds), "--trace", "0"], cwd=tree)
 
 
-def alternate(base: Path, change: Path, pairs: int):
-    """(pair, side, tree) in the alternating order, BASE first in even pairs."""
-    for k in range(pairs):
-        order = [("base", base), ("change", change)]
-        for side, tree in order[:: -1 if k % 2 else 1]:
-            yield k, side, tree
+def sides(base: Path, change: Path, k: int) -> list[tuple[str, Path]]:
+    """The (side, tree) order of pair k: BASE first when k is even."""
+    order = [("base", base), ("change", change)]
+    return order[::-1] if k % 2 else order
 
 
 def run_pairs(base: Path, change: Path, text: str, overrides: list[str], pairs: int, repeat: int):
     """Measure and print ``pairs`` in-process pairs; return the pairs and the summary."""
     rows = [{"pair": k, "first": "change" if k % 2 else "base"} for k in range(pairs)]
-    for k, side, tree in alternate(base, change, pairs):
-        row = rows[k]
-        row[side] = measure(tree, text, overrides, repeat)
-        if "base" not in row or "change" not in row:
-            continue
+    for k, row in enumerate(rows):
+        for side, tree in sides(base, change, k):
+            row[side] = measure(tree, text, overrides, repeat)
         if row["base"]["steps"] != row["change"]["steps"]:
             steps = (row["base"]["steps"], row["change"]["steps"])
             raise SystemExit(f"pair {k}: the trees take {steps[0]} and {steps[1]} steps")
@@ -154,8 +151,8 @@ def perfbench_pairs(base: Path, change: Path, workloads: list[str], pairs: int, 
     """Run and print the end-to-end pairs; return every run and the summary."""
     metrics = json.loads((base / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     runs = []
-    for k, side, tree in alternate(base, change, pairs):
-        for workload in workloads:
+    for k in range(pairs):
+        for workload, (side, tree) in itertools.product(workloads, sides(base, change, k)):
             result = measure_perfbench(tree, workload, seed + k, seconds)
             runs.append({"pair": k, "side": side, "workload": workload, "seed": seed + k, "result": result})
             values = ", ".join(f"{m['name']} {result['metrics'][m['name']]['value']:.4g}" for m in metrics)

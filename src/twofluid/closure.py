@@ -33,7 +33,7 @@ full-length arrays: stopped points are frozen in place rather than gathered
 out. On (R, Q) in [0.5, 1.5]**2 at gamma = 3/4 a warm solve of a nearby
 state costs four or five evaluations, a cold one eight or nine. Each check
 is one min or max; only a failing one scans the lanes, to name the first.
-At 512 points a warm solve takes 51 us at gamma = 1/2 (2 vCPUs, numpy 2.4.6).
+At 512 points a warm solve takes about 50 us at gamma = 1/2 (2 vCPUs, numpy 2.4.6).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ row takes stage 1's pressure and dissipation density and the speed
 2N + 1 times: each state and each stage 2. Both solves of a step start
 Newton from the Z of the state the step began at, which moves Z by a few
 ulp against a cold solve and saves residual evaluations. A std1d step at
-n = 512 takes about 340 us in-process (2 vCPUs, numpy 2.4.6).
+n = 512 takes about 300 us in-process (2 vCPUs, numpy 2.4.6).
 """
 
 from __future__ import annotations

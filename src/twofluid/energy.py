@@ -65,7 +65,7 @@ def check_volume_fraction(state, ev) -> None:
     alpha, which ``fmin`` and ``fmax`` skip, so they pass without a gather.
     """
     a = ev.alpha
-    if np.fmin.reduce(a, axis=None) < -ALPHA_TOL or np.fmax.reduce(a, axis=None) > 1 + ALPHA_TOL:
+    if np.fmin.reduce(a, axis=None) < -ALPHA_TOL or np.fmax.reduce(a, axis=None) > 1.0 + ALPHA_TOL:
         raise ConsistencyError(
             f"volume fraction left [0,1] beyond {ALPHA_TOL} at t={state.t}"
         )

@@ -212,6 +212,8 @@ def cmd_energy_audit(args) -> int:
     for name in used:
         if not np.all(np.isfinite(cols[name])):
             raise ConfigError(f"{path}: column {name} has a non-finite cell")
+    if not np.all(np.diff(cols["t"]) > 0.0):
+        raise ConfigError(f"{path}: column t must be strictly increasing")
     out = _outdir(args)
     audit = energy.audit_series(*(cols[name] for name in used))
     iofmt.write_energy_csv(out / "energy_audit.csv", audit)

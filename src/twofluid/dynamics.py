@@ -12,11 +12,13 @@ implicit closure solve for Z and alpha -- is an ``Evaluation``, which only
 volume-fraction check, ``stable_dt``, stage 1 of the step, the diagnostics
 row, and ``step``, which finishes the step from stage 1's tendencies. The
 row takes stage 1's pressure and dissipation density and the speed
-``stable_dt`` took, so no pointwise field is computed twice for a state. A run of N steps solves the closure
-2N + 1 times: each state and each stage 2. Both solves of a step start
-Newton from the Z of the state the step began at, which moves Z by a few
-ulp against a cold solve and saves residual evaluations. A std1d step at
-n = 512 takes about 300 us in-process (2 vCPUs, numpy 2.4.6).
+``stable_dt`` took, so no pointwise field is computed twice for a state. A
+run of N steps solves the closure 2N + 1 times: each state and each stage
+2. Both solves of a step start Newton from the Z of the state the step
+began at, which moves Z by a few ulp against a cold solve and saves
+residual evaluations. In-process, a std1d step at n = 512 takes about
+290 us and a step of the benchmark's 2D mix at n = 128 about 3.7 ms
+(2 vCPUs, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -161,9 +163,11 @@ def rhs(
     Each axis i takes one centred difference of each operand stack: the
     fluxes (R u_i, Q u_i, m u_i), u (row i of the Jacobian) and that row
     again (the wide Laplacian); then p and div u take one per axis, 5*dim
-    passes in all. Axes are summed in order and dm is assembled left to
-    right as written above, so the tendencies equal bit for bit those
-    composed from ``grids.divergence`` and ``grids.gradient``.
+    passes in all. In 1D div u is the Jacobian's one row, so grad div u is
+    the wide Laplacian's one row and is not taken again: 4 passes. Axes
+    are summed in order and dm is assembled left to right as written
+    above, so the tendencies equal bit for bit those composed from
+    ``grids.divergence`` and ``grids.gradient``.
 
     A batched state gives each member the tendencies of its own call.
     ``run`` takes stage 1 of a state with a diagnostics row through the
@@ -180,54 +184,67 @@ def _rhs(state, params, ev, source, with_density):
     Jacobian rows as they are taken, in ``energy.total_energy``'s order (i
     outer, j inner), so it equals that oracle's bit for bit; without
     ``with_density`` it is None and no square is taken.
-    """
-    g = state.grid
-    u = ev.u
 
-    # Fluxes, then Jacobian rows, then p: one kind of operand stack is alive
-    # at a time, which keeps the peak memory of a 2D or 3D call down.
-    for i in range(g.dim):
-        flux = np.empty((2 + g.dim, *state.R.shape))
+    Only the tendencies (axis 0's flux difference), p and the density are
+    fresh arrays. Every other operand and result lives in two work stacks,
+    allocated together once per call: ``work`` holds the flux stack,
+    rewritten for each axis, then axis 0's Jacobian row and wide-Laplacian
+    term; ``scratch`` holds each later axis's flux difference, then its
+    Jacobian row and wide-Laplacian term, and its rows then serve the
+    density's squares, grad p and grad div u, each added in place.
+    """
+    g, dim = state.grid, state.grid.dim
+    u = ev.u
+    mu, mu_lam = params.mu, params.mu + params.lam
+
+    work, scratch = np.empty((2, max(2 + dim, 2 * dim), *state.R.shape))
+    flux = work[: 2 + dim]
+    for i in range(dim):
         np.multiply(state.R, u[i], out=flux[0])
         np.multiply(state.Q, u[i], out=flux[1])
         np.multiply(state.m, u[i], out=flux[2:])
         if i == 0:
             div_flux = grids._centered(g, flux, 0)
         else:
-            div_flux += grids._centered(g, flux, i)
-    del flux
+            div_flux += grids._centered(g, flux, i, out=scratch[: 2 + dim])
     density = None
-    for i in range(g.dim):
-        jac_row = grids._centered(g, u, i)
+    square, row = scratch[dim], scratch[0]
+    for i in range(dim):
+        stack = work if i == 0 else scratch
+        jac_row = grids._centered(g, u, i, out=stack[:dim])
+        lap = grids._centered(g, jac_row, i, out=stack[dim : 2 * dim])
         if i == 0:
-            wide, div_u = grids._centered(g, jac_row, 0), jac_row[0]
+            wide, div_u = lap, jac_row[0]
         else:
-            wide += grids._centered(g, jac_row, i)
+            wide += lap
             div_u += jac_row[i]  # writes into the axis-0 row, no longer read
         if with_density:
-            for j in range(g.dim):
+            for j in range(dim):
                 if i == j == 0:
-                    density, square = np.square(jac_row[0]), np.empty_like(jac_row[0])
+                    density = np.square(jac_row[0])
                 else:
                     density += np.square(jac_row[j], out=square)
-    del jac_row
     if with_density:
-        density *= params.mu
+        density *= mu
         np.square(div_u, out=square)
-        square *= params.mu + params.lam
+        square *= mu_lam
         density += square
-        del square
     np.negative(div_flux, out=div_flux)
     dm = div_flux[2:]
     p = closure.pressure(ev.Z, params.closure)
-    for i in range(g.dim):
-        dm[i] -= grids._centered(g, p, i)
-    wide *= params.mu
+    for i in range(dim):
+        dm[i] -= grids._centered(g, p, i, out=row)
+    if dim == 1:
+        # div u is the Jacobian's one row, so grad div u is the wide
+        # Laplacian's one row.
+        np.multiply(wide[0], mu_lam, out=row)
+    wide *= mu
     dm += wide
-    for i in range(g.dim):
-        grad_div = grids._centered(g, div_u, i)
-        grad_div *= params.mu + params.lam
-        dm[i] += grad_div
+    for i in range(dim):
+        if dim > 1:
+            grids._centered(g, div_u, i, out=row)
+            row *= mu_lam
+        dm[i] += row
     if source is not None:
         sR, sQ, sm = source(state)
         div_flux[0] += sR
@@ -284,25 +301,25 @@ def step(
     state: State,
     params: SimParams,
     dt: float,
-    ev: Evaluation,
+    Z: np.ndarray,
     k1: Tendencies,
     source: SourceFn | None = None,
 ) -> State:
     """One SSP-RK2 (Heun) update; the caller guarantees dt <= stable_dt.
 
-    ``ev`` is the state's ``Evaluation`` and ``k1`` its stage-1 tendencies,
-    ``rhs(state, params, ev, source)``. The Euler stage s1 = state + dt*k1
-    is formed in k1's array, which the caller gives up, and the result
-    0.5*state + 0.5*(s1 + dt*k2) in stage 2's, whose rows are the returned
-    R, Q and m. IEEE sums and products commute, so every bit is the
-    formula's. Stage 2 evaluates s1, its closure solve started from ``ev.Z``.
+    ``Z`` is the closure solve of the state's ``Evaluation`` ``ev`` and
+    ``k1`` its stage-1 tendencies, ``rhs(state, params, ev, source)``. The
+    Euler stage s1 = state + dt*k1 is formed in k1's array, which the
+    caller gives up, and the result 0.5*state + 0.5*(s1 + dt*k2) in stage
+    2's, whose rows are the returned R, Q and m. IEEE sums and products commute, so every bit is the
+    formula's. Stage 2 evaluates s1, its closure solve started from ``Z``.
     """
     g, fields = state.grid, (state.R, state.Q, state.m)
     k1.stack *= dt
     for k, y in zip((k1.dR, k1.dQ, k1.dm), fields):
         k += y
     s1 = State(g, k1.dR, k1.dQ, k1.dm, state.t + dt)
-    k2 = rhs(s1, params, s1.evaluate(params, guess=ev.Z), source)
+    k2 = rhs(s1, params, s1.evaluate(params, guess=Z), source)
     k2.stack *= dt
     k2.stack += k1.stack
     k2.stack *= 0.5
@@ -474,10 +491,13 @@ def run(
             k1 = _recorded_stage(cols, state, params, ev, source)
         else:
             k1 = rhs(state, params, ev, source)
-        state = step(state, params, dt, ev, k1, source)
+        # Only Z is read from here on: u, alpha and |u| are freed before stage 2.
+        Z = ev.Z
+        del ev
+        state = step(state, params, dt, Z, k1, source)
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
-        ev = state.evaluate(params, guess=ev.Z)
+        ev = state.evaluate(params, guess=Z)
     if diagnostics:
         # The final state takes no step: its stage-1 tendencies serve only
         # its row, and are discarded.

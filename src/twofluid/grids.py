@@ -82,31 +82,44 @@ def _space_axis(grid: PeriodicGrid, values: np.ndarray, i: int) -> int:
     return values.ndim - grid.dim + i
 
 
-# (out, values[j+1], values[j-1]) slices along one axis: the interior, then
-# the two end planes whose neighbour wraps around the period.
-_NEIGHBOUR_SLICES = (
-    (slice(1, -1), slice(2, None), slice(None, -2)),
-    (slice(None, 1), slice(1, 2), slice(-1, None)),
-    (slice(-1, None), slice(None, 1), slice(-2, -1)),
-)
-
-
 @functools.cache
-def _neighbour_index(ax: int) -> tuple:
-    return tuple(tuple((slice(None),) * ax + (s,) for s in triple) for triple in _NEIGHBOUR_SLICES)
+def _neighbour_plan(shape: tuple[int, ...], ax: int) -> tuple:
+    """Index plan of ``_neighbours`` along axis ax of a C-ordered array.
+
+    First the (out, values[j+1], values[j-1]) slices of the flat arrays,
+    shifted by the axis stride: one contiguous op over them gets every
+    interior plane right, and the end planes wrong, since their neighbour
+    wraps around the period. Then the (out, ahead, behind) index tuples
+    that rewrite both end planes in one op: planes (0, n-1) from planes
+    (1, 0) and (n-1, n-2).
+    """
+    stride = math.prod(shape[ax + 1 :])
+    flat = (slice(stride, -stride), slice(2 * stride, None), slice(None, -2 * stride))
+    lead = (slice(None),) * ax
+    ends = (slice(None, None, shape[ax] - 1), slice(1, None, -1), slice(-1, -3, -1))
+    return flat, tuple(lead + (s,) for s in ends)
 
 
 def _neighbours(op, values: np.ndarray, ax: int, out: np.ndarray) -> None:
     """out[j] = op(values[j+1], values[j-1]) along axis ax, wrapping periodically.
 
-    This is op(np.roll(values, -1), np.roll(values, 1)) without the copies.
+    This is op(np.roll(values, -1), np.roll(values, 1)) without the copies,
+    in two ops: the interior on the flat arrays, then both end planes. out
+    must be C-contiguous; a non-contiguous ``values`` is read through a
+    flat copy.
     """
-    for here, ahead, behind in _neighbour_index(ax):
-        op(values[ahead], values[behind], out=out[here])
+    (here, ahead, behind), (ends, first, last) = _neighbour_plan(values.shape, ax)
+    flat = values.ravel()
+    op(flat[ahead], flat[behind], out=out.ravel()[here])
+    op(values[first], values[last], out=out[ends])
 
 
-def _centered(grid: PeriodicGrid, values: np.ndarray, i: int) -> np.ndarray:
-    out = np.empty(values.shape, np.result_type(values, 1.0))
+def _centered(
+    grid: PeriodicGrid, values: np.ndarray, i: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Centred difference along spatial axis i, into ``out`` (C-contiguous) if given."""
+    if out is None:
+        out = np.empty(values.shape, np.result_type(values, 1.0))
     _neighbours(np.subtract, values, _space_axis(grid, values, i), out)
     out /= 2.0 * grid.dx
     return out
@@ -132,7 +145,7 @@ def divergence(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
 def laplacian(grid: PeriodicGrid, f: np.ndarray) -> np.ndarray:
     """Nearest-neighbour Laplacian; applied per component to vector fields."""
     out = np.zeros_like(f)
-    pair = np.empty_like(out)
+    pair = np.empty_like(out, order="C")
     for i in range(grid.dim):
         _neighbours(np.add, f, _space_axis(grid, f, i), pair)
         pair -= 2.0 * f

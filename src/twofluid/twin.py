@@ -91,14 +91,18 @@ def perturb_state(
     The mode is sin(wavevector * 2 pi x_0 / L + phase) along the first grid
     axis, added to every velocity component. The densities stay as they are,
     so the twin starts from the same initial densities. delta = 0 returns
-    an untouched copy, so zero-perturbation twins stay bit-identical.
+    an untouched copy, so zero-perturbation twins stay bit-identical. A
+    delta whose momentum overflows is a DomainError naming it.
     """
     if delta == 0.0:
         return state.copy()
     g = state.grid
     x0 = g.coordinates()[0]
     bump = delta * np.sin(wavevector * (2.0 * math.pi / g.length) * x0 + phase)
-    m = state.m + (state.R + state.Q) * bump
+    with np.errstate(over="ignore"):
+        m = state.m + (state.R + state.Q) * bump
+    if not np.isfinite(m).all():
+        raise DomainError(f"perturbation delta={delta:g} overflows the weak momentum")
     return State(g, state.R.copy(), state.Q.copy(), m, state.t)
 
 

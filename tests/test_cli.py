@@ -420,6 +420,8 @@ class TestEnergyAudit:
              "need t with energy/dissipation columns"),
             ("t,energy,dissipation\n0,1,0\n0.1,nan,0\n0.2,5,0\n", "column energy has a non-finite"),
             ("t,energy,dissipation\n0,1,0\n0.1,1,inf\n", "column dissipation has a non-finite"),
+            ("t,energy,dissipation\n1,1,0\n0,1,3\n", "column t must be strictly increasing"),
+            ("t,energy,dissipation\n0,1,0\n0.1,1,0\n0.1,1,0\n", "column t must be strictly increasing"),
         ],
     )
     def test_unusable_columns_exit_2(self, tmp_path, capsys, text, message):
@@ -598,6 +600,22 @@ class TestErrorPaths:
         assert capsys.readouterr().err == ""
         header, row = read_lines(out / "closure_table.csv")
         assert float(row.split(",")[header.split(",").index("Z")]) == 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "--set", "perturbation.delta=1e308"], ["sweep", "--deltas", "1e-3,1e308"]],
+        ids=["compare", "sweep"],
+    )
+    def test_overflowing_perturbation_exits_3_naming_delta(self, tmp_path, capsys, argv):
+        # (R + Q) * delta overflows the weak member's initial momentum
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, *FAST, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime error: perturbation delta=1e+308 overflows the weak momentum\n"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_subnormal_densities_at_large_gamma_end_before_iterating(self, tmp_path, capsys):
         # gamma = 30/1.000000001: at R = Q = 5e-321 the cold start's

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twofluid import grids
 from twofluid.errors import DomainError
@@ -124,6 +125,44 @@ class TestSliceStencilsMatchRoll:
         assert_same_bits(grids.divergence(g, v), roll_divergence(g, v))
         jac = np.stack([roll_gradient(g, v[j]) for j in range(dim)], axis=1)
         assert_same_bits(grids.gradient(g, v), jac)
+
+
+@st.composite
+def stencil_fields(draw):
+    """A grid and a field on it with 0-2 leading axes, maybe a non-contiguous view."""
+    dim = draw(st.integers(1, 3))
+    g = PeriodicGrid(dim, draw(st.sampled_from([8, 10] if dim == 3 else [8, 10, 16])))
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), *g.shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["C", "strided"] + (["F"] if len(shape) > 1 else [])))
+    if layout == "strided":
+        # every other point of a field twice as long on the last axis
+        f = rng.normal(size=(*shape[:-1], 2 * shape[-1]))[..., ::2]
+    else:
+        f = np.asarray(rng.normal(size=shape), order=layout)
+    assert f.shape == shape and (layout != "strided" or not f.flags.c_contiguous)
+    return g, f
+
+
+class TestStencilsMatchRollOnEveryLayout:
+    """The flat-interior stencils equal the np.roll forms on any axis and layout."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stencil_fields())
+    def test_centered_with_and_without_out(self, case):
+        g, f = case
+        for i in range(g.dim):
+            want = roll_centered(g, f, i)
+            assert_same_bits(grids._centered(g, f, i), want)
+            out = np.full(f.shape, np.nan)
+            assert grids._centered(g, f, i, out=out) is out
+            assert_same_bits(out, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=stencil_fields())
+    def test_laplacian(self, case):
+        g, f = case
+        assert_same_bits(grids.laplacian(g, f), roll_laplacian(g, f))
 
 
 class TestIntegrals:

@@ -52,15 +52,18 @@ def _emit_fields(out: Path, state, tag: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    initial = config.build_initial_state(cfg)
     out = _outdir(args)
-    # Only the initial and final states are written, so no other is kept.
-    traj = dynamics.run(config.build_initial_state(cfg), cfg.params, every_state=False)
-    iofmt.write_diagnostics_csv(out / "diagnostics.csv", traj)
+    rows = dynamics.Rows(cfg.params)
+    traj = dynamics.run(initial, cfg.params, observers=(rows,))
+    diag = rows.series()
+    del rows  # its floats would otherwise outlive the CSV writing
+    iofmt.write_diagnostics_csv(out / "diagnostics.csv", diag, traj.dts)
     iofmt.write_energy_csv(
         out / "energy.csv",
-        energy.audit_energy(traj),
-        kinetic=traj.diagnostics.kinetic,
-        internal=traj.diagnostics.internal,
+        energy.audit_series(diag.t, diag.energy, diag.dissipation),
+        kinetic=diag.kinetic,
+        internal=diag.internal,
     )
     if cfg.fields:
         _emit_fields(out, traj.initial, "initial")
@@ -75,13 +78,10 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load(args)
     p = cfg.perturbation
+    initial = config.build_initial_state(cfg)
     out = _outdir(args)
     result = twin.run_twin(
-        config.build_initial_state(cfg),
-        cfg.params,
-        delta=p.delta,
-        wavevector=p.wavevector,
-        phase=p.phase,
+        initial, cfg.params, delta=p.delta, wavevector=p.wavevector, phase=p.phase
     )
     iofmt.write_compare_csv(out / "compare.csv", result.diag)
     stability = twin.check_density_stability(result.diag)
@@ -114,13 +114,10 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     deltas = _parse_deltas(args.deltas)
     p = cfg.perturbation
+    initial = config.build_initial_state(cfg)
     out = _outdir(args)
     rows = twin.stability_sweep(
-        config.build_initial_state(cfg),
-        cfg.params,
-        deltas,
-        wavevector=p.wavevector,
-        phase=p.phase,
+        initial, cfg.params, deltas, wavevector=p.wavevector, phase=p.phase
     )
     iofmt.write_sweep_csv(out / "sweep.csv", rows)
     for row in rows:

@@ -375,10 +375,20 @@ def evaluate_field_spec(grid: PeriodicGrid, spec: FieldSpec) -> np.ndarray:
 
 
 def build_initial_state(cfg: RunConfig) -> State:
-    """Sample the configured initial data; momentum is (R+Q) u."""
+    """Sample the configured initial data; momentum is (R+Q) u.
+
+    Sampled data past the float range is a ConfigError naming its section.
+    """
     g = cfg.grid
-    R = evaluate_field_spec(g, cfg.initial_R)
-    Q = evaluate_field_spec(g, cfg.initial_Q)
-    u = np.stack([evaluate_field_spec(g, s) for s in cfg.initial_u])
-    m = (R + Q) * u
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = evaluate_field_spec(g, cfg.initial_R)
+        Q = evaluate_field_spec(g, cfg.initial_Q)
+        rho = R + Q
+        m = rho * np.stack([evaluate_field_spec(g, s) for s in cfg.initial_u])
+    for what, values in (
+        ("[initial_R] + [initial_Q]: the density R+Q", rho),
+        ("[initial_u]: the momentum (R+Q) u", m),
+    ):
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{what} overflows the float range on the grid")
     return State(g, R, Q, m, t=0.0)

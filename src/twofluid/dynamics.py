@@ -9,20 +9,22 @@ The pointwise work on a state -- its velocity with the floor hits, and the
 implicit closure solve for Z and alpha -- is an ``Evaluation``, which only
 ``State.evaluate`` makes and ``rhs``, ``stable_dt`` and ``step`` require.
 ``run`` evaluates each state once and then works on it in one order: the
-volume-fraction check, ``stable_dt``, stage 1 of the step, the diagnostics
-row, and ``step``, which finishes the step from stage 1's tendencies. The
-row takes stage 1's pressure and dissipation density and the speed
-``stable_dt`` took, so no pointwise field is computed twice for a state. A
-run of N steps solves the closure 2N + 1 times: each state and each stage
-2. Both solves of a step start Newton from the Z of the state the step
-began at, which moves Z by a few ulp against a cold solve and saves
-residual evaluations. In-process, a std1d step at n = 512 takes about
-290 us and a step of the benchmark's 2D mix at n = 128 about 3.7 ms
-(2 vCPUs, Python 3.11.7, numpy 2.4.6).
+volume-fraction check, ``stable_dt``, stage 1 of the step, the observers,
+and ``step``, which finishes the step from stage 1's tendencies. An
+observer gets the state, its evaluation and stage 1's pressure and
+dissipation density; the diagnostics row is the observer ``Rows``, which
+also reads the speed ``stable_dt`` took, so no pointwise field is computed
+twice for a state. A run of N steps solves the closure 2N + 1 times: each
+state and each stage 2. Both solves of a step start Newton from the Z of
+the state the step began at, which moves Z by a few ulp against a cold
+solve and saves residual evaluations. In-process, a std1d step at n = 512
+takes about 290 us and a step of the benchmark's 2D mix at n = 128 about
+3.7 ms (2 vCPUs, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +62,9 @@ class SimParams:
             raise DomainError("density_floor must be nonnegative")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise DomainError(f"t_end must be nonnegative, got {self.t_end}")
+        if 0.0 < self.t_end <= DT_MIN:
+            # run snaps onto t_end within DT_MIN, so it would take no step
+            raise DomainError(f"t_end must be 0 or exceed DT_MIN={DT_MIN}, got {self.t_end}")
 
 
 @dataclass
@@ -123,7 +128,7 @@ class Evaluation:
     def speed(self) -> np.ndarray:
         """Pointwise |u|, taken once on first use.
 
-        ``stable_dt`` and the diagnostics row read it; stage 2 of a step
+        ``stable_dt`` and ``Rows`` read it; stage 2 of a step
         never does, so its evaluation never takes it.
         """
         return grids._magnitude(self.u, self.u.ndim - 1)
@@ -170,8 +175,8 @@ def rhs(
     ``grids.divergence`` and ``grids.gradient``.
 
     A batched state gives each member the tendencies of its own call.
-    ``run`` takes stage 1 of a state with a diagnostics row through the
-    same pass, which then also hands back p and the dissipation density.
+    ``run`` takes stage 1 of each state through the same pass, which then
+    also hands back p and, if an observer needs it, the dissipation density.
     """
     return _rhs(state, params, ev, source, with_density=False)[0]
 
@@ -268,8 +273,8 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
     dt = cfl * min(dx/(max|u| + c_max), dx^2/(2 dim nu_max)) with the
     sound-speed proxy c_max = max sqrt(gamma_plus Z^(gamma_plus-1)
     max(dZ/dR, dZ/dQ)) taken pointwise over the grid; both derivatives
-    are positive. |u| is ``ev.speed``, which the state's diagnostics row
-    reads again; vacuum points (Z = 0) are gathered out only where there
+    are positive. |u| is ``ev.speed``, which a ``Rows`` observer reads
+    again; vacuum points (Z = 0) are gathered out only where there
     are some.
     """
     g = state.grid
@@ -311,8 +316,9 @@ def step(
     ``k1`` its stage-1 tendencies, ``rhs(state, params, ev, source)``. The
     Euler stage s1 = state + dt*k1 is formed in k1's array, which the
     caller gives up, and the result 0.5*state + 0.5*(s1 + dt*k2) in stage
-    2's, whose rows are the returned R, Q and m. IEEE sums and products commute, so every bit is the
-    formula's. Stage 2 evaluates s1, its closure solve started from ``Z``.
+    2's, whose rows are the returned R, Q and m. IEEE sums and products
+    commute, so every bit is the formula's. Stage 2 evaluates s1, its
+    closure solve started from ``Z``.
     """
     g, fields = state.grid, (state.R, state.Q, state.m)
     k1.stack *= dt
@@ -332,9 +338,8 @@ def step(
 class DiagnosticSeries:
     """Per-state scalar diagnostics; one row per recorded state.
 
-    ``COLUMNS`` are the diagnostics CSV's columns; its ``dt`` column is the
-    trajectory's ``dts`` with a trailing 0. ``kinetic`` and ``internal`` are
-    kept for the energy emission (``energy`` is kinetic + internal).
+    ``kinetic`` and ``internal`` are kept for the energy emission
+    (``energy`` is kinetic + internal).
     """
 
     t: np.ndarray
@@ -349,41 +354,18 @@ class DiagnosticSeries:
     kinetic: np.ndarray
     internal: np.ndarray
 
-    COLUMNS = (
-        "t",
-        "dt",
-        "mass_R",
-        "mass_Q",
-        "energy",
-        "dissipation",
-        "min_R",
-        "min_Q",
-        "max_u",
-        "floor_hits",
-    )
-
 
 @dataclass
 class Trajectory:
-    """Everything one run produced.
+    """The steps of one run and its two end states.
 
-    Every run has its steps and sampled states; ``diagnostics`` holds one
-    row per state, or is None for a run made with ``diagnostics=False``.
+    ``snapshots`` holds the initial and the final state, or the one state
+    of a run that takes no step; an observer keeps any state between.
     """
 
-    params: SimParams
     snapshots: list[State]
     dts: np.ndarray  # the step sizes taken
     realised_cfl: np.ndarray  # dt * cfl / stable_dt of each step's state
-    diagnostics: DiagnosticSeries | None
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.snapshots[0].grid
-
-    @property
-    def snapshot_times(self) -> np.ndarray:
-        return np.asarray([s.t for s in self.snapshots])
 
     @property
     def initial(self) -> State:
@@ -394,33 +376,44 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def _recorded_stage(
-    cols: dict[str, list], state: State, params: SimParams, ev: Evaluation, source
-) -> Tendencies:
-    """Stage-1 tendencies of a state, appending its DiagnosticSeries row.
+Observer = Callable[[State, Evaluation, np.ndarray, "np.ndarray | None"], None]
 
-    The row takes the pressure and dissipation density of the same ``rhs``
-    pass and ``ev.speed``; ``run`` has checked the state's volume fraction.
+
+class Rows:
+    """Observer that records one ``DiagnosticSeries`` row per state.
+
+    The row is ``energy.total_energy``'s, taken from stage 1's pressure and
+    dissipation density and ``ev.speed``, and equals it bit for bit; ``run``
+    has checked the state's volume fraction. ``run`` takes the density
+    only when a ``Rows`` is among its observers.
     """
-    g = state.grid
-    k1, p, density = _rhs(state, params, ev, source, with_density=True)
-    report = energy._report(state, params, ev, p, density)
-    row = dict(
-        t=state.t,
-        mass_R=grids.integrate(g, state.R),
-        mass_Q=grids.integrate(g, state.Q),
-        energy=report.kinetic + report.internal,
-        dissipation=report.dissipation_rate,
-        min_R=float(state.R.min()),
-        min_Q=float(state.Q.min()),
-        max_u=float(ev.speed.max()),
-        floor_hits=ev.floor_hits,
-        kinetic=report.kinetic,
-        internal=report.internal,
-    )
-    for name, value in row.items():
-        cols.setdefault(name, []).append(value)
-    return k1
+
+    def __init__(self, params: SimParams):
+        self.params = params
+        self._columns: list[list] = [[] for _ in dataclasses.fields(DiagnosticSeries)]
+
+    def __call__(self, state: State, ev: Evaluation, p: np.ndarray, density: np.ndarray) -> None:
+        g = state.grid
+        report = energy._report(state, self.params, ev, p, density)
+        row = (  # in DiagnosticSeries field order
+            state.t,
+            grids.integrate(g, state.R),
+            grids.integrate(g, state.Q),
+            report.kinetic + report.internal,
+            report.dissipation_rate,
+            float(state.R.min()),
+            float(state.Q.min()),
+            float(ev.speed.max()),
+            ev.floor_hits,
+            report.kinetic,
+            report.internal,
+        )
+        for column, value in zip(self._columns, row):
+            column.append(value)
+
+    def series(self) -> DiagnosticSeries:
+        """The rows recorded so far."""
+        return DiagnosticSeries(*map(np.asarray, self._columns))
 
 
 def run(
@@ -429,10 +422,9 @@ def run(
     *,
     dt_schedule: Sequence[float] | None = None,
     source: SourceFn | None = None,
-    every_state: bool = True,
-    diagnostics: bool = True,
+    observers: Sequence[Observer] = (),
 ) -> Trajectory:
-    """Advance the state to t_end, collecting its steps and snapshots.
+    """Advance the state to t_end, handing each state to the observers.
 
     ``dt_schedule`` imposes an explicit step sequence (used to force twin
     runs onto a shared schedule); otherwise each step takes the stability
@@ -446,70 +438,60 @@ def run(
     Each state is evaluated once, and the one velocity and closure solve
     serve, in this order, the volume-fraction check of
     ``energy.total_energy``, ``stable_dt``, stage 1 of the state's step,
-    its diagnostics row and the rest of the step. The row is
-    ``energy.total_energy``'s, taken from stage 1's pressure and
-    dissipation density, and equals it bit for bit. The final state takes
-    no step; with rows, its stage 1 is still taken for its row, so its
-    tendencies must be finite too, and are then discarded. Each state
-    after the first starts its closure solve from the previous state's Z,
-    as does the stage-2 solve of every step. Every state gets a
-    diagnostics row, or with ``diagnostics=False`` none: ``diagnostics``
-    is then None, and no stage computes a dissipation density. ``snapshots``
-    keeps every state, or with ``every_state=False`` only the initial and
-    the final state.
+    the observers and the rest of the step. Each observer is called as
+    ``observer(state, ev, p, density)`` once per state, in order, the final
+    state included, whose stage 1 is taken only for them (so its tendencies
+    must be finite too). p is stage 1's pressure. The density is its
+    dissipation density if a ``Rows`` is among the observers, and None
+    otherwise, so no stage squares the Jacobian for nothing. A state is the object ``step`` returned (the first is a copy
+    of ``initial``), which no later step writes. ``ev``, p and the density
+    are freed before stage 2, and stage 1's tendencies, which ``step``
+    turns into the Euler stage, before the next state is evaluated. Each
+    state after the first starts its closure solve from the previous
+    state's Z, as does the stage-2 solve of every step.
 
-    Identical inputs produce bit-identical trajectories. The floor-hit count
-    reflects the velocity reconstruction of each recorded state.
+    Identical inputs produce bit-identical trajectories.
     """
     eps_t = max(DT_MIN, 4.0 * np.finfo(float).eps * params.t_end)
-    state = initial.copy()
-    snapshots = []
+    with_density = any(isinstance(obs, Rows) for obs in observers)
+    state = first = initial.copy()
     dts: list[float] = []
     realised_cfl: list[float] = []
-    cols: dict[str, list] = {}
     ev = state.evaluate(params)
     while True:
         energy.check_volume_fraction(state, ev)
         remaining = params.t_end - state.t
-        if remaining <= eps_t:
+        last = remaining <= eps_t
+        if not last:
+            limit = stable_dt(state, params, ev)
+            if dt_schedule is not None:
+                if len(dts) >= len(dt_schedule):
+                    raise ConsistencyError(
+                        f"dt schedule of {len(dt_schedule)} steps ends at t={state.t} "
+                        f"before t_end={params.t_end}"
+                    )
+                dt = float(dt_schedule[len(dts)])
+            else:
+                dt = min(limit, remaining)
+            dts.append(dt)
+            realised_cfl.append(dt * params.cfl / limit)
+        k1, p, density = _rhs(state, params, ev, source, with_density)
+        for observe in observers:
+            observe(state, ev, p, density)
+        if last:
             break
-        if every_state or not snapshots:
-            snapshots.append(state)
-        limit = stable_dt(state, params, ev)
-        if dt_schedule is not None:
-            if len(dts) >= len(dt_schedule):
-                raise ConsistencyError(
-                    f"dt schedule of {len(dt_schedule)} steps ends at t={state.t} "
-                    f"before t_end={params.t_end}"
-                )
-            dt = float(dt_schedule[len(dts)])
-        else:
-            dt = min(limit, remaining)
-        dts.append(dt)
-        realised_cfl.append(dt * params.cfl / limit)
-        if diagnostics:
-            k1 = _recorded_stage(cols, state, params, ev, source)
-        else:
-            k1 = rhs(state, params, ev, source)
-        # Only Z is read from here on: u, alpha and |u| are freed before stage 2.
+        # Only Z is read from here on: u, alpha, |u|, p and the density are
+        # freed before stage 2, and k1's arrays, which held the Euler stage,
+        # before the next state is evaluated.
         Z = ev.Z
-        del ev
+        del ev, p, density
         state = step(state, params, dt, Z, k1, source)
+        del k1
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end
         ev = state.evaluate(params, guess=Z)
-    if diagnostics:
-        # The final state takes no step: its stage-1 tendencies serve only
-        # its row, and are discarded.
-        _recorded_stage(cols, state, params, ev, source)
-    snapshots.append(state)
-    rows = None
-    if diagnostics:
-        rows = DiagnosticSeries(**{name: np.asarray(v) for name, v in cols.items()})
     return Trajectory(
-        params=params,
-        snapshots=snapshots,
+        snapshots=[first, state] if dts else [state],
         dts=np.asarray(dts, dtype=float),
         realised_cfl=np.asarray(realised_cfl, dtype=float),
-        diagnostics=rows,
     )

@@ -76,7 +76,7 @@ def total_energy(state, params, ev) -> EnergyReport:
 
     ``ev`` is the state's ``Evaluation``. The internal energy is taken only
     after ``check_volume_fraction`` passes. This is the library entry and
-    the oracle of the diagnostics rows of ``dynamics.run``, which feed the
+    the oracle of the diagnostics rows of ``dynamics.Rows``, which feed the
     same integrals the pressure and dissipation density of their stage-1
     ``rhs``; here they come from ``closure.pressure`` and ``grids.gradient``.
 
@@ -145,9 +145,3 @@ def audit_series(t, energy_series, dissipation_series) -> EnergyAudit:
         cumulative_dissipation=cum,
         defect=defect,
     )
-
-
-def audit_energy(trajectory) -> EnergyAudit:
-    """Audit the per-step diagnostics of a completed run."""
-    diag = trajectory.diagnostics
-    return audit_series(diag.t, diag.energy, diag.dissipation)

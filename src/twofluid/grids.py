@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,17 @@ class PeriodicGrid:
             raise DomainError(f"n must be even and at least 8, got {self.n}")
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise DomainError(f"length must be positive, got {self.length}")
+        # Python float ** raises on overflow and rounds an underflow to a
+        # subnormal or 0, which would make dt or every integral 0.
         try:
-            self.dx**2, self.cell_volume, self.volume
+            normal = min(self.dx**2, self.cell_volume, self.volume) >= sys.float_info.min
         except OverflowError:
+            normal = False
+        if not normal:
             raise DomainError(
-                f"length must keep dx**2 and the cell and grid volumes finite, got {self.length}"
-            ) from None
+                "length must keep dx**2 and the cell and grid volumes finite and "
+                f"normal, got {self.length}"
+            )
 
     @property
     def dx(self) -> float:

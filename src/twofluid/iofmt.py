@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import DiagnosticSeries, Trajectory
+from .dynamics import DiagnosticSeries
 from .energy import EnergyAudit
 from .errors import ConfigError, DomainError
 from .grids import PeriodicGrid
 from .gronwall import GronwallTrace, HypothesisReport
 from .twin import PairDiagnostics, SweepRow
 
-DIAGNOSTICS_HEADER = ",".join(DiagnosticSeries.COLUMNS)
+DIAGNOSTICS_HEADER = "t,dt,mass_R,mass_Q,energy,dissipation,min_R,min_Q,max_u,floor_hits"
 ENERGY_HEADER = "t,kinetic,internal,dissipation_rate,cumulative_dissipation,defect"
 COMPARE_HEADER = ",".join(PairDiagnostics.COLUMNS)
 TRACE_HEADER = "t,f,gprime,alpha,beta"
@@ -81,13 +81,11 @@ def _read_table(path, header: str | None = None) -> tuple[list[str], np.ndarray]
         raise ConfigError(f"{path}: non-numeric cell: {err}") from err
 
 
-def write_diagnostics_csv(path, traj: Trajectory) -> None:
-    """One row per state; the dt column is the run's steps and a trailing 0."""
-    dt = np.append(traj.dts, 0.0)
-    columns = [
-        dt if name == "dt" else getattr(traj.diagnostics, name)
-        for name in DiagnosticSeries.COLUMNS
-    ]
+def write_diagnostics_csv(path, diag: DiagnosticSeries, dts: np.ndarray) -> None:
+    """One row per state; the dt column is the run's steps ``dts`` and a trailing 0."""
+    dt = np.append(dts, 0.0)
+    names = DIAGNOSTICS_HEADER.split(",")
+    columns = [dt if name == "dt" else getattr(diag, name) for name in names]
     _write_columns(path, DIAGNOSTICS_HEADER, columns)
 
 

@@ -154,33 +154,33 @@ def _vector_norms(ints: np.ndarray) -> list[float]:
     return [float(np.linalg.norm(col)) for col in ints.T]
 
 
-def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
-    """Difference norms of two trajectories on matched grids and samples.
+def compare(weak: Sequence[State], strong: Sequence[State], params: SimParams) -> PairDiagnostics:
+    """Difference norms of two runs' states on matched grids and samples.
 
-    The twins must also start from the same total mass, within 1e-10
-    relative: the mean-velocity identity, whose two sides the same pass
-    reduces for ``check_mean_velocity``, encodes conservation. Samples are
-    reduced in blocks of at most BLOCK_POINTS grid points; every value
-    equals that of a per-sample loop over the grids reducers.
+    ``weak`` and ``strong`` are every state of each run, in order, and
+    ``params`` the runs' parameters. The twins must also start from the
+    same total mass, within 1e-10 relative: the mean-velocity identity,
+    whose two sides the same pass reduces for ``check_mean_velocity``,
+    encodes conservation. Samples are reduced in blocks of at most
+    BLOCK_POINTS grid points; every value equals that of a per-sample loop
+    over the grids reducers.
     """
-    if weak.grid != strong.grid:
+    if weak[0].grid != strong[0].grid:
         raise ConfigError("twin runs live on different grids")
-    if weak.params != strong.params:
-        raise ConfigError("twin runs use different parameters")
-    if not np.array_equal(weak.snapshot_times, strong.snapshot_times):
+    t = np.asarray([s.t for s in weak])
+    if not np.array_equal(t, [s.t for s in strong]):
         raise ConfigError("twin runs sampled different times; share a dt schedule")
-    g = weak.grid
-    m0_w, m0_s = (grids.integrate(g, tr.initial.R + tr.initial.Q) for tr in (weak, strong))
+    g = weak[0].grid
+    m0_w, m0_s = (grids.integrate(g, states[0].R + states[0].Q) for states in (weak, strong))
     if abs(m0_w - m0_s) > 1e-10 * max(abs(m0_w), abs(m0_s)):
         raise DomainError(
             f"twin initial masses differ beyond 1e-10 relative: {m0_w} vs {m0_s}"
         )
-    floor = weak.params.density_floor
-    n = len(weak.snapshots)
-    cols = {f.name: np.zeros(n) for f in fields(PairDiagnostics)}
-    cols["t"] = weak.snapshot_times
+    floor = params.density_floor
+    cols = {f.name: np.zeros(len(t)) for f in fields(PairDiagnostics)}
+    cols["t"] = t
     space = tuple(range(2, g.dim + 2))  # grid axes of the 4 stacked densities
-    for (k, w), (_, s) in zip(_blocks(weak.snapshots), _blocks(strong.snapshots)):
+    for (k, w), (_, s) in zip(_blocks(weak), _blocks(strong)):
         u_w, u_s = w.velocity(floor)[0], s.velocity(floor)[0]
         U = u_w - u_s
         jac = grids.gradient(g, U)
@@ -213,17 +213,17 @@ def compare(weak: Trajectory, strong: Trajectory) -> PairDiagnostics:
     return PairDiagnostics(**cols)
 
 
-def reference_series(traj: Trajectory) -> ReferenceSeries:
+def reference_series(states: Sequence[State], params: SimParams) -> ReferenceSeries:
     """Reference-run norms, with the material derivative from an rhs call.
 
-    Each block of samples takes one cold closure solve and one ``rhs`` call
-    with the run's own parameters.
+    ``states`` are every state of the run, in order. Each block of samples
+    takes one cold closure solve and one ``rhs`` call with the run's
+    parameters ``params``.
     """
-    g, params = traj.grid, traj.params
+    g = states[0].grid
     floor = params.density_floor
-    n = len(traj.snapshots)
-    out = {name: np.zeros(n) for name in ("grad_u_2", "grad_u_inf", "material_3")}
-    for k, s in _blocks(traj.snapshots):
+    out = {name: np.zeros(len(states)) for name in ("grad_u_2", "grad_u_inf", "material_3")}
+    for k, s in _blocks(states):
         ev = s.evaluate(params)
         ten = dynamics.rhs(s, params, ev)
         u = ev.u
@@ -234,7 +234,7 @@ def reference_series(traj: Trajectory) -> ReferenceSeries:
         out["material_3"][k] = _lp_norms(g, dtu + conv, 3)
         out["grad_u_2"][k] = _lp_norms(g, jac, 2)
         out["grad_u_inf"][k] = _lp_norms(g, jac, math.inf)
-    return ReferenceSeries(t=traj.snapshot_times, **out)
+    return ReferenceSeries(t=np.asarray([s.t for s in states]), **out)
 
 
 @dataclass
@@ -349,22 +349,31 @@ class TwinResult:
     ref: ReferenceSeries
 
 
-def _weak_member(initial, strong, params, delta, wavevector, phase):
+def _kept_run(initial: State, params: SimParams, **kwargs) -> tuple[Trajectory, list[State]]:
+    """``dynamics.run`` and every state it passes through, in order."""
+    states: list[State] = []
+    traj = dynamics.run(
+        initial, params, observers=(lambda state, *_: states.append(state),), **kwargs
+    )
+    return traj, states
+
+
+def _weak_member(initial, strong, strong_states, params, delta, wavevector, phase):
     """Perturb the initial state, replay the strong run's schedule, compare.
 
     The replayed steps were sized for the strong run; a weak run whose own
     realised CFL number exceeds 1 left the stable regime the twin relies on.
     """
     weak_initial = perturb_state(initial, delta, wavevector, phase)
-    weak = dynamics.run(weak_initial, params, dt_schedule=strong.dts, diagnostics=False)
+    weak, weak_states = _kept_run(weak_initial, params, dt_schedule=strong.dts)
     cfl = weak.realised_cfl
     if cfl.size and cfl.max() > 1.0:
         k = int(np.argmax(cfl))
         raise ConsistencyError(
             f"weak run at delta={delta:g} exceeds its own step limit at "
-            f"t={weak.snapshots[k].t:g}: realised CFL number {cfl[k]:.4g} > 1"
+            f"t={weak_states[k].t:g}: realised CFL number {cfl[k]:.4g} > 1"
         )
-    return weak, compare(weak, strong)
+    return weak, compare(weak_states, strong_states, params)
 
 
 def run_twin(
@@ -378,9 +387,9 @@ def run_twin(
 
     No twin output reads a diagnostics row, so neither run records them.
     """
-    strong = dynamics.run(initial, params, diagnostics=False)
-    weak, diag = _weak_member(initial, strong, params, delta, wavevector, phase)
-    return TwinResult(strong=strong, weak=weak, diag=diag, ref=reference_series(strong))
+    strong, states = _kept_run(initial, params)
+    weak, diag = _weak_member(initial, strong, states, params, delta, wavevector, phase)
+    return TwinResult(strong=strong, weak=weak, diag=diag, ref=reference_series(states, params))
 
 
 @dataclass
@@ -417,8 +426,8 @@ def stability_sweep(
     A row needs no reference-run norms, so none are computed, and each
     member's weak trajectory is dropped once its row is built.
     """
-    strong = dynamics.run(initial, params, diagnostics=False)
+    strong, states = _kept_run(initial, params)
     return [
-        _sweep_row(delta, _weak_member(initial, strong, params, delta, wavevector, phase)[1])
-        for delta in deltas
+        _sweep_row(d, _weak_member(initial, strong, states, params, d, wavevector, phase)[1])
+        for d in deltas
     ]

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from twofluid import config, dynamics, twin
+from twofluid import config, dynamics, energy, twin
 
 
 @pytest.fixture(scope="session")
@@ -20,9 +20,31 @@ def std1d_initial(std1d_cfg):
     return config.build_initial_state(std1d_cfg)
 
 
+def keep(states):
+    """An observer that appends each state it sees to ``states``."""
+    return lambda state, *_: states.append(state)
+
+
+def recorded_run(initial, params, **kwargs):
+    """``dynamics.run`` with a ``Rows`` observer and every state kept.
+
+    Returns the run's ``.traj``, its ``DiagnosticSeries`` ``.rows`` and its
+    ``.states`` in order.
+    """
+    rows, states = dynamics.Rows(params), []
+    traj = dynamics.run(initial, params, observers=(rows, keep(states)), **kwargs)
+    return SimpleNamespace(traj=traj, rows=rows.series(), states=states)
+
+
+def audit_rows(rows):
+    """``energy.audit_series`` of a run's ``DiagnosticSeries``."""
+    return energy.audit_series(rows.t, rows.energy, rows.dissipation)
+
+
 @pytest.fixture(scope="session")
-def traj128(std1d_initial, std1d_params):
-    return dynamics.run(std1d_initial, std1d_params)
+def run128(std1d_initial, std1d_params):
+    """The std1d run, recorded by ``recorded_run``."""
+    return recorded_run(std1d_initial, std1d_params)
 
 
 @pytest.fixture(scope="session")

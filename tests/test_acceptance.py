@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from twofluid import closure, config, dynamics, energy, grids, gronwall, twin
+from twofluid import closure, config, dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 
-from conftest import cfg_at
+from conftest import audit_rows, cfg_at, recorded_run
 from test_dynamics import mms_exact, mms_initial, mms_params, mms_sources
 
 SAMPLES_BULK = 10**6
@@ -127,17 +127,17 @@ def test_criterion_04_gamma_one_closed_form():
            f"worst err={err:.3e}")
 
 
-def test_criterion_05_mass_conservation(traj128):
-    d = traj128.diagnostics
+def test_criterion_05_mass_conservation(run128):
+    d = run128.rows
     drift_R = float(np.max(np.abs(d.mass_R - d.mass_R[0])) / abs(d.mass_R[0]))
     drift_Q = float(np.max(np.abs(d.mass_Q - d.mass_Q[0])) / abs(d.mass_Q[0]))
-    ok = drift_R <= 1e-12 and drift_Q <= 1e-12 and traj128.final.t == 0.5
+    ok = drift_R <= 1e-12 and drift_Q <= 1e-12 and run128.traj.final.t == 0.5
     report(5, "std1d mass conservation to 1e-12 relative", ok,
            f"drift R={drift_R:.3e}, Q={drift_Q:.3e}")
 
 
 def test_criterion_06_equilibrium_and_determinism(
-    std1d_initial, std1d_params, traj128
+    std1d_initial, std1d_params, run128
 ):
     g = grids.PeriodicGrid(1, 32)
     eq = dynamics.State(
@@ -149,12 +149,12 @@ def test_criterion_06_equilibrium_and_determinism(
         eq_run.final.m, eq.m
     )
 
-    rerun = dynamics.run(std1d_initial, std1d_params)
+    rerun = recorded_run(std1d_initial, std1d_params)
     bit_identical = (
-        np.array_equal(rerun.final.R, traj128.final.R)
-        and np.array_equal(rerun.final.Q, traj128.final.Q)
-        and np.array_equal(rerun.final.m, traj128.final.m)
-        and np.array_equal(rerun.diagnostics.energy, traj128.diagnostics.energy)
+        np.array_equal(rerun.traj.final.R, run128.traj.final.R)
+        and np.array_equal(rerun.traj.final.Q, run128.traj.final.Q)
+        and np.array_equal(rerun.traj.final.m, run128.traj.final.m)
+        and np.array_equal(rerun.rows.energy, run128.rows.energy)
     )
 
     zero_twin = twin.run_twin(std1d_initial, std1d_params, delta=0.0)
@@ -174,9 +174,9 @@ def test_criterion_07_energy_defect_refinement():
     for n in (128, 256, 512):
         cfg = cfg_at(n)
         t0 = time.perf_counter()
-        traj = dynamics.run(config.build_initial_state(cfg), cfg.params)
+        rows = recorded_run(config.build_initial_state(cfg), cfg.params).rows
         times.append(time.perf_counter() - t0)
-        defects.append(energy.audit_energy(traj).max_defect)
+        defects.append(audit_rows(rows).max_defect)
     orders = [math.log2(defects[i] / defects[i + 1]) for i in range(2)]
     ok = (
         defects[0] > defects[1] > defects[2] > 0.0

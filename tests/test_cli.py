@@ -81,13 +81,15 @@ class TestSimulate:
         run = dynamics.run
 
         def capture(*args, **kwargs):
-            kept.append(run(*args, **kwargs))
-            return kept[-1]
+            kept.append((run(*args, **kwargs), kwargs["observers"]))
+            return kept[-1][0]
 
         monkeypatch.setattr(dynamics, "run", capture)
         assert cli.main(["simulate", "--out", str(tmp_path), *FAST]) == 0
-        (traj,) = kept
-        assert len(traj.snapshots) == 2 < len(traj.diagnostics.t)
+        ((traj, observers),) = kept
+        (rows,) = observers
+        assert isinstance(rows, dynamics.Rows)
+        assert len(traj.snapshots) == 2 < len(rows.series().t)
         assert traj.initial.t == 0.0 and traj.final.t == 0.05
 
 
@@ -502,9 +504,20 @@ class TestErrorPaths:
         assert_one_line_config_error(capsys, f"override {value!r} must be one line")
 
     @pytest.mark.parametrize(
-        "grid", [["grid.length=1e300"], ["grid.dim=2", "grid.length=1e200"]]
+        "grid",
+        [
+            ["grid.length=1e300"],
+            ["grid.dim=2", "grid.length=1e200"],
+            # dx**2 underflows to a subnormal or 0, or 2 pi / length overflows
+            ["grid.length=1e-170"],
+            ["grid.length=1e-300"],
+            ["grid.length=1e-320"],
+            ["grid.length=5e-324"],
+            # dx**2 is normal but the cell volume dx**3 is not
+            ["grid.dim=3", "grid.n=8", "grid.length=1e-103"],
+        ],
     )
-    def test_grid_length_whose_sizes_overflow_exits_2(self, tmp_path, capsys, grid):
+    def test_grid_length_whose_sizes_overflow_or_underflow_exits_2(self, tmp_path, capsys, grid):
         sets = ["grid.n=16", "time.t_end=0.01", *grid]
         out = tmp_path / "o"
         argv = ["simulate", "--out", str(out), *(a for s in sets for a in ("--set", s))]
@@ -655,10 +668,44 @@ class TestErrorPaths:
         assert captured.err == f"runtime error: closure pressure or residual overflows at {where}\n"
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("setting", ["initial_u.constant_x=1e200", "grid.length=1e-300"])
+    @pytest.mark.parametrize(
+        "command,sets,section",
+        [
+            ("simulate", ["initial_u.constant_x=1.7e308"], "[initial_u]"),
+            ("simulate", ["initial_u.mode_x=1e308 1 0", "initial_u.constant_x=1e308"], "[initial_u]"),
+            ("compare", ["physics.mu=1e12", "initial_u.mode_x=1.7e308 1 0"], "[initial_u]"),
+            ("sweep", ["initial_u.constant_x=1.7e308"], "[initial_u]"),
+            # the sum of two finite densities, then one density itself, overflows
+            ("simulate", ["initial_R.constant=1e308", "initial_Q.constant=1e308"], "[initial_R] + [initial_Q]"),
+            ("simulate", ["initial_R.constant=1.7e308", "initial_R.mode=1e307 1 0"], "[initial_R] + [initial_Q]"),
+        ],
+    )
+    def test_initial_data_that_overflows_exits_2(self, tmp_path, capsys, command, sets, section):
+        out = tmp_path / "o"
+        sets = ["grid.n=16", "time.t_end=0.01", *sets]
+        argv = [command, "--out", str(out), *(a for s in sets for a in ("--set", s))]
+        assert cli.main(argv + (["--deltas", "1e-3"] if command == "sweep" else [])) == 2
+        assert_one_line_config_error(capsys, section)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_end", ["1e-12", "5e-13"])
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+    def test_t_end_within_dt_min_exits_2(self, tmp_path, capsys, command, t_end):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--set", "grid.n=16", "--set", f"time.t_end={t_end}"]
+        assert cli.main(argv + (["--deltas", "1e-3"] if command == "sweep" else [])) == 2
+        assert_one_line_config_error(capsys, "t_end must be 0 or exceed DT_MIN=1e-12")
+        assert not out.exists()
+
+    def test_t_end_just_past_dt_min_takes_one_step(self, tmp_path, capsys):
+        argv = ["simulate", "--out", str(tmp_path), "--set", "grid.n=16", "--set", "time.t_end=1.5e-12"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("simulate: 1 steps to t=1.5e-12,")
+
+    @pytest.mark.parametrize("setting", ["initial_u.constant_x=1e200", "grid.length=1e-100"])
     def test_vanishing_time_step_before_any_row_exits_3(self, tmp_path, capsys, setting):
-        # a speed of 1e200 is not squared, and the row whose velocity Jacobian
-        # would overflow at dx = 6e-302 comes after stable_dt
+        # a speed of 1e200 is not squared, and at dx = 6e-102 the viscous
+        # step limit vanishes before any row is taken
         out = tmp_path / "o"
         sets = ["grid.n=16", "time.t_end=0.01", setting]
         argv = ["simulate", "--out", str(out), *(a for s in sets for a in ("--set", s))]
@@ -754,7 +801,7 @@ class TestRoundTrips:
     @given(
         dim=st.integers(1, 3),
         vector=st.booleans(),
-        length=st.one_of(st.sampled_from([5e-324, 1e-300, 1e100]), st.floats(1e-3, 1e3)),
+        length=st.one_of(st.sampled_from([1e-100, 1e100]), st.floats(1e-3, 1e3)),
         t=finite,
         name=st.sampled_from(["R", "Q", "m"]),
         data=st.data(),

@@ -99,6 +99,10 @@ class TestValidation:
             ("[physics]\nmu = -0.1\n", "mu must be positive"),
             ("[physics]\nmu = 0.1\nlambda = -0.2\n", "mu \\+ lambda must be nonnegative"),
             ("[time]\nt_end = -1e-3\n", "t_end must be nonnegative"),
+            # run snaps onto t_end within DT_MIN, so these would take no step
+            ("[time]\nt_end = 1e-12\n", "t_end must be 0 or exceed DT_MIN"),
+            ("[time]\nt_end = 5e-13\n", "t_end must be 0 or exceed DT_MIN"),
+            ("[time]\nt_end = 5e-324\n", "t_end must be 0 or exceed DT_MIN"),
             ("[time]\ncfl = 0\n", "cfl must lie in \\(0, 1\\]"),
             ("[time]\ncfl = 1.5\n", "cfl must lie in \\(0, 1\\]"),
             ("[time]\ndensity_floor = -1e-12\n", "density_floor must be nonnegative"),
@@ -114,6 +118,7 @@ class TestValidation:
             "[physics]\ngamma_minus = 1.0000001\n",
             "[physics]\nmu = 0.1\nlambda = -0.1\n",
             "[time]\nt_end = 0\ncfl = 1\ndensity_floor = 0\n",
+            "[time]\nt_end = 1.5e-12\n",
         ],
     )
     def test_parameter_range_edges_accepted(self, text):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from twofluid import dynamics, energy, grids
+from conftest import audit_rows, recorded_run
+from twofluid import energy, grids
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State
 from twofluid.errors import ConsistencyError
@@ -68,8 +69,8 @@ class TestTotalEnergy:
         report = energy.total_energy(state, params, state.evaluate(params))
         assert report.kinetic == pytest.approx(0.5 * 2.0 * 9.0, rel=1e-13)
 
-    def test_nonnegative_components(self, traj128, std1d_params):
-        for s in traj128.snapshots[:: max(1, len(traj128.snapshots) // 8)]:
+    def test_nonnegative_components(self, run128, std1d_params):
+        for s in run128.states[:: max(1, len(run128.states) // 8)]:
             report = energy.total_energy(s, std1d_params, s.evaluate(std1d_params))
             assert report.kinetic >= 0.0
             assert report.internal >= 0.0
@@ -171,29 +172,28 @@ class TestAudit:
         g = PeriodicGrid(1, 32)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.3)
         state = state_of(g, 1.0, 2.0)
-        traj = dynamics.run(state, params)
-        audit = energy.audit_energy(traj)
+        audit = audit_rows(recorded_run(state, params).rows)
         assert np.all(audit.defect == 0.0)
         assert np.all(audit.cumulative_dissipation == 0.0)
 
-    def test_smooth_run_defect_small_and_refining(self, traj128):
-        audit = energy.audit_energy(traj128)
+    def test_smooth_run_defect_small_and_refining(self, run128):
+        audit = audit_rows(run128.rows)
         assert audit.max_defect <= 1e-5
 
-    def test_injected_energy_is_flagged(self, std1d_initial, std1d_params, traj128):
+    def test_injected_energy_is_flagged(self, std1d_initial, std1d_params, run128):
         # leg 1 replays the first 40 steps; leg 2 restarts from that state
         # with its momentum bumped 1 %, and the audit sees the joined series
-        t40 = traj128.diagnostics.t[40]
-        leg1 = dynamics.run(
+        t40 = run128.rows.t[40]
+        leg1 = recorded_run(
             std1d_initial,
             dataclasses.replace(std1d_params, t_end=t40),
-            dt_schedule=traj128.dts[:40],
+            dt_schedule=run128.traj.dts[:40],
         )
-        s = leg1.final
+        s = leg1.traj.final
         assert s.t == t40
         bumped = State(s.grid, s.R, s.Q, 1.01 * s.m, s.t)
-        leg2 = dynamics.run(bumped, std1d_params).diagnostics
-        d1 = leg1.diagnostics
+        leg2 = recorded_run(bumped, std1d_params).rows
+        d1 = leg1.rows
         audit = energy.audit_series(
             np.concatenate((d1.t[:-1], leg2.t)),
             np.concatenate((d1.energy[:-1], leg2.energy)),

@@ -80,7 +80,7 @@ def test_option_count_lists_every_kind(capsys):
     assert entries == [f"{kind} {name}" for kind, names in counted.items() for name in names]
     assert [api, cfg, flags] == [f"{kind}: {len(names)}" for kind, names in counted.items()]
     assert total == f"total: {len(entries)}"
-    assert "dynamics.run(diagnostics)" in counted["api"]
+    assert "dynamics.run(observers)" in counted["api"]
     assert "time.t_end" in counted["config"] and "initial_u.mode_x" in counted["config"]
     assert "closure-table --r-count" in counted["cli"] and "simulate --help" not in counted["cli"]
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import cfg_at
 from twofluid import closure, config, dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
-from twofluid.dynamics import SimParams, State, Trajectory
+from twofluid.dynamics import SimParams, State
 from twofluid.errors import ConfigError, ConsistencyError, DomainError
 from twofluid.grids import PeriodicGrid
 
@@ -42,9 +42,7 @@ class TestCompare:
         eps = 1e-4
         base = State(g, rho.copy(), rho.copy(), np.zeros((1, *g.shape)), 0.0)
         shifted = State(g, rho.copy(), rho.copy(), np.full((1, *g.shape), 2.0 * eps), 0.0)
-        tA = dynamics.run(shifted, params)
-        tB = dynamics.run(base, params)
-        d = twin.compare(tA, tB)
+        d = twin.compare([shifted], [base], params)
         assert d.norm_frakR[0] == 0.0
         assert d.norm_U6[0] == pytest.approx(eps, rel=1e-13)
         assert d.mean_U[0] == pytest.approx(eps, rel=1e-13)
@@ -52,11 +50,9 @@ class TestCompare:
     def test_mismatched_grids_rejected(self, std1d_params):
         g1, g2 = PeriodicGrid(1, 16), PeriodicGrid(1, 32)
         p = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.0)
-        mk = lambda g: dynamics.run(
-            State(g, np.ones(g.shape), np.ones(g.shape), np.zeros((1, *g.shape)), 0.0), p
-        )
-        with pytest.raises(ConfigError):
-            twin.compare(mk(g1), mk(g2))
+        mk = lambda g: [State(g, np.ones(g.shape), np.ones(g.shape), np.zeros((1, *g.shape)), 0.0)]
+        with pytest.raises(ConfigError, match="different grids"):
+            twin.compare(mk(g1), mk(g2), p)
 
     def test_m_bound_is_running_max(self, twin128):
         assert np.all(np.diff(twin128.diag.M_bound) >= 0.0)
@@ -97,8 +93,9 @@ class TestDensityStability:
         bump = 1e-3 * np.sin(2 * g.coordinates()[0])
         shifted = State(g, std1d_initial.R + bump, std1d_initial.Q + bump, std1d_initial.m, 0.0)
         params = SimParams(closure=std1d_params.closure, mu=std1d_params.mu, t_end=0.05)
-        strong = dynamics.run(std1d_initial, params)
-        diag = twin.compare(dynamics.run(shifted, params, dt_schedule=strong.dts), strong)
+        strong, strong_states = twin._kept_run(std1d_initial, params)
+        weak_states = twin._kept_run(shifted, params, dt_schedule=strong.dts)[1]
+        diag = twin.compare(weak_states, strong_states, params)
         with pytest.raises(DomainError, match="identical initial densities"):
             twin.check_density_stability(diag)
 
@@ -124,9 +121,7 @@ class TestMeanVelocity:
         u0 = 0.3
         strong = State(g, R + bump, R - bump, (2 * R) * u0 * np.ones((1, *g.shape)), 0.0)
         weak = State(g, R - bump, R + bump, (2 * R) * u0 * np.ones((1, *g.shape)), 0.0)
-        tW = dynamics.run(weak, params)
-        tS = dynamics.run(strong, params)
-        d = twin.compare(tW, tS)
+        d = twin.compare([weak], [strong], params)
         report = twin.check_mean_velocity(d)
         assert report.verdict
         assert np.all(report.residual <= 1e-14)
@@ -168,10 +163,8 @@ class TestMeanVelocity:
     def test_mass_mismatch_is_precondition_error(self, std1d_initial, std1d_params):
         other = std1d_initial.copy()
         other.R = other.R * 1.01
-        t0 = dynamics.run(std1d_initial, SimParams(closure=std1d_params.closure, mu=0.1, t_end=0.0))
-        t1 = dynamics.run(other, SimParams(closure=std1d_params.closure, mu=0.1, t_end=0.0))
         with pytest.raises(DomainError, match="initial masses differ"):
-            twin.compare(t1, t0)
+            twin.compare([other], [std1d_initial], std1d_params)
 
 
 
@@ -255,7 +248,7 @@ class TestHorizonMonotonicity:
 
 
 class TestRestrictedReference:
-    def test_fine_reference_agrees_at_final_time(self, std1d_cfg, traj128):
+    def test_fine_reference_agrees_at_final_time(self, std1d_cfg, run128):
         # a higher-resolution run restricted to the coarse grid points (every
         # other fine point) is a valid reference at t_end: the coarse run
         # must approach it at the discretization order
@@ -338,23 +331,26 @@ class TestSweep:
         Q = 1 + 0.2 * np.cos(x)
         initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.05)
-        runs = []
-        run = dynamics.run
+        runs, stages = [], []
+        run, private_rhs = dynamics.run, dynamics._rhs
 
         def capture(*args, **kwargs):
             runs.append(run(*args, **kwargs))
             return runs[-1]
 
-        def unused(*args, **kwargs):
-            raise AssertionError("no twin output reads a diagnostics row")
+        def spied_rhs(state, params, ev, source, with_density):
+            stages.append(with_density)
+            return private_rhs(state, params, ev, source, with_density)
 
         monkeypatch.setattr(dynamics, "run", capture)
-        monkeypatch.setattr(dynamics, "_recorded_stage", unused)
+        monkeypatch.setattr(dynamics, "_rhs", spied_rhs)
         twin.run_twin(initial, params, 1e-3)
         twin.stability_sweep(initial, params, deltas=(0.0, 1e-3))
         assert len(runs) == 5
-        assert all(traj.diagnostics is None for traj in runs)
         assert all(len(traj.dts) == len(runs[0].dts) > 0 for traj in runs)
+        # both stages of every step and each final state's stage 1, then the
+        # reference series' blocks
+        assert len(stages) > 5 * (2 * len(runs[0].dts) + 1) and not any(stages)
 
     def test_weak_run_beyond_its_own_step_limit_raises(self):
         g = PeriodicGrid(1, 64)
@@ -369,11 +365,11 @@ class TestSweep:
 
 
 
-def per_sample_compare(weak, strong):
+def per_sample_compare(weak, strong, params):
     """compare as a loop over samples and the grids reducers, the oracle."""
-    g, floor = weak.grid, weak.params.density_floor
+    g, floor = weak[0].grid, params.density_floor
     rows = []
-    for w, s in zip(weak.snapshots, strong.snapshots):
+    for w, s in zip(weak, strong):
         U = w.velocity(floor)[0] - s.velocity(floor)[0]
         sups = [float(np.max(np.abs(a))) for a in (w.R, w.Q, s.R, s.Q)]
         rows.append([
@@ -397,10 +393,10 @@ def per_sample_compare(weak, strong):
     return cols
 
 
-def per_sample_reference(traj, params):
-    g = traj.grid
+def per_sample_reference(states, params):
+    g = states[0].grid
     rows = []
-    for s in traj.snapshots:
+    for s in states:
         ev = s.evaluate(params)
         ten = dynamics.rhs(s, params, ev)
         u = ev.u
@@ -412,10 +408,10 @@ def per_sample_reference(traj, params):
     return dict(zip(("grad_u_2", "grad_u_inf", "material_3"), np.asarray(rows).T))
 
 
-def per_sample_mean_velocity(weak, strong):
-    g, floor = weak.grid, weak.params.density_floor
+def per_sample_mean_velocity(weak, strong, params):
+    g, floor = weak[0].grid, params.density_floor
     residual, scale = [], []
-    for w, s in zip(weak.snapshots, strong.snapshots):
+    for w, s in zip(weak, strong):
         u_w, u_s = w.velocity(floor)[0], s.velocity(floor)[0]
         diff = (w.R - s.R) + (w.Q - s.Q)
         centered = u_s - (grids.integrate(g, u_s) / g.volume).reshape((g.dim,) + (1,) * g.dim)
@@ -429,9 +425,8 @@ def per_sample_mean_velocity(weak, strong):
 
 
 def random_pair(g, samples, seed):
-    """Weak and strong trajectories of random states, with no diagnostics;
-    the weak densities are the strong ones shifted by one point, so the
-    masses match."""
+    """Weak and strong states, random, and their params; the weak densities
+    are the strong ones shifted by one point, so the masses match."""
     rng = np.random.default_rng(seed)
     params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, lam=0.05, t_end=1.0)
     strong, weak = [], []
@@ -441,11 +436,7 @@ def random_pair(g, samples, seed):
         m_s, m_w = rng.normal(0.0, 0.5, (2, g.dim, *g.shape))
         strong.append(State(g, R, Q, m_s, t))
         weak.append(State(g, np.roll(R, 1), np.roll(Q, 1), m_w, t))
-    steps = np.diff(times)
-    return tuple(
-        Trajectory(params, states, steps, np.zeros_like(steps), None)
-        for states in (weak, strong)
-    )
+    return weak, strong, params
 
 
 class TestBlockReducers:
@@ -463,22 +454,22 @@ class TestBlockReducers:
     @example(grid=(3, 8), samples=5, members=2, slack=0.0, seed=2)  # blocks 2, 2, 1
     def test_equal_to_per_sample_loops(self, grid, samples, members, slack, seed):
         g = PeriodicGrid(*grid)
-        weak, strong = random_pair(g, samples, seed)
+        weak, strong, params = random_pair(g, samples, seed)
         # any block size between members and members + 1 samples holds members
         block_points = members * g.npoints + int(slack * g.npoints)
         with mock.patch.object(twin, "BLOCK_POINTS", block_points):
-            diag = twin.compare(weak, strong)
-            ref = twin.reference_series(strong)
-        for name, want in per_sample_compare(weak, strong).items():
+            diag = twin.compare(weak, strong, params)
+            ref = twin.reference_series(strong, params)
+        for name, want in per_sample_compare(weak, strong, params).items():
             assert getattr(diag, name).tobytes() == want.tobytes(), name
-        for name, want in per_sample_reference(strong, strong.params).items():
+        for name, want in per_sample_reference(strong, params).items():
             assert getattr(ref, name).tobytes() == want.tobytes(), name
-        residual, scale = per_sample_mean_velocity(weak, strong)
+        residual, scale = per_sample_mean_velocity(weak, strong, params)
         assert diag.meanvel_residual.tobytes() == residual.tobytes()
         assert diag.meanvel_scale.tobytes() == scale.tobytes()
 
     def test_block_sizes(self):
-        snaps = random_pair(PeriodicGrid(1, 16), 7, 0)[1].snapshots
+        snaps = random_pair(PeriodicGrid(1, 16), 7, 0)[1]
         with mock.patch.object(twin, "BLOCK_POINTS", 40):
             blocks = list(twin._blocks(snaps))
         assert [k for k, _ in blocks] == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]
@@ -501,11 +492,11 @@ class TestClosureSolves:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(closure, "solve_Z_field", counted)
-        traj = dynamics.run(initial, params)
+        traj, states = twin._kept_run(initial, params)
         steps = len(traj.dts)
         assert steps > 3 and len(calls) == 2 * steps + 1
         monkeypatch.setattr(twin, "BLOCK_POINTS", 10 * 64)  # ten samples a block
-        blocks = len(list(twin._blocks(traj.snapshots)))
+        blocks = len(list(twin._blocks(states)))
         calls.clear()
-        twin.reference_series(traj)
+        twin.reference_series(states, params)
         assert blocks > 2 and len(calls) == blocks

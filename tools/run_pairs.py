@@ -19,11 +19,17 @@ relative change of the medians and the pairs CHANGE won in the metric's
 better direction, with the failed and attempted operations of each side.
 
 Without it a measurement times in-process ``dynamics.run(initial, params,
-every_state=False)``, the call that ``simulate`` makes, on a config (std1d
-if none is given, then the ``--set`` overrides, as the command line does),
-``--repeat`` times, keeping the fastest; set-up, imports and process
-start-up fall outside the timed region. That is one layer's time, which
-locates a gain but cannot stand for the end-to-end metric.
+observers=(dynamics.Rows(params),))``, the call that ``simulate`` makes, on
+a config (std1d if none is given, then the ``--set`` overrides, as the
+command line does), ``--repeat`` times, keeping the fastest; set-up,
+imports and process start-up fall outside the timed region. That is one
+layer's time, which locates a gain but cannot stand for the end-to-end
+metric. Nor can it rank a change that only moves when arrays are freed:
+the child times from a cold allocator, so the C library's heap trimming
+decides the sign. Freeing a state's evaluation before stage 2 of a 2D
+step won 8 of 12 pairs at ``--repeat 1`` and 0 of 10 at ``--repeat 4``.
+Only ``--perfbench`` pairs, or the peak of ``tracemalloc``, rank such a
+change.
 
 It prints one line per measurement pair and a summary. ``--json`` also
 writes every pair and the summary to a file. The script needs only the
@@ -50,7 +56,7 @@ initial = config.build_initial_state(cfg)
 best = None
 for _ in range(repeat):
     t0 = time.perf_counter()
-    traj = dynamics.run(initial, cfg.params, every_state=False)
+    traj = dynamics.run(initial, cfg.params, observers=(dynamics.Rows(cfg.params),))
     seconds = time.perf_counter() - t0
     best = seconds if best is None else min(best, seconds)
 print(json.dumps({"seconds": best, "steps": len(traj.dts)}))

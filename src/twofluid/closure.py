@@ -22,18 +22,18 @@ that overflows. A lane stops once a step moves it by at most STEP_TOL =
 that runs out of ``MAX_ITER`` sweeps first raises ConvergenceError.
 
 A cold solve starts at lo; a caller's ``guess`` (time integration passes the
-previous state's Z), clipped into [lo, hi0], replaces that start. At
-gamma = 1/2 and gamma = 2 the closure is a quadratic (in sqrt(Z), or in Z),
-and Newton starts at its closed-form root instead; ``guess`` goes unused
-there. A point whose Newton step from that start is within STEP_TOL
-stops on the first sweep (at gamma = 1/2, every one of 200 000 uniform
-points on [0.7, 1.3]**2 and all but one on [0.5, 1.5]**2), so such a solve
-costs one residual evaluation, or two where a point needs a second sweep. The iteration runs on
-full-length arrays: stopped points are frozen in place rather than gathered
-out. On (R, Q) in [0.5, 1.5]**2 at gamma = 3/4 a warm solve of a nearby
-state costs four or five evaluations, a cold one eight or nine. Each check
-is one min or max; only a failing one scans the lanes, to name the first.
-At 512 points a warm solve takes about 50 us at gamma = 1/2 (2 vCPUs, numpy 2.4.6).
+previous state's Z), clipped into [lo, hi0], replaces that start. The
+iteration runs on full-length arrays: stopped points are frozen in place
+rather than gathered out. On (R, Q) in [0.5, 1.5]**2 at gamma = 3/4 a warm
+solve of a nearby state costs four or five evaluations, a cold one eight or
+nine. At gamma = 1/2 and gamma = 2 the closure is a quadratic (in sqrt(Z),
+or in Z), and its closed-form root, clamped to hi0, is the root, with no
+evaluation; ``guess`` goes unused there. Against a 50-digit oracle it is
+within 2 ulp at gamma = 1/2 and 1 ulp at gamma = 2, where a Newton sweep
+from it reached 3 ulp and 1 ulp. Each check is one min or max; only a
+failing one scans the lanes, to name the first. At 512 points a solve
+takes about 36 us at gamma = 1/2, where the Newton sweep from the closed
+form took 60 us on the same host (2 vCPUs, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -135,24 +135,60 @@ def _overflow(what: str, R, Q, values) -> DomainError:
     return DomainError(f"closure {what} overflows at R={float(R[i])}, Q={float(Q[i])}")
 
 
+def _upper_bracket(R, Q, gamma):
+    """hi0 = max(2R, (2Q)**(1/gamma)) of each lane; call under over="ignore".
+
+    An hi0 that overflows is a DomainError, as is, beyond gamma = 1, one
+    whose power gamma overflows: the CSV residual's z**gamma could not be
+    evaluated on it. hi0 and hi0**gamma rise with the lane, so each check
+    reduces to the largest hi0 and scans lanes only to name the first.
+    """
+    hi0 = np.multiply(Q, 2.0)
+    np.power(hi0, 1.0 / gamma, out=hi0)
+    np.maximum(hi0, 2.0 * R, out=hi0)
+    top = hi0.max()
+    if not top < math.inf:
+        raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, hi0)
+    if gamma > 1.0 and not top**gamma < math.inf:
+        raise _overflow("residual z**gamma at the upper bracket", R, Q, hi0**gamma)
+    return hi0
+
+
 def _exact_start(R, Q, gamma):
-    """The closed-form root at gamma = 1/2 or gamma = 2, else None.
+    """The closed-form root at gamma = 1/2 or gamma = 2.
 
     At gamma = 1/2, s = sqrt(Z) solves s**2 - Q*s - R = 0, and Z is taken
     as R + Q*s rather than s*s: the two are equal, but the sum of positive
-    terms rounds closer to the root, close enough for the first Newton
-    step to stop where s*s missed by more than STEP_TOL. At gamma = 2, Z
-    solves Z**2 - R*Z - Q = 0. Both roots add positive terms, so neither
-    cancels, and ``hypot`` keeps the discriminant finite. Only the start
-    at gamma = 1/2 can overflow, for a root near the float maximum; the
-    caller ignores that overflow and clips the start into [lo, hi0].
+    terms rounds closer to the root (within 2 ulp of a 50-digit oracle,
+    where s*s missed by more). At gamma = 2, Z solves Z**2 - R*Z - Q = 0
+    (within 1 ulp). Both roots add positive terms, so neither cancels, and
+    ``hypot`` keeps the discriminant finite. Only the root at gamma = 1/2
+    can overflow, for a root near the float maximum, where the caller's
+    clamp to hi0 takes over.
     """
-    if gamma not in (0.5, 2.0):
-        return None
     if gamma == 0.5:
         s = 0.5 * Q + 0.5 * np.hypot(Q, 2.0 * np.sqrt(R))
         return R + Q * s
     return 0.5 * R + 0.5 * np.hypot(R, 2.0 * np.sqrt(Q))
+
+
+def _closed_form_root(R, Q, gamma):
+    """The root at gamma = 1/2 or 2 on flat arrays with R > 0, Q > 0.
+
+    It is ``_exact_start``, with no residual evaluation: a Newton sweep
+    from it does not make it more accurate. Where the root equals hi0 it
+    can round one ulp above (R = 1.8051327534912551, Q = 6.517008515453843
+    at gamma = 2), so it is clamped to hi0, as Newton's root is. The lower
+    bracket is not checked. Z >= R holds as rounded: at gamma = 1/2 Z adds
+    Q*s >= 0 to R, and at gamma = 2 hypot(R, 2*sqrt(Q)) >= R, since its
+    error is below an ulp, and >= 4.4e-162, so halving a subnormal R costs
+    nothing. And lo**(1-gamma) cannot overflow at gamma = 2, where
+    lo >= sqrt(Q/2) >= 1.5e-162.
+    """
+    with np.errstate(over="ignore"):
+        hi0 = _upper_bracket(R, Q, gamma)
+        Z = _exact_start(R, Q, gamma)
+    return np.minimum(Z, hi0, out=Z)
 
 
 def _newton_climb(R, Q, gamma, guess=None):
@@ -167,30 +203,21 @@ def _newton_climb(R, Q, gamma, guess=None):
     climbs by a factor of only about 1 + 1/gamma: from half the root, a
     large gamma would exhaust ``MAX_ITER``. c scales the power, not Q,
     since (Q/2)**(1/gamma) underflows at a subnormal Q. A start from
-    ``guess`` or the closed form may lie right of the root: its first
-    sweep stops a lane whose step is at most STEP_TOL relative either way,
-    at the Newton point, and clips the others up to lo. After that a lane
-    stops once it rises by at most STEP_TOL relative, keeping the larger
-    of z and the Newton point. Stopped lanes keep their z, so a lane's root
-    does not depend on the other lanes of the batch, and the loop ends once
-    every lane has stopped. hi0**gamma rises and lo**(1-gamma) falls with
-    the lane, so each bracket check reduces to one extreme.
+    ``guess`` may lie right of the root: its first sweep stops a lane
+    whose step is at most STEP_TOL relative either way, at the Newton
+    point, and clips the others up to lo. After that a lane stops once it
+    rises by at most STEP_TOL relative, keeping the larger of z and the
+    Newton point. Stopped lanes keep their z, so a lane's root does not
+    depend on the other lanes of the batch, and the loop ends once every
+    lane has stopped. lo**(1-gamma) falls with the lane, so its check, like
+    the upper bracket's, reduces to one extreme.
     """
     with np.errstate(over="ignore"):
         lo = np.maximum(R, max(0.5, 0.5 ** (1.0 / gamma)) * np.power(Q, 1.0 / gamma))
-        hi0 = np.maximum(2.0 * R, np.power(2.0 * Q, 1.0 / gamma))
-        top = hi0.max()
-        if not top < math.inf:
-            raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, hi0)
-        # beyond gamma = 1 the CSV residual's z**gamma can overflow below
-        # hi0, and the scaled residual's z**(1-gamma) above lo
-        if gamma > 1.0 and not top**gamma < math.inf:
-            raise _overflow("residual z**gamma at the upper bracket", R, Q, hi0**gamma)
+        hi0 = _upper_bracket(R, Q, gamma)
+        # beyond gamma = 1 the scaled residual's z**(1-gamma) can overflow above lo
         if gamma > 1.0 and not lo.min() ** (1.0 - gamma) < math.inf:
             raise _overflow("residual z**(1-gamma) at the lower bracket", R, Q, lo ** (1.0 - gamma))
-        exact = _exact_start(R, Q, gamma)
-        if exact is not None:
-            guess = exact
         z = lo if guess is None else np.minimum(np.maximum(guess, lo), hi0)
 
     climbing = guess is None
@@ -225,13 +252,15 @@ def _newton_climb(R, Q, gamma, guess=None):
 
 
 def _solve_z_arrays(R, Q, gamma, guess, positive):
-    """Dispatch degenerate branches, then Newton on the rest. Flat arrays.
+    """Dispatch degenerate branches, then solve the rest. Flat arrays.
 
-    With ``positive`` (no lane of R or Q is 0) Newton takes them whole.
-    A ConvergenceError's ``index`` is the failing lane's index in R.
+    At gamma = 1/2 and gamma = 2 the rest takes the closed form, else
+    Newton. With ``positive`` (no lane of R or Q is 0) they take R and Q
+    whole. A ConvergenceError's ``index`` is the failing lane's index in R.
     """
+    closed = gamma in (0.5, 2.0)
     if positive:
-        return _newton_climb(R, Q, gamma, guess)
+        return _closed_form_root(R, Q, gamma) if closed else _newton_climb(R, Q, gamma, guess)
     Z = np.empty_like(R)
     q_zero = Q == 0.0
     r_zero = (R == 0.0) & ~q_zero
@@ -241,7 +270,9 @@ def _solve_z_arrays(R, Q, gamma, guess, positive):
         Z[r_zero] = root = np.power(Q[r_zero], 1.0 / gamma)
     if not np.isfinite(root).all():
         raise _overflow("root Q**(1/gamma)", R[r_zero], Q[r_zero], root)
-    if general.size:
+    if general.size and closed:
+        Z[general] = _closed_form_root(R[general], Q[general], gamma)
+    elif general.size:
         start = None if guess is None else guess[general]
         try:
             Z[general] = _newton_climb(R[general], Q[general], gamma, start)
@@ -292,8 +323,8 @@ def solve_Z_field(
 
     ``guess``, a finite array of R's shape such as the Z of a nearby state,
     starts Newton there instead of at the cold start. It changes the root
-    by a few ulp at most. At gamma = 1/2 and gamma = 2 Newton starts at the
-    closed-form root, and ``guess`` is validated but unused.
+    by a few ulp at most. At gamma = 1/2 and gamma = 2 the closed-form root
+    is the root, with no evaluation, and ``guess`` is validated but unused.
     """
     R = np.asarray(R, dtype=float)
     Q = np.asarray(Q, dtype=float)

@@ -17,9 +17,12 @@ also reads the speed ``stable_dt`` took, so no pointwise field is computed
 twice for a state. A run of N steps solves the closure 2N + 1 times: each
 state and each stage 2. Both solves of a step start Newton from the Z of
 the state the step began at, which moves Z by a few ulp against a cold
-solve and saves residual evaluations. In-process, a std1d step at n = 512
-takes about 290 us and a step of the benchmark's 2D mix at n = 128 about
-3.7 ms (2 vCPUs, Python 3.11.7, numpy 2.4.6).
+solve and saves residual evaluations. At gamma = 1/2 and gamma = 2 the
+closure's closed form is the root, so there the warm start no longer moves
+Z. In-process, a std1d step at n = 512 takes about 330 us and a step of
+the benchmark's 2D mix at n = 128 about 4.0 ms, fastest of 42 runs on a
+shared host (2 vCPUs, Python 3.11.7, numpy 2.4.6) where the closure's
+Newton sweep at gamma = 1/2 made them 360 us and 4.5 ms.
 """
 
 from __future__ import annotations

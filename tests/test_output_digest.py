@@ -112,6 +112,41 @@ def test_run_pairs_times_a_tree_against_itself(tmp_path, capsys):
     assert all(row["ratio"] == row["change"]["seconds"] / row["base"]["seconds"] for row in rows)
 
 
+# A tree from before the observers API: no dynamics.Rows, and a run that
+# takes no observers.
+STUB_TREE = {
+    "__init__.py": "",
+    "config.py": """\
+from types import SimpleNamespace
+def apply_overrides(text, overrides):
+    return text
+def parse_config(text):
+    return SimpleNamespace(params="params")
+def build_initial_state(cfg):
+    return "initial"
+""",
+    "dynamics.py": """\
+from types import SimpleNamespace
+def run(initial, params):
+    assert (initial, params) == ("initial", "params")
+    return SimpleNamespace(dts=[0.1] * 3)
+""",
+}
+
+
+def test_run_pairs_times_a_tree_without_rows(tmp_path, capsys):
+    tool = load_tool("run_pairs")
+    package = tmp_path / "src" / "twofluid"
+    package.mkdir(parents=True)
+    for name, text in STUB_TREE.items():
+        (package / name).write_text(text)
+    path = tmp_path / "pairs.json"
+    assert tool.main([str(tmp_path), str(tmp_path), "--pairs", "2", "--json", str(path)]) == 0
+    record = json.loads(path.read_text())
+    assert [row["base"]["steps"] for row in record["pairs"]] == [3, 3]
+    assert capsys.readouterr().out.splitlines()[-1].startswith("3 steps; median base")
+
+
 STUB_PERFBENCH = """\
 import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))

@@ -19,8 +19,9 @@ relative change of the medians and the pairs CHANGE won in the metric's
 better direction, with the failed and attempted operations of each side.
 
 Without it a measurement times in-process ``dynamics.run(initial, params,
-observers=(dynamics.Rows(params),))``, the call that ``simulate`` makes, on
-a config (std1d if none is given, then the ``--set`` overrides, as the
+observers=(dynamics.Rows(params),))``, the call that ``simulate`` makes
+(``dynamics.run(initial, params)`` on a tree without ``dynamics.Rows``,
+whose ``run`` makes the diagnostics rows by default), on a config (std1d if none is given, then the ``--set`` overrides, as the
 command line does), ``--repeat`` times, keeping the fastest; set-up,
 imports and process start-up fall outside the timed region. That is one
 layer's time, which locates a gain but cannot stand for the end-to-end
@@ -53,10 +54,13 @@ from twofluid import config, dynamics
 text, overrides, repeat = json.loads(sys.argv[1])
 cfg = config.parse_config(config.apply_overrides(text, overrides))
 initial = config.build_initial_state(cfg)
+# a tree from before the observers API makes its rows by default
+rows = hasattr(dynamics, "Rows")
 best = None
 for _ in range(repeat):
     t0 = time.perf_counter()
-    traj = dynamics.run(initial, cfg.params, observers=(dynamics.Rows(cfg.params),))
+    extra = {"observers": (dynamics.Rows(cfg.params),)} if rows else {}
+    traj = dynamics.run(initial, cfg.params, **extra)
     seconds = time.perf_counter() - t0
     best = seconds if best is None else min(best, seconds)
 print(json.dumps({"seconds": best, "steps": len(traj.dts)}))

@@ -29,11 +29,10 @@ solve of a nearby state costs four or five evaluations, a cold one eight or
 nine. At gamma = 1/2 and gamma = 2 the closure is a quadratic (in sqrt(Z),
 or in Z), and its closed-form root, clamped to hi0, is the root, with no
 evaluation; ``guess`` goes unused there. Against a 50-digit oracle it is
-within 2 ulp at gamma = 1/2 and 1 ulp at gamma = 2, where a Newton sweep
-from it reached 3 ulp and 1 ulp. Each check is one min or max; only a
-failing one scans the lanes, to name the first. At 512 points a solve
-takes about 36 us at gamma = 1/2, where the Newton sweep from the closed
-form took 60 us on the same host (2 vCPUs, numpy 2.4.6).
+within 2 ulp at gamma = 1/2 and 1 ulp at gamma = 2; a Newton sweep from
+it makes it no more accurate (3 ulp and 1 ulp). Each check is one min or
+max; only a failing one scans the lanes, to name the first. At 512 points
+a solve takes about 36 us at gamma = 1/2 (2 vCPUs, numpy 2.4.6).
 """
 
 from __future__ import annotations

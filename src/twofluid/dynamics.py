@@ -20,9 +20,8 @@ the state the step began at, which moves Z by a few ulp against a cold
 solve and saves residual evaluations. At gamma = 1/2 and gamma = 2 the
 closure's closed form is the root, so there the warm start no longer moves
 Z. In-process, a std1d step at n = 512 takes about 330 us and a step of
-the benchmark's 2D mix at n = 128 about 4.0 ms, fastest of 42 runs on a
-shared host (2 vCPUs, Python 3.11.7, numpy 2.4.6) where the closure's
-Newton sweep at gamma = 1/2 made them 360 us and 4.5 ms.
+the benchmark's 2D mix at n = 128 about 4.0 ms, the fastest of 42 runs
+on a shared host (2 vCPUs, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations

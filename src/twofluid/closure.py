@@ -174,15 +174,12 @@ def _exact_start(R, Q, gamma):
 def _closed_form_root(R, Q, gamma):
     """The root at gamma = 1/2 or 2 on flat arrays with R > 0, Q > 0.
 
-    It is ``_exact_start``, with no residual evaluation: a Newton sweep
-    from it does not make it more accurate. Where the root equals hi0 it
-    can round one ulp above (R = 1.8051327534912551, Q = 6.517008515453843
-    at gamma = 2), so it is clamped to hi0, as Newton's root is. The lower
-    bracket is not checked. Z >= R holds as rounded: at gamma = 1/2 Z adds
-    Q*s >= 0 to R, and at gamma = 2 hypot(R, 2*sqrt(Q)) >= R, since its
-    error is below an ulp, and >= 4.4e-162, so halving a subnormal R costs
-    nothing. And lo**(1-gamma) cannot overflow at gamma = 2, where
-    lo >= sqrt(Q/2) >= 1.5e-162.
+    It is ``_exact_start``, with no residual evaluation, clamped to hi0,
+    which it can pass by an ulp where the root equals hi0 (R =
+    1.8051327534912551, Q = 6.517008515453843 at gamma = 2). Z >= R holds
+    as rounded: it adds Q*s >= 0 to R, or halves R plus hypot(R, .) >= R
+    (and >= 4.4e-162, past any subnormal R). So lo is not needed; nor could
+    lo**(1-gamma) overflow at gamma = 2, where lo >= sqrt(Q/2) >= 1.5e-162.
     """
     with np.errstate(over="ignore"):
         hi0 = _upper_bracket(R, Q, gamma)

@@ -21,8 +21,9 @@ better direction, with the failed and attempted operations of each side.
 Without it a measurement times in-process ``dynamics.run(initial, params,
 observers=(dynamics.Rows(params),))``, the call that ``simulate`` makes
 (``dynamics.run(initial, params)`` on a tree without ``dynamics.Rows``,
-whose ``run`` makes the diagnostics rows by default), on a config (std1d if none is given, then the ``--set`` overrides, as the
-command line does), ``--repeat`` times, keeping the fastest; set-up,
+whose ``run`` makes the diagnostics rows by default), on a config (std1d
+if none is given, then the ``--set`` overrides, as the command line
+does), ``--repeat`` times, keeping the fastest; set-up,
 imports and process start-up fall outside the timed region. That is one
 layer's time, which locates a gain but cannot stand for the end-to-end
 metric. Nor can it rank a change that only moves when arrays are freed:

@@ -9,6 +9,7 @@ human-readable status goes to stdout and errors to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -77,12 +78,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load(args)
-    p = cfg.perturbation
     initial = config.build_initial_state(cfg)
     out = _outdir(args)
-    result = twin.run_twin(
-        initial, cfg.params, delta=p.delta, wavevector=p.wavevector, phase=p.phase
-    )
+    result = twin.run_twin(initial, cfg.params, cfg.perturbation)
     iofmt.write_compare_csv(out / "compare.csv", result.diag)
     stability = twin.check_density_stability(result.diag)
     meanvel = twin.check_mean_velocity(result.diag)
@@ -113,12 +111,10 @@ def _parse_deltas(text: str) -> list[float]:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     deltas = _parse_deltas(args.deltas)
-    p = cfg.perturbation
     initial = config.build_initial_state(cfg)
     out = _outdir(args)
-    rows = twin.stability_sweep(
-        initial, cfg.params, deltas, wavevector=p.wavevector, phase=p.phase
-    )
+    members = [dataclasses.replace(cfg.perturbation, delta=d) for d in deltas]
+    rows = twin.stability_sweep(initial, cfg.params, members)
     iofmt.write_sweep_csv(out / "sweep.csv", rows)
     for row in rows:
         print(

@@ -22,6 +22,7 @@ from .closure import ClosureParams
 from .dynamics import SimParams, State
 from .errors import ConfigError, DomainError
 from .grids import PeriodicGrid
+from .twin import Perturbation
 
 _COMPONENTS = ("x", "y", "z")
 
@@ -40,20 +41,13 @@ class FieldSpec:
 
 
 @dataclass(frozen=True)
-class PerturbationSpec:
-    delta: float
-    wavevector: int
-    phase: float
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: PeriodicGrid
     params: SimParams
     initial_R: FieldSpec
     initial_Q: FieldSpec
     initial_u: tuple[FieldSpec, ...]
-    perturbation: PerturbationSpec
+    perturbation: Perturbation
     fields: bool  # write the initial and final field dumps
 
 
@@ -270,7 +264,7 @@ def parse_config(text: str) -> RunConfig:
         initial_R=initial_R,
         initial_Q=initial_Q,
         initial_u=initial_u,
-        perturbation=PerturbationSpec(**_scalars(raw, "perturbation")),
+        perturbation=Perturbation(**_scalars(raw, "perturbation")),
         **_scalars(raw, "output"),
     )
     _validate_positivity(cfg)

@@ -10,18 +10,19 @@ implicit closure solve for Z and alpha -- is an ``Evaluation``, which only
 ``State.evaluate`` makes and ``rhs``, ``stable_dt`` and ``step`` require.
 ``run`` evaluates each state once and then works on it in one order: the
 volume-fraction check, ``stable_dt``, stage 1 of the step, the observers,
-and ``step``, which finishes the step from stage 1's tendencies. An
-observer gets the state, its evaluation and stage 1's pressure and
-dissipation density; the diagnostics row is the observer ``Rows``, which
-also reads the speed ``stable_dt`` took, so no pointwise field is computed
-twice for a state. A run of N steps solves the closure 2N + 1 times: each
-state and each stage 2. Both solves of a step start Newton from the Z of
-the state the step began at, which moves Z by a few ulp against a cold
-solve and saves residual evaluations. At gamma = 1/2 and gamma = 2 the
-closure's closed form is the root, so there the warm start no longer moves
-Z. In-process, a std1d step at n = 512 takes about 330 us and a step of
-the benchmark's 2D mix at n = 128 about 4.0 ms, the fastest of 42 runs
-on a shared host (2 vCPUs, Python 3.11.7, numpy 2.4.6).
+and ``step``, which turns stage 1's tendencies k1 into the Euler stage in
+place. An observer gets the state, its evaluation, k1 and stage 1's
+pressure and dissipation density, and keeps none of k1's arrays; the
+diagnostics row is the observer ``Rows``, which also reads the speed
+``stable_dt`` took, so no pointwise field is computed twice for a state.
+A run of N steps solves the closure 2N + 1 times: each state and each
+stage 2. Both solves of a step start Newton from the Z of the state the
+step began at, which moves Z by a few ulp against a cold solve and saves
+residual evaluations. At gamma = 1/2 and gamma = 2 the closure's closed
+form is the root, so there the warm start no longer moves Z. In-process,
+a std1d step at n = 512 takes about 330 us and a step of the benchmark's
+2D mix at n = 128 about 4.0 ms, the fastest of 42 runs on a shared host
+(2 vCPUs, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -378,23 +379,24 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-Observer = Callable[[State, Evaluation, np.ndarray, "np.ndarray | None"], None]
+Observer = Callable[[State, Evaluation, Tendencies, np.ndarray, "np.ndarray | None"], None]
 
 
 class Rows:
     """Observer that records one ``DiagnosticSeries`` row per state.
 
-    The row is ``energy.total_energy``'s, taken from stage 1's pressure and
-    dissipation density and ``ev.speed``, and equals it bit for bit; ``run``
-    has checked the state's volume fraction. ``run`` takes the density
-    only when a ``Rows`` is among its observers.
+    ``run`` calls it as ``rows(state, ev, k1, p, density)``, and it does
+    not read k1. The row is ``energy.total_energy``'s, taken from stage 1's
+    pressure and dissipation density and ``ev.speed``, and equals it bit for
+    bit; ``run`` has checked the state's volume fraction. ``run`` takes the
+    density only when a ``Rows`` is among its observers.
     """
 
     def __init__(self, params: SimParams):
         self.params = params
         self._columns: list[list] = [[] for _ in dataclasses.fields(DiagnosticSeries)]
 
-    def __call__(self, state: State, ev: Evaluation, p: np.ndarray, density: np.ndarray) -> None:
+    def __call__(self, state: State, ev: Evaluation, k1: Tendencies, p, density) -> None:
         g = state.grid
         report = energy._report(state, self.params, ev, p, density)
         row = (  # in DiagnosticSeries field order
@@ -441,14 +443,17 @@ def run(
     serve, in this order, the volume-fraction check of
     ``energy.total_energy``, ``stable_dt``, stage 1 of the state's step,
     the observers and the rest of the step. Each observer is called as
-    ``observer(state, ev, p, density)`` once per state, in order, the final
-    state included, whose stage 1 is taken only for them (so its tendencies
-    must be finite too). p is stage 1's pressure. The density is its
-    dissipation density if a ``Rows`` is among the observers, and None
-    otherwise, so no stage squares the Jacobian for nothing. A state is the object ``step`` returned (the first is a copy
-    of ``initial``), which no later step writes. ``ev``, p and the density
-    are freed before stage 2, and stage 1's tendencies, which ``step``
-    turns into the Euler stage, before the next state is evaluated. Each
+    ``observer(state, ev, k1, p, density)`` once per state, in order, the
+    final state included, whose stage 1 is taken only for them (so its
+    tendencies must be finite too). k1 is stage 1's tendencies,
+    ``rhs(state, params, ev, source)`` bit for bit, which ``step`` then
+    overwrites, so an observer keeps none of its arrays. p is stage 1's
+    pressure. The density is
+    its dissipation density if a ``Rows`` is among the observers, and None
+    otherwise, so no stage squares the Jacobian for nothing. A state is the
+    object ``step`` returned (the first is a copy of ``initial``), which no
+    later step writes. ``ev``, p and the density are freed before stage 2,
+    and k1 before the next state is evaluated. Each
     state after the first starts its closure solve from the previous
     state's Z, as does the stage-2 solve of every step.
 
@@ -479,7 +484,7 @@ def run(
             realised_cfl.append(dt * params.cfl / limit)
         k1, p, density = _rhs(state, params, ev, source, with_density)
         for observe in observers:
-            observe(state, ev, p, density)
+            observe(state, ev, k1, p, density)
         if last:
             break
         # Only Z is read from here on: u, alpha, |u|, p and the density are

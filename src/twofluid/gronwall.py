@@ -30,6 +30,11 @@ def cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum((0.5 * y[1:] + 0.5 * y[:-1]) * dt)))
 
 
+def _second_difference(dt: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """|y''| at the interior samples, from the slopes np.diff(y) / dt."""
+    return np.abs(np.diff(slope)) / (0.5 * (dt[1:] + dt[:-1]))
+
+
 def _cumulative_quad_error(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Running bound on the trapezoid error, (1/12) sum |second diff| * dt.
 
@@ -40,8 +45,7 @@ def _cumulative_quad_error(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n < 3:
         return np.zeros(n)
     dt = np.diff(t)
-    mid = 0.5 * (dt[1:] + dt[:-1])
-    ypp = np.abs((y[2:] - y[1:-1]) / dt[1:] - (y[1:-1] - y[:-2]) / dt[:-1]) / mid
+    ypp = _second_difference(dt, np.diff(y) / dt)
     ypp = np.concatenate(([ypp[0]], ypp, [ypp[-1]]))
     per_interval = np.maximum(ypp[:-1], ypp[1:]) * dt**3 / 12.0
     return np.concatenate(([0.0], np.cumsum(per_interval)))
@@ -109,7 +113,7 @@ def check_hypothesis(trace: GronwallTrace) -> HypothesisReport:
 
     # O(dt) allowance: |f''| from second differences, right side drift.
     if len(t) >= 3:
-        fpp = np.abs(np.diff(df)) / (0.5 * (dt[1:] + dt[:-1]))
+        fpp = _second_difference(dt, df)
         fpp = np.concatenate((fpp, [fpp[-1]]))
     else:
         fpp = np.zeros(len(dt))

@@ -20,7 +20,9 @@ from .twin import PairDiagnostics, SweepRow
 
 DIAGNOSTICS_HEADER = "t,dt,mass_R,mass_Q,energy,dissipation,min_R,min_Q,max_u,floor_hits"
 ENERGY_HEADER = "t,kinetic,internal,dissipation_rate,cumulative_dissipation,defect"
-COMPARE_HEADER = ",".join(PairDiagnostics.COLUMNS)
+COMPARE_HEADER = (
+    "t,norm_frakR,norm_calQ,norm_wU,norm_gradU,norm_divU,norm_U6,mean_U,int_gradU,M_bound,sup_R,sup_Q"
+)
 TRACE_HEADER = "t,f,gprime,alpha,beta"
 HYPOTHESIS_HEADER = "t,lhs,rhs,tolerance,flagged"
 SWEEP_HEADER = "delta,sup_distance,ratio,fitted_C"
@@ -105,8 +107,8 @@ def write_energy_csv(path, audit: EnergyAudit, kinetic=None, internal=None) -> N
 
 
 def write_compare_csv(path, diag: PairDiagnostics) -> None:
-    columns = [getattr(diag, name) for name in PairDiagnostics.COLUMNS]
-    _write_columns(path, COMPARE_HEADER, columns)
+    names = COMPARE_HEADER.split(",")
+    _write_columns(path, COMPARE_HEADER, [getattr(diag, name) for name in names])
 
 
 def write_trace_csv(path, trace: GronwallTrace) -> None:

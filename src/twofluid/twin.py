@@ -1,9 +1,12 @@
 """Twin-experiment machinery: reference vs perturbed runs and their distance.
 
-A "strong" reference trajectory and a "weak" perturbed trajectory run on a
-shared time-step schedule; the difference fields frakR = R - R~, calQ = Q - Q~
-and U = u - u~ are reduced to the norm series that drive the stability
-estimates, the mean-velocity identity and the Gronwall trace assembly.
+A "strong" reference trajectory and a "weak" one, whose initial velocity
+carries one ``Perturbation``, run on a shared time-step schedule; the
+difference fields frakR = R - R~, calQ = Q - Q~ and U = u - u~ are reduced
+to the norm series that drive the stability estimates, the mean-velocity
+identity and the Gronwall trace assembly. The trace also needs the strong
+run's own norms, which an observer of that run reduces from each state's
+evaluation and stage-1 tendencies, so no state is evaluated twice.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dynamics, grids
-from .dynamics import SimParams, State, Trajectory
+from .dynamics import Evaluation, SimParams, State, Tendencies, Trajectory
 from .errors import ConfigError, ConsistencyError, DomainError
 from .grids import PeriodicGrid
 from .gronwall import GronwallTrace, check_hypothesis, cumulative_trapezoid
@@ -24,8 +27,8 @@ EPS_DIV = 1e-14
 # Relative tolerance of the mean-velocity identity, against its rounding scale.
 MEANVEL_RTOL = 1e-12
 
-# The reducers below stack this many grid points of samples at most, so a
-# block's arrays stay small; a 2D or 3D grid usually gives one-sample blocks.
+# compare stacks this many grid points of samples at most, so a block's
+# arrays stay small; a 2D or 3D grid usually gives one-sample blocks.
 BLOCK_POINTS = 2048
 
 
@@ -45,24 +48,9 @@ class PairDiagnostics:
     M_bound: np.ndarray  # running max of all four density sup-norms
     sup_R: np.ndarray  # ||R||_inf of the weak run
     sup_Q: np.ndarray  # ||Q||_inf of the weak run
-    # the mean-velocity identity, kept for check_mean_velocity, not in COLUMNS
+    # the mean-velocity identity, kept for check_mean_velocity
     meanvel_residual: np.ndarray  # |lhs - rhs|
     meanvel_scale: np.ndarray  # summed magnitudes of the integrals on both sides
-
-    COLUMNS = (
-        "t",
-        "norm_frakR",
-        "norm_calQ",
-        "norm_wU",
-        "norm_gradU",
-        "norm_divU",
-        "norm_U6",
-        "mean_U",
-        "int_gradU",
-        "M_bound",
-        "sup_R",
-        "sup_Q",
-    )
 
     @property
     def sup_distance(self) -> float:
@@ -80,25 +68,32 @@ class ReferenceSeries:
     material_3: np.ndarray  # ||du/dt + (u.grad)u||_3
 
 
-def perturb_state(
-    state: State,
-    delta: float,
-    wavevector: int = 2,
-    phase: float = 0.0,
-) -> State:
+@dataclass(frozen=True)
+class Perturbation:
+    """The weak run's velocity perturbation, [perturbation] of the config."""
+
+    delta: float
+    wavevector: int
+    phase: float
+
+
+def perturb_state(state: State, perturbation: Perturbation) -> State:
     """Add a single Fourier mode of size delta to the velocity.
 
-    The mode is sin(wavevector * 2 pi x_0 / L + phase) along the first grid
-    axis, added to every velocity component. The densities stay as they are,
-    so the twin starts from the same initial densities. delta = 0 returns
-    an untouched copy, so zero-perturbation twins stay bit-identical. A
-    delta whose momentum overflows is a DomainError naming it.
+    The mode is delta * sin(wavevector * 2 pi x_0 / L + phase) along the
+    first grid axis, added to every velocity component. The densities stay
+    as they are, so the twin starts from the same initial densities.
+    delta = 0 returns an untouched copy, so zero-perturbation twins stay
+    bit-identical. A delta whose momentum overflows is a DomainError
+    naming it.
     """
+    delta = perturbation.delta
     if delta == 0.0:
         return state.copy()
     g = state.grid
     x0 = g.coordinates()[0]
-    bump = delta * np.sin(wavevector * (2.0 * math.pi / g.length) * x0 + phase)
+    k = perturbation.wavevector * (2.0 * math.pi / g.length)
+    bump = delta * np.sin(k * x0 + perturbation.phase)
     with np.errstate(over="ignore"):
         m = state.m + (state.R + state.Q) * bump
     if not np.isfinite(m).all():
@@ -133,10 +128,8 @@ def _blocks(snapshots: Sequence[State]):
 
 
 def _lp_norms(g: PeriodicGrid, values: np.ndarray, p: float) -> list[float]:
-    """grids.lp_norm of each member, for p >= 1 or p = inf."""
+    """grids.lp_norm of each member, for finite p >= 1."""
     mag = grids._magnitude(values, g.dim + 1)
-    if p == math.inf:
-        return np.max(mag, axis=tuple(range(1, mag.ndim))).tolist()
     p = float(p)
     return [s ** (1.0 / p) for s in grids.integrate(g, mag**p).tolist()]
 
@@ -213,28 +206,30 @@ def compare(weak: Sequence[State], strong: Sequence[State], params: SimParams) -
     return PairDiagnostics(**cols)
 
 
-def reference_series(states: Sequence[State], params: SimParams) -> ReferenceSeries:
-    """Reference-run norms, with the material derivative from an rhs call.
+class _Reference:
+    """Observer of the strong run that reduces each state to its reference norms.
 
-    ``states`` are every state of the run, in order. Each block of samples
-    takes one cold closure solve and one ``rhs`` call with the run's
-    parameters ``params``.
+    The material derivative du/dt + (u.grad)u takes du/dt from the state's
+    stage-1 tendencies k1, ``rhs(state, params, ev)``, and u from ``ev``.
+    Each call keeps only the three norms, since ``step`` overwrites k1.
     """
-    g = states[0].grid
-    floor = params.density_floor
-    out = {name: np.zeros(len(states)) for name in ("grad_u_2", "grad_u_inf", "material_3")}
-    for k, s in _blocks(states):
-        ev = s.evaluate(params)
-        ten = dynamics.rhs(s, params, ev)
-        u = ev.u
-        rho = np.maximum(s.R + s.Q, floor)
-        dtu = (ten.dm - u * (ten.dR + ten.dQ)) / rho
+
+    def __init__(self, params: SimParams):
+        self.floor = params.density_floor
+        self._rows: list[tuple[float, float, float, float]] = []
+
+    def __call__(self, state: State, ev: Evaluation, k1: Tendencies, p, density) -> None:
+        g, u = state.grid, ev.u
+        rho = np.maximum(state.R + state.Q, self.floor)
+        dtu = (k1.dm - u * (k1.dR + k1.dQ)) / rho
         jac = grids.gradient(g, u)
         conv = np.einsum("i...,ij...->j...", u, jac)
-        out["material_3"][k] = _lp_norms(g, dtu + conv, 3)
-        out["grad_u_2"][k] = _lp_norms(g, jac, 2)
-        out["grad_u_inf"][k] = _lp_norms(g, jac, math.inf)
-    return ReferenceSeries(t=np.asarray([s.t for s in states]), **out)
+        grad_2, grad_inf = (grids.lp_norm(g, jac, q) for q in (2, math.inf))
+        self._rows.append((state.t, grad_2, grad_inf, grids.lp_norm(g, dtu + conv, 3)))
+
+    def series(self) -> ReferenceSeries:
+        """The norms of the states observed so far."""
+        return ReferenceSeries(*map(np.asarray, zip(*self._rows)))
 
 
 @dataclass
@@ -349,47 +344,49 @@ class TwinResult:
     ref: ReferenceSeries
 
 
-def _kept_run(initial: State, params: SimParams, **kwargs) -> tuple[Trajectory, list[State]]:
-    """``dynamics.run`` and every state it passes through, in order."""
+def _kept_run(
+    initial: State, params: SimParams, *observers, **kwargs
+) -> tuple[Trajectory, list[State]]:
+    """``dynamics.run`` and every state it passes through, in order.
+
+    ``observers`` see each state too, after it is kept.
+    """
     states: list[State] = []
     traj = dynamics.run(
-        initial, params, observers=(lambda state, *_: states.append(state),), **kwargs
+        initial, params, observers=(lambda state, *_: states.append(state), *observers), **kwargs
     )
     return traj, states
 
 
-def _weak_member(initial, strong, strong_states, params, delta, wavevector, phase):
+def _weak_member(initial, strong, strong_states, params, perturbation: Perturbation):
     """Perturb the initial state, replay the strong run's schedule, compare.
 
     The replayed steps were sized for the strong run; a weak run whose own
     realised CFL number exceeds 1 left the stable regime the twin relies on.
     """
-    weak_initial = perturb_state(initial, delta, wavevector, phase)
+    weak_initial = perturb_state(initial, perturbation)
     weak, weak_states = _kept_run(weak_initial, params, dt_schedule=strong.dts)
     cfl = weak.realised_cfl
     if cfl.size and cfl.max() > 1.0:
         k = int(np.argmax(cfl))
         raise ConsistencyError(
-            f"weak run at delta={delta:g} exceeds its own step limit at "
+            f"weak run at delta={perturbation.delta:g} exceeds its own step limit at "
             f"t={weak_states[k].t:g}: realised CFL number {cfl[k]:.4g} > 1"
         )
     return weak, compare(weak_states, strong_states, params)
 
 
-def run_twin(
-    initial: State,
-    params: SimParams,
-    delta: float,
-    wavevector: int = 2,
-    phase: float = 0.0,
-) -> TwinResult:
-    """Run the reference and its delta-perturbed twin on a shared schedule.
+def run_twin(initial: State, params: SimParams, perturbation: Perturbation) -> TwinResult:
+    """Run the reference and its perturbed twin on a shared schedule.
 
     No twin output reads a diagnostics row, so neither run records them.
+    The reference norms come from an observer of the strong run, so each
+    run of N steps solves the closure 2N + 1 times and nothing else does.
     """
-    strong, states = _kept_run(initial, params)
-    weak, diag = _weak_member(initial, strong, states, params, delta, wavevector, phase)
-    return TwinResult(strong=strong, weak=weak, diag=diag, ref=reference_series(states, params))
+    reference = _Reference(params)
+    strong, states = _kept_run(initial, params, reference)
+    weak, diag = _weak_member(initial, strong, states, params, perturbation)
+    return TwinResult(strong=strong, weak=weak, diag=diag, ref=reference.series())
 
 
 @dataclass
@@ -415,19 +412,15 @@ def _sweep_row(delta, diag: PairDiagnostics) -> SweepRow:
 
 
 def stability_sweep(
-    initial: State,
-    params: SimParams,
-    deltas: Sequence[float],
-    wavevector: int = 2,
-    phase: float = 0.0,
+    initial: State, params: SimParams, members: Sequence[Perturbation]
 ) -> list[SweepRow]:
-    """Twin experiments over a perturbation-size sweep, sharing the reference.
+    """Twin experiments, one per perturbation of ``members``, sharing the reference.
 
     A row needs no reference-run norms, so none are computed, and each
     member's weak trajectory is dropped once its row is built.
     """
     strong, states = _kept_run(initial, params)
     return [
-        _sweep_row(d, _weak_member(initial, strong, states, params, d, wavevector, phase)[1])
-        for d in deltas
+        _sweep_row(p.delta, _weak_member(initial, strong, states, params, p)[1])
+        for p in members
     ]

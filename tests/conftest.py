@@ -36,6 +36,11 @@ def recorded_run(initial, params, **kwargs):
     return SimpleNamespace(traj=traj, rows=rows.series(), states=states)
 
 
+def perturbation(delta):
+    """The std1d config's velocity perturbation, resized to ``delta``."""
+    return twin.Perturbation(delta=delta, wavevector=2, phase=0.0)
+
+
 def audit_rows(rows):
     """``energy.audit_series`` of a run's ``DiagnosticSeries``."""
     return energy.audit_series(rows.t, rows.energy, rows.dissipation)
@@ -50,15 +55,14 @@ def run128(std1d_initial, std1d_params):
 @pytest.fixture(scope="session")
 def sweep128(std1d_initial, std1d_params):
     """Perturbation sweep on std1d, shared reference run; its rows are ``.rows``."""
-    return SimpleNamespace(
-        rows=twin.stability_sweep(std1d_initial, std1d_params, deltas=(1e-2, 1e-3, 1e-4))
-    )
+    members = [perturbation(delta) for delta in (1e-2, 1e-3, 1e-4)]
+    return SimpleNamespace(rows=twin.stability_sweep(std1d_initial, std1d_params, members))
 
 
 @pytest.fixture(scope="session")
 def twin128(std1d_initial, std1d_params):
     """The std1d twin at delta = 1e-3, the middle member of ``sweep128``."""
-    return twin.run_twin(std1d_initial, std1d_params, delta=1e-3)
+    return twin.run_twin(std1d_initial, std1d_params, perturbation(1e-3))
 
 
 def cfg_at(n: int, **overrides) -> config.RunConfig:

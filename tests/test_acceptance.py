@@ -13,7 +13,7 @@ import pytest
 from twofluid import closure, config, dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 
-from conftest import audit_rows, cfg_at, recorded_run
+from conftest import audit_rows, cfg_at, perturbation, recorded_run
 from test_dynamics import mms_exact, mms_initial, mms_params, mms_sources
 
 SAMPLES_BULK = 10**6
@@ -157,7 +157,7 @@ def test_criterion_06_equilibrium_and_determinism(
         and np.array_equal(rerun.rows.energy, run128.rows.energy)
     )
 
-    zero_twin = twin.run_twin(std1d_initial, std1d_params, delta=0.0)
+    zero_twin = twin.run_twin(std1d_initial, std1d_params, perturbation(0.0))
     d = zero_twin.diag
     all_zero = all(
         np.all(getattr(d, name) == 0.0)
@@ -211,7 +211,7 @@ def test_criterion_10_density_stability_constant(sweep128, std1d_params):
     finite = all(np.isfinite(fits)) and all(f > 0 for f in fits)
 
     cfg256 = cfg_at(256)
-    twin256 = twin.run_twin(config.build_initial_state(cfg256), cfg256.params, delta=1e-3)
+    twin256 = twin.run_twin(config.build_initial_state(cfg256), cfg256.params, perturbation(1e-3))
     c256 = twin.check_density_stability(twin256.diag).fitted_C
     c128 = sweep128.rows[1].fitted_C
     variation = abs(c256 - c128) / c128

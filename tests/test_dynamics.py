@@ -677,13 +677,14 @@ class Spy:
         self.seen = []
         self.refs = []
 
-    def __call__(self, state, ev, p, density):
-        self.seen.append((state, ev.Z, p.copy(), None if density is None else density.copy()))
+    def __call__(self, state, ev, k1, p, density):
+        copies = (k1.stack.copy(), p.copy(), None if density is None else density.copy())
+        self.seen.append((state, ev.Z, *copies))
         self.refs.append([weakref.ref(a) for a in (ev, p, density) if a is not None])
 
 
 class TestObservers:
-    """run hands each state, its evaluation, p and the density to every observer."""
+    """run hands each state, its evaluation, k1, p and the density to every observer."""
 
     @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
     def test_each_state_once_in_order_as_step_returned_it(self, dim, n, monkeypatch):
@@ -714,7 +715,7 @@ class TestObservers:
 
     @pytest.mark.parametrize("rows", [True, False], ids=["rows", "no-rows"])
     @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
-    def test_p_and_density_equal_the_oracles_bit_for_bit(self, dim, n, rows, monkeypatch):
+    def test_k1_p_and_density_equal_the_oracles_bit_for_bit(self, dim, n, rows, monkeypatch):
         initial = rough_state(PeriodicGrid(dim, n), 4)
         params = rough_params(initial, 2.5)
         spy = Spy()
@@ -729,9 +730,10 @@ class TestObservers:
         monkeypatch.setattr(energy, "_report", spy_report)
         assert len(spy.seen) >= 3
         guess = None
-        for state, Z, p, density in spy.seen:
+        for state, Z, k1, p, density in spy.seen:
             ev = state.evaluate(params, guess=guess)  # run's warm start
             assert ev.Z.tobytes() == Z.tobytes()
+            assert k1.tobytes() == dynamics.rhs(state, params, ev).stack.tobytes()
             assert p.tobytes() == closure.pressure(ev.Z, params.closure).tobytes()
             energy.total_energy(state, params, ev)
             if rows:

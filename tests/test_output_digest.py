@@ -7,6 +7,7 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # The --n 16 digest of every command, after a first line naming the versions
@@ -116,35 +117,24 @@ def test_run_pairs_times_a_tree_against_itself(tmp_path, capsys):
 # takes no observers.
 STUB_TREE = {
     "__init__.py": "",
-    "config.py": """\
-from types import SimpleNamespace
-def apply_overrides(text, overrides):
-    return text
-def parse_config(text):
-    return SimpleNamespace(params="params")
-def build_initial_state(cfg):
-    return "initial"
-""",
-    "dynamics.py": """\
-from types import SimpleNamespace
-def run(initial, params):
-    assert (initial, params) == ("initial", "params")
-    return SimpleNamespace(dts=[0.1] * 3)
-""",
+    "config.py": "",
+    "dynamics.py": "def run(initial, params):\n    raise AssertionError('never timed')\n",
 }
 
 
-def test_run_pairs_times_a_tree_without_rows(tmp_path, capsys):
+def test_run_pairs_refuses_a_tree_without_rows(tmp_path):
     tool = load_tool("run_pairs")
     package = tmp_path / "src" / "twofluid"
     package.mkdir(parents=True)
     for name, text in STUB_TREE.items():
         (package / name).write_text(text)
-    path = tmp_path / "pairs.json"
-    assert tool.main([str(tmp_path), str(tmp_path), "--pairs", "2", "--json", str(path)]) == 0
-    record = json.loads(path.read_text())
-    assert [row["base"]["steps"] for row in record["pairs"]] == [3, 3]
-    assert capsys.readouterr().out.splitlines()[-1].startswith("3 steps; median base")
+    with pytest.raises(SystemExit) as refused:
+        tool.main([str(tmp_path), str(tmp_path), "--pairs", "2"])
+    message = str(refused.value).splitlines()
+    assert message[0] == f"run on {tmp_path} failed (exit 1):"
+    assert message[1:] == [
+        "this tree has no dynamics.Rows, so simulate's in-process run is unknown; use --perfbench"
+    ]
 
 
 STUB_PERFBENCH = """\

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import cfg_at
+from conftest import cfg_at, perturbation
 from twofluid import closure, config, dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State
@@ -15,12 +15,12 @@ from twofluid.grids import PeriodicGrid
 
 class TestPerturbState:
     def test_zero_delta_is_bit_identical(self, std1d_initial):
-        out = twin.perturb_state(std1d_initial, 0.0)
+        out = twin.perturb_state(std1d_initial, perturbation(0.0))
         assert np.array_equal(out.R, std1d_initial.R)
         assert np.array_equal(out.m, std1d_initial.m)
 
     def test_velocity_target_leaves_densities_alone(self, std1d_initial):
-        out = twin.perturb_state(std1d_initial, 1e-3, wavevector=2)
+        out = twin.perturb_state(std1d_initial, perturbation(1e-3))
         assert np.array_equal(out.R, std1d_initial.R)
         assert np.array_equal(out.Q, std1d_initial.Q)
         assert not np.array_equal(out.m, std1d_initial.m)
@@ -28,7 +28,7 @@ class TestPerturbState:
 
 class TestCompare:
     def test_identical_runs_give_zero_diagnostics(self, std1d_initial, std1d_params):
-        result = twin.run_twin(std1d_initial, std1d_params, delta=0.0)
+        result = twin.run_twin(std1d_initial, std1d_params, perturbation(0.0))
         d = result.diag
         for name in ("norm_frakR", "norm_calQ", "norm_wU", "norm_gradU", "norm_U6", "mean_U"):
             assert np.all(getattr(d, name) == 0.0), name
@@ -61,7 +61,7 @@ class TestCompare:
 
 class TestDensityStability:
     def test_identical_runs_fit_zero(self, std1d_initial, std1d_params):
-        result = twin.run_twin(std1d_initial, std1d_params, delta=0.0)
+        result = twin.run_twin(std1d_initial, std1d_params, perturbation(0.0))
         report = twin.check_density_stability(result.diag)
         assert report.fitted_C == 0.0
         assert report.verdict
@@ -198,7 +198,7 @@ class TestMeanVelocity:
 
 class TestGronwallPipeline:
     def test_identical_runs_trace_is_trivial(self, std1d_initial, std1d_params):
-        result = twin.run_twin(std1d_initial, std1d_params, delta=0.0)
+        result = twin.run_twin(std1d_initial, std1d_params, perturbation(0.0))
         C = max(
             twin.check_density_stability(result.diag).fitted_C,
             twin.fit_gronwall_constant(result.diag, result.ref),
@@ -242,7 +242,7 @@ class TestHorizonMonotonicity:
         fits = []
         for t_end in (0.25, 0.5):
             params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=t_end)
-            result = twin.run_twin(initial, params, delta=1e-3)
+            result = twin.run_twin(initial, params, perturbation(1e-3))
             fits.append(twin.check_density_stability(result.diag).fitted_C)
         assert fits[1] >= fits[0] * (1.0 - 1e-9)
 
@@ -280,7 +280,8 @@ class TestSweep:
         u = (0.1 * np.sin(x))[None, :]
         initial = State(g, R, Q, (R + Q) * u, 0.0)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.1)
-        rows = twin.stability_sweep(initial, params, deltas=(0.0, 1e-2, 1e-3))
+        members = [perturbation(delta) for delta in (0.0, 1e-2, 1e-3)]
+        rows = twin.stability_sweep(initial, params, members)
         assert rows[0].sup_distance == 0.0
         assert math.isnan(rows[0].ratio)
         r1, r2 = rows[1].ratio, rows[2].ratio
@@ -304,21 +305,22 @@ class TestSweep:
         Q = 1 + 0.2 * np.cos(x)
         initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.05)
-        for row in twin.stability_sweep(initial, params, deltas=(-1e-3, 1e-3)):
+        members = [perturbation(-1e-3), perturbation(1e-3)]
+        for row in twin.stability_sweep(initial, params, members):
             assert row.ratio == row.sup_distance / 1e-3 > 0.0
 
     def test_sweep_computes_no_reference_series(self, std1d_initial, std1d_params, monkeypatch):
         params = SimParams(closure=std1d_params.closure, mu=std1d_params.mu, t_end=0.05)
         expected = [
-            twin._sweep_row(delta, twin.run_twin(std1d_initial, params, delta).diag)
+            twin._sweep_row(delta, twin.run_twin(std1d_initial, params, perturbation(delta)).diag)
             for delta in (0.0, 1e-3)
         ]
 
         def unused(*args, **kwargs):
             raise AssertionError("a sweep row reads no reference-run norms")
 
-        monkeypatch.setattr(twin, "reference_series", unused)
-        rows = twin.stability_sweep(std1d_initial, params, deltas=(0.0, 1e-3))
+        monkeypatch.setattr(twin._Reference, "__call__", unused)
+        rows = twin.stability_sweep(std1d_initial, params, [perturbation(0.0), perturbation(1e-3)])
         assert [row.delta for row in rows] == [0.0, 1e-3]
         assert rows[1:] == expected[1:]
         assert rows[0].sup_distance == expected[0].sup_distance == 0.0
@@ -344,13 +346,13 @@ class TestSweep:
 
         monkeypatch.setattr(dynamics, "run", capture)
         monkeypatch.setattr(dynamics, "_rhs", spied_rhs)
-        twin.run_twin(initial, params, 1e-3)
-        twin.stability_sweep(initial, params, deltas=(0.0, 1e-3))
+        twin.run_twin(initial, params, perturbation(1e-3))
+        twin.stability_sweep(initial, params, [perturbation(0.0), perturbation(1e-3)])
         assert len(runs) == 5
         assert all(len(traj.dts) == len(runs[0].dts) > 0 for traj in runs)
-        # both stages of every step and each final state's stage 1, then the
-        # reference series' blocks
-        assert len(stages) > 5 * (2 * len(runs[0].dts) + 1) and not any(stages)
+        # both stages of every step and each final state's stage 1; the
+        # reference norms take no rhs of their own
+        assert len(stages) == 5 * (2 * len(runs[0].dts) + 1) and not any(stages)
 
     def test_weak_run_beyond_its_own_step_limit_raises(self):
         g = PeriodicGrid(1, 64)
@@ -359,9 +361,9 @@ class TestSweep:
         Q = 1 + 0.2 * np.cos(x)
         initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, cfl=1.0, t_end=0.1)
-        assert twin.run_twin(initial, params, 0.0).weak.realised_cfl.max() == 1.0
+        assert twin.run_twin(initial, params, perturbation(0.0)).weak.realised_cfl.max() == 1.0
         with pytest.raises(ConsistencyError, match="realised CFL number"):
-            twin.run_twin(initial, params, 1.0)
+            twin.run_twin(initial, params, perturbation(1.0))
 
 
 
@@ -424,11 +426,11 @@ def per_sample_mean_velocity(weak, strong, params):
     return np.asarray(residual), np.asarray(scale)
 
 
-def random_pair(g, samples, seed):
+def random_pair(g, samples, seed, closure_params=ClosureParams(1.5, 3.0)):
     """Weak and strong states, random, and their params; the weak densities
     are the strong ones shifted by one point, so the masses match."""
     rng = np.random.default_rng(seed)
-    params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, lam=0.05, t_end=1.0)
+    params = SimParams(closure=closure_params, mu=0.1, lam=0.05, t_end=1.0)
     strong, weak = [], []
     times = [k / samples for k in range(samples)]
     for t in times:
@@ -459,11 +461,8 @@ class TestBlockReducers:
         block_points = members * g.npoints + int(slack * g.npoints)
         with mock.patch.object(twin, "BLOCK_POINTS", block_points):
             diag = twin.compare(weak, strong, params)
-            ref = twin.reference_series(strong, params)
         for name, want in per_sample_compare(weak, strong, params).items():
             assert getattr(diag, name).tobytes() == want.tobytes(), name
-        for name, want in per_sample_reference(strong, params).items():
-            assert getattr(ref, name).tobytes() == want.tobytes(), name
         residual, scale = per_sample_mean_velocity(weak, strong, params)
         assert diag.meanvel_residual.tobytes() == residual.tobytes()
         assert diag.meanvel_scale.tobytes() == scale.tobytes()
@@ -478,10 +477,68 @@ class TestBlockReducers:
             assert len(list(twin._blocks(snaps))) == 7
 
 
-class TestClosureSolves:
-    """Every closure solve of a run and of a reference series is counted."""
+def observed_reference(states, params):
+    """The reference observer handed ``states`` as ``run`` hands them: each
+    evaluated from the previous state's Z, with its stage-1 tendencies."""
+    observer, guess = twin._Reference(params), None
+    for s in states:
+        ev = s.evaluate(params, guess=guess)
+        observer(s, ev, dynamics.rhs(s, params, ev), None, None)  # it reads no p or density
+        guess = ev.Z
+    return observer.series()
 
-    def test_run_solves_each_state_and_stage_and_reference_each_block(self, monkeypatch):
+
+def ulps(a, b):
+    """Distance of two arrays of nonnegative floats in units in the last place."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+REFERENCE_GRIDS = [(1, 16), (2, 8), (3, 8)]
+
+
+class TestReferenceObserver:
+    """The strong run's observer reduces its own evaluations and stage 1."""
+
+    @pytest.mark.parametrize("gammas", [(1.5, 3.0), (3.0, 1.5)], ids=["gamma=1/2", "gamma=2"])
+    @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equal_to_cold_per_sample_norms_where_the_root_is_closed_form(self, gammas, grid, seed):
+        # the closed-form root ignores the warm start, so the norms are the
+        # cold per-sample ones bit for bit
+        strong, params = random_pair(PeriodicGrid(*grid), 7, seed, ClosureParams(*gammas))[1:]
+        ref = observed_reference(strong, params)
+        assert ref.t.tobytes() == np.asarray([s.t for s in strong]).tobytes()
+        for name, want in per_sample_reference(strong, params).items():
+            assert getattr(ref, name).tobytes() == want.tobytes(), name
+
+    def test_warm_started_norms_move_by_few_ulps_at_gamma_three_quarters(self):
+        # Newton from the previous sample's Z stops a few ulp off the cold
+        # root; only the pressure gradient in du/dt reads Z
+        worst = {}
+        for grid in REFERENCE_GRIDS:
+            for seed in (1, 2):
+                g = PeriodicGrid(*grid)
+                strong, params = random_pair(g, 7, seed, ClosureParams(1.5, 2.0))[1:]
+                ref = observed_reference(strong, params)
+                for name, want in per_sample_reference(strong, params).items():
+                    worst[name] = max(worst.get(name, 0), int(ulps(getattr(ref, name), want).max()))
+        assert worst == {"grad_u_2": 0, "grad_u_inf": 0, "material_3": 2}
+
+    def test_a_twin_reference_equals_the_per_sample_norms_of_its_strong_run(self, std1d_params):
+        # std1d is at gamma = 1/2: run's stage 1 is each state's own rhs
+        initial = config.build_initial_state(cfg_at(32))
+        params = SimParams(closure=std1d_params.closure, mu=std1d_params.mu, t_end=0.2)
+        result = twin.run_twin(initial, params, perturbation(1e-3))
+        states = twin._kept_run(initial, params)[1]
+        assert len(result.ref.t) == len(states) == len(result.strong.dts) + 1 > 3
+        for name, want in per_sample_reference(states, params).items():
+            assert getattr(result.ref, name).tobytes() == want.tobytes(), name
+
+
+class TestClosureSolves:
+    """Every closure solve of a twin is counted."""
+
+    def test_each_run_solves_each_state_and_stage_and_the_reference_none(self, monkeypatch):
         cfg = cfg_at(64)
         initial, params = config.build_initial_state(cfg), cfg.params
         solve = closure.solve_Z_field
@@ -492,11 +549,8 @@ class TestClosureSolves:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(closure, "solve_Z_field", counted)
-        traj, states = twin._kept_run(initial, params)
-        steps = len(traj.dts)
-        assert steps > 3 and len(calls) == 2 * steps + 1
-        monkeypatch.setattr(twin, "BLOCK_POINTS", 10 * 64)  # ten samples a block
-        blocks = len(list(twin._blocks(states)))
-        calls.clear()
-        twin.reference_series(states, params)
-        assert blocks > 2 and len(calls) == blocks
+        result = twin.run_twin(initial, params, perturbation(1e-3))
+        steps = len(result.strong.dts)
+        assert steps > 3 and len(result.ref.t) == steps + 1
+        # the strong and the weak run, 2N + 1 each
+        assert len(calls) == 2 * (2 * steps + 1)

@@ -19,11 +19,9 @@ relative change of the medians and the pairs CHANGE won in the metric's
 better direction, with the failed and attempted operations of each side.
 
 Without it a measurement times in-process ``dynamics.run(initial, params,
-observers=(dynamics.Rows(params),))``, the call that ``simulate`` makes
-(``dynamics.run(initial, params)`` on a tree without ``dynamics.Rows``,
-whose ``run`` makes the diagnostics rows by default), on a config (std1d
-if none is given, then the ``--set`` overrides, as the command line
-does), ``--repeat`` times, keeping the fastest; set-up,
+observers=(dynamics.Rows(params),))``, the call that ``simulate`` makes,
+on a config (std1d if none is given, then the ``--set`` overrides, as the
+command line does), ``--repeat`` times, keeping the fastest; set-up,
 imports and process start-up fall outside the timed region. That is one
 layer's time, which locates a gain but cannot stand for the end-to-end
 metric. Nor can it rank a change that only moves when arrays are freed:
@@ -31,7 +29,9 @@ the child times from a cold allocator, so the C library's heap trimming
 decides the sign. Freeing a state's evaluation before stage 2 of a 2D
 step won 8 of 12 pairs at ``--repeat 1`` and 0 of 10 at ``--repeat 4``.
 Only ``--perfbench`` pairs, or the peak of ``tracemalloc``, rank such a
-change.
+change. A tree without ``dynamics.Rows`` has no such call (its
+``simulate`` and its ``run``'s defaults did different work), so the child
+refuses it; pair such a tree with ``--perfbench``.
 
 It prints one line per measurement pair and a summary. ``--json`` also
 writes every pair and the summary to a file. The script needs only the
@@ -52,16 +52,15 @@ from pathlib import Path
 CHILD = """\
 import json, sys, time
 from twofluid import config, dynamics
+if not hasattr(dynamics, "Rows"):
+    sys.exit("this tree has no dynamics.Rows, so simulate's in-process run is unknown; use --perfbench")
 text, overrides, repeat = json.loads(sys.argv[1])
 cfg = config.parse_config(config.apply_overrides(text, overrides))
 initial = config.build_initial_state(cfg)
-# a tree from before the observers API makes its rows by default
-rows = hasattr(dynamics, "Rows")
 best = None
 for _ in range(repeat):
     t0 = time.perf_counter()
-    extra = {"observers": (dynamics.Rows(cfg.params),)} if rows else {}
-    traj = dynamics.run(initial, cfg.params, **extra)
+    traj = dynamics.run(initial, cfg.params, observers=(dynamics.Rows(cfg.params),))
     seconds = time.perf_counter() - t0
     best = seconds if best is None else min(best, seconds)
 print(json.dumps({"seconds": best, "steps": len(traj.dts)}))

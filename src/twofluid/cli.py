@@ -78,16 +78,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load(args)
+    if cfg.params.t_end == 0.0:
+        raise ConfigError("compare needs time.t_end > 0, since its Gronwall trace needs a step")
     initial = config.build_initial_state(cfg)
     out = _outdir(args)
     result = twin.run_twin(initial, cfg.params, cfg.perturbation)
-    iofmt.write_compare_csv(out / "compare.csv", result.diag)
+    # every report before the first write, so a failed one leaves no CSV
     stability = twin.check_density_stability(result.diag)
     meanvel = twin.check_mean_velocity(result.diag)
     C = max(stability.fitted_C, twin.fit_gronwall_constant(result.diag, result.ref))
     trace = twin.build_gronwall_trace(result.diag, result.ref, C=C)
-    iofmt.write_trace_csv(out / "trace.csv", trace)
     conclusion = gronwall.check_conclusion(trace)
+    iofmt.write_compare_csv(out / "compare.csv", result.diag)
+    iofmt.write_trace_csv(out / "trace.csv", trace)
     print(f"density stability: fitted_C={stability.fitted_C:.6g} verdict={stability.verdict}")
     print(f"gronwall constant: C={C:.6g}")
     print(f"mean velocity identity: max residual={np.max(meanvel.residual):.3e} verdict={meanvel.verdict}")

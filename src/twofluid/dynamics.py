@@ -53,6 +53,9 @@ class SimParams:
     cfl: float = 0.4
     density_floor: float = 1e-10
     t_end: float = 0.5
+    # a forcing (sR, sQ, sm) of the state, added to every tendency; the
+    # manufactured solutions of the convergence tests need it
+    source: SourceFn | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
@@ -150,17 +153,13 @@ class Tendencies:
 SourceFn = Callable[[State], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def rhs(
-    state: State,
-    params: SimParams,
-    ev: Evaluation,
-    source: SourceFn | None = None,
-) -> Tendencies:
+def rhs(state: State, params: SimParams, ev: Evaluation) -> Tendencies:
     """Conservative right-hand side of the two-fluid system.
 
     dR/dt = -div(R u), dQ/dt = -div(Q u) and
     dm/dt = -div(m x u) - grad p(Z) + mu div(grad u) + (mu+lam) grad(div u),
-    with Z from the pointwise closure solve and p = Z**gamma_plus.
+    with Z from the pointwise closure solve and p = Z**gamma_plus, plus
+    ``params.source(state)`` if the parameters carry a source.
 
     The viscous terms use the wide div(grad) composition rather than the
     compact Laplacian: paired with the centered stencils of the energy
@@ -181,10 +180,10 @@ def rhs(
     ``run`` takes stage 1 of each state through the same pass, which then
     also hands back p and, if an observer needs it, the dissipation density.
     """
-    return _rhs(state, params, ev, source, with_density=False)[0]
+    return _rhs(state, params, ev, with_density=False)[0]
 
 
-def _rhs(state, params, ev, source, with_density):
+def _rhs(state, params, ev, with_density):
     """``rhs``, with the pressure field and, if asked, the dissipation density.
 
     Returns (tendencies, p, density). The density
@@ -253,8 +252,8 @@ def _rhs(state, params, ev, source, with_density):
             grids._centered(g, div_u, i, out=row)
             row *= mu_lam
         dm[i] += row
-    if source is not None:
-        sR, sQ, sm = source(state)
+    if params.source is not None:
+        sR, sQ, sm = params.source(state)
         div_flux[0] += sR
         div_flux[1] += sQ
         dm += sm
@@ -305,18 +304,11 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
     return dt
 
 
-def step(
-    state: State,
-    params: SimParams,
-    dt: float,
-    Z: np.ndarray,
-    k1: Tendencies,
-    source: SourceFn | None = None,
-) -> State:
+def step(state: State, params: SimParams, dt: float, Z: np.ndarray, k1: Tendencies) -> State:
     """One SSP-RK2 (Heun) update; the caller guarantees dt <= stable_dt.
 
     ``Z`` is the closure solve of the state's ``Evaluation`` ``ev`` and
-    ``k1`` its stage-1 tendencies, ``rhs(state, params, ev, source)``. The
+    ``k1`` its stage-1 tendencies, ``rhs(state, params, ev)``. The
     Euler stage s1 = state + dt*k1 is formed in k1's array, which the
     caller gives up, and the result 0.5*state + 0.5*(s1 + dt*k2) in stage
     2's, whose rows are the returned R, Q and m. IEEE sums and products
@@ -328,7 +320,7 @@ def step(
     for k, y in zip((k1.dR, k1.dQ, k1.dm), fields):
         k += y
     s1 = State(g, k1.dR, k1.dQ, k1.dm, state.t + dt)
-    k2 = rhs(s1, params, s1.evaluate(params, guess=Z), source)
+    k2 = rhs(s1, params, s1.evaluate(params, guess=Z))
     k2.stack *= dt
     k2.stack += k1.stack
     k2.stack *= 0.5
@@ -425,7 +417,6 @@ def run(
     params: SimParams,
     *,
     dt_schedule: Sequence[float] | None = None,
-    source: SourceFn | None = None,
     observers: Sequence[Observer] = (),
 ) -> Trajectory:
     """Advance the state to t_end, handing each state to the observers.
@@ -446,7 +437,7 @@ def run(
     ``observer(state, ev, k1, p, density)`` once per state, in order, the
     final state included, whose stage 1 is taken only for them (so its
     tendencies must be finite too). k1 is stage 1's tendencies,
-    ``rhs(state, params, ev, source)`` bit for bit, which ``step`` then
+    ``rhs(state, params, ev)`` bit for bit, which ``step`` then
     overwrites, so an observer keeps none of its arrays. p is stage 1's
     pressure. The density is
     its dissipation density if a ``Rows`` is among the observers, and None
@@ -482,7 +473,7 @@ def run(
                 dt = min(limit, remaining)
             dts.append(dt)
             realised_cfl.append(dt * params.cfl / limit)
-        k1, p, density = _rhs(state, params, ev, source, with_density)
+        k1, p, density = _rhs(state, params, ev, with_density)
         for observe in observers:
             observe(state, ev, k1, p, density)
         if last:
@@ -492,7 +483,7 @@ def run(
         # before the next state is evaluated.
         Z = ev.Z
         del ev, p, density
-        state = step(state, params, dt, Z, k1, source)
+        state = step(state, params, dt, Z, k1)
         del k1
         if abs(params.t_end - state.t) <= eps_t:
             state.t = params.t_end

@@ -1,7 +1,7 @@
 """Twin-experiment machinery: reference vs perturbed runs and their distance.
 
-A "strong" reference trajectory and a "weak" one, whose initial velocity
-carries one ``Perturbation``, run on a shared time-step schedule; the
+A "strong" reference trajectory and "weak" ones, whose initial velocities
+each carry one ``Perturbation``, run on one time-step schedule; the
 difference fields frakR = R - R~, calQ = Q - Q~ and U = u - u~ are reduced
 to the norm series that drive the stability estimates, the mean-velocity
 identity and the Gronwall trace assembly. The trace also needs the strong
@@ -293,10 +293,14 @@ def check_mean_velocity(diag: PairDiagnostics) -> MeanVelocityReport:
     after checking the matched initial masses the identity needs. The
     residual is compared against MEANVEL_RTOL times the summed magnitudes of
     the integrals entering both sides, which is the honest rounding scale for
-    a difference of near-cancelling quantities.
+    a difference of near-cancelling quantities. Unequal total momenta, the
+    residual at every sample, fail at sample 0 as a DomainError.
     """
     residual, scale = diag.meanvel_residual, diag.meanvel_scale
-    verdict = bool(np.all(residual <= MEANVEL_RTOL * np.maximum(scale, 1e-300)))
+    tol = MEANVEL_RTOL * np.maximum(scale, 1e-300)
+    if residual[0] > tol[0]:
+        raise DomainError(f"twin initial momenta differ by {residual[0]:.3e} > {tol[0]:.3e}")
+    verdict = bool(np.all(residual <= tol))
     return MeanVelocityReport(residual=residual, scale=scale, rtol=MEANVEL_RTOL, verdict=verdict)
 
 
@@ -336,10 +340,8 @@ def build_gronwall_trace(diag: PairDiagnostics, ref: ReferenceSeries, C: float) 
 
 @dataclass
 class TwinResult:
-    """Everything one twin experiment produced."""
+    """What one twin experiment produced: its pair's ``compare`` and reference norms."""
 
-    strong: Trajectory
-    weak: Trajectory
     diag: PairDiagnostics
     ref: ReferenceSeries
 
@@ -347,10 +349,7 @@ class TwinResult:
 def _kept_run(
     initial: State, params: SimParams, *observers, **kwargs
 ) -> tuple[Trajectory, list[State]]:
-    """``dynamics.run`` and every state it passes through, in order.
-
-    ``observers`` see each state too, after it is kept.
-    """
+    """``dynamics.run`` and every state it passes through, in order, which ``observers`` see too."""
     states: list[State] = []
     traj = dynamics.run(
         initial, params, observers=(lambda state, *_: states.append(state), *observers), **kwargs
@@ -358,35 +357,38 @@ def _kept_run(
     return traj, states
 
 
-def _weak_member(initial, strong, strong_states, params, perturbation: Perturbation):
-    """Perturb the initial state, replay the strong run's schedule, compare.
+def _members(initial: State, params: SimParams, members: Sequence[Perturbation], *observers):
+    """Yield each member's ``compare`` against one strong run, which ``observers`` see.
 
-    The replayed steps were sized for the strong run; a weak run whose own
-    realised CFL number exceeds 1 left the stable regime the twin relies on.
+    Every member is perturbed before the strong run. A weak run replays its
+    steps; one whose own realised CFL number exceeds 1 left the stable regime.
     """
-    weak_initial = perturb_state(initial, perturbation)
-    weak, weak_states = _kept_run(weak_initial, params, dt_schedule=strong.dts)
-    cfl = weak.realised_cfl
-    if cfl.size and cfl.max() > 1.0:
-        k = int(np.argmax(cfl))
-        raise ConsistencyError(
-            f"weak run at delta={perturbation.delta:g} exceeds its own step limit at "
-            f"t={weak_states[k].t:g}: realised CFL number {cfl[k]:.4g} > 1"
-        )
-    return weak, compare(weak_states, strong_states, params)
+    weak_initials = [perturb_state(initial, p) for p in members]
+    strong, strong_states = _kept_run(initial, params, *observers)
+    for p, weak_initial in zip(members, weak_initials):
+        weak, states = _kept_run(weak_initial, params, dt_schedule=strong.dts)
+        cfl = weak.realised_cfl
+        if cfl.size and cfl.max() > 1.0:
+            k = int(np.argmax(cfl))
+            raise ConsistencyError(
+                f"weak run at delta={p.delta:g} exceeds its own step limit at "
+                f"t={states[k].t:g}: realised CFL number {cfl[k]:.4g} > 1"
+            )
+        diag = compare(states, strong_states, params)
+        del weak, states  # else they outlive the yield into the next member's run
+        yield diag
 
 
 def run_twin(initial: State, params: SimParams, perturbation: Perturbation) -> TwinResult:
-    """Run the reference and its perturbed twin on a shared schedule.
+    """Run the reference and its perturbed twin: the sweep's member loop, one member.
 
     No twin output reads a diagnostics row, so neither run records them.
     The reference norms come from an observer of the strong run, so each
     run of N steps solves the closure 2N + 1 times and nothing else does.
     """
     reference = _Reference(params)
-    strong, states = _kept_run(initial, params, reference)
-    weak, diag = _weak_member(initial, strong, states, params, perturbation)
-    return TwinResult(strong=strong, weak=weak, diag=diag, ref=reference.series())
+    (diag,) = _members(initial, params, [perturbation], reference)
+    return TwinResult(diag=diag, ref=reference.series())
 
 
 @dataclass
@@ -417,10 +419,6 @@ def stability_sweep(
     """Twin experiments, one per perturbation of ``members``, sharing the reference.
 
     A row needs no reference-run norms, so none are computed, and each
-    member's weak trajectory is dropped once its row is built.
+    member's weak states are dropped once its ``compare`` is taken.
     """
-    strong, states = _kept_run(initial, params)
-    return [
-        _sweep_row(p.delta, _weak_member(initial, strong, states, params, p)[1])
-        for p in members
-    ]
+    return [_sweep_row(p.delta, d) for p, d in zip(members, _members(initial, params, members))]

@@ -14,7 +14,7 @@ from twofluid import closure, config, dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 
 from conftest import audit_rows, cfg_at, perturbation, recorded_run
-from test_dynamics import mms_exact, mms_initial, mms_params, mms_sources
+from test_dynamics import mms_exact, mms_initial, mms_params
 
 SAMPLES_BULK = 10**6
 SAMPLES_SMALL = 10**4
@@ -290,9 +290,7 @@ def test_criterion_13_operator_and_solution_order():
         g = grids.PeriodicGrid(1, n)
         steps = math.ceil(T / (0.5 * g.dx))
         dt = T / steps
-        traj = dynamics.run(
-            mms_initial(g), mms_params(T), dt_schedule=[dt] * steps, source=mms_sources
-        )
+        traj = dynamics.run(mms_initial(g), mms_params(T), dt_schedule=[dt] * steps)
         Re, Qe, ue = mms_exact(g, traj.final.t)
         uf = traj.final.m / (traj.final.R + traj.final.Q)
         errs.append(

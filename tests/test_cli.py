@@ -115,6 +115,30 @@ class TestCompare:
         trace = iofmt.read_trace_csv(out / "trace.csv")
         assert gronwall.check_conclusion(trace).verdict
 
+    def test_zero_t_end_exits_2_before_the_output_directory(self, tmp_path, capsys):
+        # the Gronwall trace needs at least one step
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--out", str(out), *FAST, "--set", "time.t_end=0"]) == 2
+        assert_one_line_config_error(capsys, "compare needs time.t_end > 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_simulate_and_sweep_accept_zero_t_end(self, tmp_path, command):
+        assert cli.main([command, "--out", str(tmp_path / "o"), *FAST, "--set", "time.t_end=0"]) == 0
+
+    # The bump at wavevector 2 meets the density's own wavevector-2 mode, and
+    # a phase of 1e300 rounds it to a constant: either gives the twins
+    # unequal total momenta, which the mean-velocity identity assumes equal.
+    @pytest.mark.parametrize("setting", ["initial_R.mode=0.2 2 0", "perturbation.phase=1e300"])
+    def test_momentum_gap_exits_3_and_writes_no_csv(self, tmp_path, capsys, setting):
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--out", str(out), *FAST, "--set", setting]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("runtime error: twin initial momenta differ by ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert list(out.iterdir()) == []
+
 
 class TestSweep:
     def test_sweep_csv(self, tmp_path):
@@ -135,6 +159,18 @@ class TestSweep:
         assert cli.main(["sweep", "--out", str(out), *FAST, "--deltas", deltas]) == 2
         assert_one_line_config_error(capsys, "--deltas must be finite")
         assert not out.exists()
+
+    def test_overflowing_member_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated a run before every member was perturbed")
+
+        monkeypatch.setattr(dynamics, "run", no_run)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--out", str(out), *FAST, "--deltas", "1e-3,1e-2,1e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime error: perturbation delta=1e+308 overflows the weak momentum\n"
+        assert list(out.iterdir()) == []
 
     def test_verdicts_come_from_the_sweep_rows(self, tmp_path, monkeypatch):
         real = twin.stability_sweep

@@ -60,8 +60,9 @@ def mms_sources(state):
 
 
 def mms_params(t_end):
+    """The manufactured problem's parameters, its sources included."""
     return SimParams(
-        closure=ClosureParams(2.0, 2.0), mu=MMS_MU, lam=MMS_LAM, t_end=t_end
+        closure=ClosureParams(2.0, 2.0), mu=MMS_MU, lam=MMS_LAM, t_end=t_end, source=mms_sources
     )
 
 
@@ -114,7 +115,7 @@ class TestRhs:
             g = PeriodicGrid(1, n)
             state = mms_initial(g)
             params = mms_params(1.0)
-            ten = dynamics.rhs(state, params, state.evaluate(params), mms_sources)
+            ten = dynamics.rhs(state, params, state.evaluate(params))
             x = g.axis_coords()
             s, c = np.sin(x), np.cos(x)
             rho = 2 + MMS_A * (s + c)
@@ -227,9 +228,7 @@ class TestStep:
         def advance(steps):
             params = mms_params(T)
             dt = T / steps
-            traj = dynamics.run(
-                initial, params, dt_schedule=[dt] * steps, source=mms_sources
-            )
+            traj = dynamics.run(initial, params, dt_schedule=[dt] * steps)
             return traj.final
 
         ref = advance(320)
@@ -513,7 +512,7 @@ FUSED_GRIDS = [(1, 32), (2, 16), (3, 8)]
 RHS_CENTERED = {1: 4, 2: 10, 3: 15}
 
 
-def composed_rhs(state, params, source=None):
+def composed_rhs(state, params):
     """(dR, dQ, dm) composed term by term from the public grid operators."""
     g = state.grid
     ev = state.evaluate(params)
@@ -529,8 +528,8 @@ def composed_rhs(state, params, source=None):
         + params.mu * wide
         + (params.mu + params.lam) * grids.gradient(g, grids.divergence(g, u))
     )
-    if source is not None:
-        sR, sQ, sm = source(state)
+    if params.source is not None:
+        sR, sQ, sm = params.source(state)
         dR, dQ, dm = dR + sR, dQ + sQ, dm + sm
     return dR, dQ, dm
 
@@ -557,8 +556,9 @@ class TestFusedRhs:
     @pytest.mark.parametrize("dim,n", FUSED_GRIDS)
     def test_equals_composed_public_operators_bit_for_bit(self, dim, n, source, make):
         state = make(PeriodicGrid(dim, n))
-        ten = dynamics.rhs(state, FUSED_PARAMS, state.evaluate(FUSED_PARAMS), source)
-        for got, want in zip((ten.dR, ten.dQ, ten.dm), composed_rhs(state, FUSED_PARAMS, source)):
+        params = dataclasses.replace(FUSED_PARAMS, source=source)
+        ten = dynamics.rhs(state, params, state.evaluate(params))
+        for got, want in zip((ten.dR, ten.dQ, ten.dm), composed_rhs(state, params)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -590,9 +590,10 @@ class TestFusedRhs:
             return tuple(terms)
 
         loc = r"\(0, 3, 5\)" if name == "dm" else r"\(3, 5\)"
-        ev = state.evaluate(FUSED_PARAMS)
+        params = dataclasses.replace(FUSED_PARAMS, source=source)
+        ev = state.evaluate(params)
         with pytest.raises(ConsistencyError, match=f"non-finite tendency {name} at index {loc}"):
-            dynamics.rhs(state, FUSED_PARAMS, ev, source)
+            dynamics.rhs(state, params, ev)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_infinite_pressure_is_reported_in_dm_alone(self):
@@ -613,8 +614,8 @@ def rough_params(initial, steps):
 def rough_run(dim, n, seed, source):
     """A few steps of run() from random fields, recorded by ``recorded_run``."""
     initial = rough_state(PeriodicGrid(dim, n), seed)
-    params = rough_params(initial, 2.5)
-    return recorded_run(initial, params, source=source), params
+    params = dataclasses.replace(rough_params(initial, 2.5), source=source)
+    return recorded_run(initial, params), params
 
 
 class TestRowFromStageOne:
@@ -822,19 +823,19 @@ class TestHeunBuffer:
         batch = () if members is None else (members,)
         R, Q = rng.uniform(0.5, 1.5, (2, *batch, *g.shape))
         state = State(g, R, Q, rng.normal(0.0, 0.5, (g.dim, *batch, *g.shape)), 0.25)
-        params = FUSED_PARAMS
+        params = dataclasses.replace(FUSED_PARAMS, source=source)
         ev = state.evaluate(params)
         dt = 0.5 * dynamics.stable_dt(state, params, ev)
-        k1 = dynamics.rhs(state, params, ev, source)
+        k1 = dynamics.rhs(state, params, ev)
         s1 = State(
             g, state.R + dt * k1.dR, state.Q + dt * k1.dQ, state.m + dt * k1.dm, state.t + dt
         )
-        k2 = dynamics.rhs(s1, params, s1.evaluate(params, guess=ev.Z), source)
+        k2 = dynamics.rhs(s1, params, s1.evaluate(params, guess=ev.Z))
         want = [
             0.5 * y + 0.5 * (s + dt * k)
             for y, s, k in ((R, s1.R, k2.dR), (Q, s1.Q, k2.dQ), (state.m, s1.m, k2.dm))
         ]
-        got = dynamics.step(state, params, dt, ev.Z, dynamics.rhs(state, params, ev, source), source)
+        got = dynamics.step(state, params, dt, ev.Z, dynamics.rhs(state, params, ev))
         assert got.t == state.t + dt
         for name, w in zip("RQm", want):
             a = getattr(got, name)
@@ -845,14 +846,14 @@ class TestHeunBuffer:
         # an observer keeps each state step returns; a run whose steps take
         # and return deep copies shares no array with any other step
         initial = rough_state(PeriodicGrid(dim, n), 2)
-        params = rough_params(initial, 4.5)
+        params = dataclasses.replace(rough_params(initial, 4.5), source=batch_source)
         states, copies = [], []
-        dynamics.run(initial, params, source=batch_source, observers=(keep(states),))
+        dynamics.run(initial, params, observers=(keep(states),))
         step = dynamics.step
         monkeypatch.setattr(
             dynamics, "step", lambda state, *rest: copy.deepcopy(step(copy.deepcopy(state), *rest))
         )
-        dynamics.run(initial, params, source=batch_source, observers=(keep(copies),))
+        dynamics.run(initial, params, observers=(keep(copies),))
         assert len(states) == len(copies) > 4
         for kept, own in zip(states, copies):
             assert kept.t == own.t

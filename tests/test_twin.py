@@ -340,9 +340,9 @@ class TestSweep:
             runs.append(run(*args, **kwargs))
             return runs[-1]
 
-        def spied_rhs(state, params, ev, source, with_density):
+        def spied_rhs(state, params, ev, with_density):
             stages.append(with_density)
-            return private_rhs(state, params, ev, source, with_density)
+            return private_rhs(state, params, ev, with_density)
 
         monkeypatch.setattr(dynamics, "run", capture)
         monkeypatch.setattr(dynamics, "_rhs", spied_rhs)
@@ -361,7 +361,10 @@ class TestSweep:
         Q = 1 + 0.2 * np.cos(x)
         initial = State(g, R, Q, (R + Q) * (0.1 * np.sin(x))[None, :], 0.0)
         params = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, cfl=1.0, t_end=0.1)
-        assert twin.run_twin(initial, params, perturbation(0.0)).weak.realised_cfl.max() == 1.0
+        # at delta = 0 the weak run replays its own steps, each at its limit
+        strong = dynamics.run(initial, params)
+        assert dynamics.run(initial, params, dt_schedule=strong.dts).realised_cfl.max() == 1.0
+        twin.run_twin(initial, params, perturbation(0.0))
         with pytest.raises(ConsistencyError, match="realised CFL number"):
             twin.run_twin(initial, params, perturbation(1.0))
 
@@ -529,8 +532,8 @@ class TestReferenceObserver:
         initial = config.build_initial_state(cfg_at(32))
         params = SimParams(closure=std1d_params.closure, mu=std1d_params.mu, t_end=0.2)
         result = twin.run_twin(initial, params, perturbation(1e-3))
-        states = twin._kept_run(initial, params)[1]
-        assert len(result.ref.t) == len(states) == len(result.strong.dts) + 1 > 3
+        strong, states = twin._kept_run(initial, params)
+        assert len(result.ref.t) == len(states) == len(strong.dts) + 1 > 3
         for name, want in per_sample_reference(states, params).items():
             assert getattr(result.ref, name).tobytes() == want.tobytes(), name
 
@@ -541,6 +544,7 @@ class TestClosureSolves:
     def test_each_run_solves_each_state_and_stage_and_the_reference_none(self, monkeypatch):
         cfg = cfg_at(64)
         initial, params = config.build_initial_state(cfg), cfg.params
+        steps = len(dynamics.run(initial, params).dts)
         solve = closure.solve_Z_field
         calls = []
 
@@ -550,7 +554,6 @@ class TestClosureSolves:
 
         monkeypatch.setattr(closure, "solve_Z_field", counted)
         result = twin.run_twin(initial, params, perturbation(1e-3))
-        steps = len(result.strong.dts)
         assert steps > 3 and len(result.ref.t) == steps + 1
         # the strong and the weak run, 2N + 1 each
         assert len(calls) == 2 * (2 * steps + 1)

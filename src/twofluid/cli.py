@@ -87,6 +87,7 @@ def cmd_compare(args) -> int:
     stability = twin.check_density_stability(result.diag)
     meanvel = twin.check_mean_velocity(result.diag)
     C = max(stability.fitted_C, twin.fit_gronwall_constant(result.diag, result.ref))
+    unfittable = twin.unfittable_intervals(result.diag, result.ref)
     trace = twin.build_gronwall_trace(result.diag, result.ref, C=C)
     conclusion = gronwall.check_conclusion(trace)
     iofmt.write_compare_csv(out / "compare.csv", result.diag)
@@ -95,6 +96,12 @@ def cmd_compare(args) -> int:
     print(f"gronwall constant: C={C:.6g}")
     print(f"mean velocity identity: max residual={np.max(meanvel.residual):.3e} verdict={meanvel.verdict}")
     print(f"gronwall conclusion: max margin={conclusion.max_margin:.3e} verdict={conclusion.verdict}")
+    if unfittable.size:
+        print(
+            f"gronwall constant: no C satisfies {unfittable.size} interval(s), the first "
+            f"at t={unfittable[0]:g}: lhs > 0 where rhs <= {twin.EPS_DIV:g} at C = 1",
+            file=sys.stderr,
+        )
     ok = stability.verdict and meanvel.verdict and conclusion.verdict
     return 0 if ok else 1
 
@@ -148,10 +155,7 @@ def cmd_closure_table(args) -> int:
     params = cfg.params.closure
     R, Q = (a.ravel() for a in np.meshgrid(r_values, q_values, indexing="ij"))
     Z, alpha = closure.solve_Z_field(R, Q, params)
-    dzr = np.full_like(Z, math.nan)
-    dzq = np.full_like(Z, math.nan)
-    pos = Z > 0.0
-    dzr[pos], dzq[pos] = closure.derivative_arrays(R[pos], Z[pos], params.gamma)
+    dzr, dzq = closure.derivative_arrays(R, Z, params.gamma)
     # A finite root can still have a pressure Z**gamma_plus or a residual
     # (1 - R/Z)*Z**gamma past the float range: no row is written then.
     with np.errstate(over="ignore", invalid="ignore"):

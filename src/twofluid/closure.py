@@ -5,7 +5,8 @@ Given phase densities (R, Q), the closure picks the unique Z >= R with
     (1 - R/Z) * Z**gamma = Q,        gamma = gamma_plus / gamma_minus,
 
 and exposes the pressure Z**gamma_plus, the volume fraction alpha = R/Z and
-the partial derivatives of Z with respect to either density.
+the partial derivatives of Z with respect to either density, on every lane a
+solve returns: at vacuum (Z = 0) alpha and both derivatives are NaN.
 
 Newton runs on the scaled residual g(z) = 1 - R/z - Q/z**gamma, which has
 the same root and is increasing and concave for every gamma > 0, so a
@@ -98,15 +99,12 @@ def pressure(Z, params: ClosureParams):
 
 def closure_residual(R, Q, Z, params: ClosureParams):
     """Defect (1 - R/Z)*Z**gamma - Q; the closure value is taken as 0 at Z = 0."""
-    R, Q, Z = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (R, Q, Z))
-    )
+    R, Q, Z = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (R, Q, Z)))
     scalar = Z.ndim == 0
     R, Q, Z = np.atleast_1d(R, Q, Z)
-    res = 0.0 - Q  # 0 - 0 keeps the sign bit positive at vacuum
-    pos = Z > 0.0
-    zp = Z[pos]
-    res[pos] = (1.0 - R[pos] / zp) * zp**params.gamma - Q[pos]
+    # vacuum lanes take 0 - Q, whose 0 - 0 keeps the sign bit positive
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = np.where(Z > 0.0, (1.0 - R / Z) * Z**params.gamma - Q, 0.0 - Q)
     return float(res[0]) if scalar else res
 
 
@@ -135,21 +133,22 @@ def _overflow(what: str, R, Q, values) -> DomainError:
 
 
 def _upper_bracket(R, Q, gamma):
-    """hi0 = max(2R, (2Q)**(1/gamma)) of each lane; call under over="ignore".
+    """hi0 = max(2R, (2Q)**(1/gamma)) of each lane.
 
     An hi0 that overflows is a DomainError, as is, beyond gamma = 1, one
     whose power gamma overflows: the CSV residual's z**gamma could not be
     evaluated on it. hi0 and hi0**gamma rise with the lane, so each check
     reduces to the largest hi0 and scans lanes only to name the first.
     """
-    hi0 = np.multiply(Q, 2.0)
-    np.power(hi0, 1.0 / gamma, out=hi0)
-    np.maximum(hi0, 2.0 * R, out=hi0)
-    top = hi0.max()
-    if not top < math.inf:
-        raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, hi0)
-    if gamma > 1.0 and not top**gamma < math.inf:
-        raise _overflow("residual z**gamma at the upper bracket", R, Q, hi0**gamma)
+    with np.errstate(over="ignore"):
+        hi0 = np.multiply(Q, 2.0)
+        np.power(hi0, 1.0 / gamma, out=hi0)
+        np.maximum(hi0, 2.0 * R, out=hi0)
+        top = hi0.max()
+        if not top < math.inf:
+            raise _overflow("upper bracket max(2R, (2Q)**(1/gamma))", R, Q, hi0)
+        if gamma > 1.0 and not top**gamma < math.inf:
+            raise _overflow("residual z**gamma at the upper bracket", R, Q, hi0**gamma)
     return hi0
 
 
@@ -167,27 +166,28 @@ def _exact_start(R, Q, gamma):
     """
     if gamma == 0.5:
         s = 0.5 * Q + 0.5 * np.hypot(Q, 2.0 * np.sqrt(R))
-        return R + Q * s
+        with np.errstate(over="ignore"):
+            return R + Q * s
     return 0.5 * R + 0.5 * np.hypot(R, 2.0 * np.sqrt(Q))
 
 
-def _closed_form_root(R, Q, gamma):
-    """The root at gamma = 1/2 or 2 on flat arrays with R > 0, Q > 0.
+def _positive_root(R, Q, gamma, guess):
+    """The root of each lane of flat arrays with R > 0, Q > 0, clamped to hi0.
 
-    It is ``_exact_start``, with no residual evaluation, clamped to hi0,
-    which it can pass by an ulp where the root equals hi0 (R =
-    1.8051327534912551, Q = 6.517008515453843 at gamma = 2). Z >= R holds
-    as rounded: it adds Q*s >= 0 to R, or halves R plus hypot(R, .) >= R
-    (and >= 4.4e-162, past any subnormal R). So lo is not needed; nor could
-    lo**(1-gamma) overflow at gamma = 2, where lo >= sqrt(Q/2) >= 1.5e-162.
+    At gamma = 1/2 and 2 it is ``_exact_start``, else ``_newton_climb``.
+    The closed form can pass hi0 by an ulp where the root equals hi0 (R =
+    1.8051327534912551, Q = 6.517008515453843 at gamma = 2). It keeps
+    Z >= R as rounded: it adds Q*s >= 0 to R, or halves R plus
+    hypot(R, .) >= R (and >= 4.4e-162, past any subnormal R). So it needs
+    no lo, whose power 1 - gamma could not overflow at gamma = 2 anyway.
     """
-    with np.errstate(over="ignore"):
-        hi0 = _upper_bracket(R, Q, gamma)
-        Z = _exact_start(R, Q, gamma)
+    hi0 = _upper_bracket(R, Q, gamma)
+    closed = gamma in (0.5, 2.0)
+    Z = _exact_start(R, Q, gamma) if closed else _newton_climb(R, Q, gamma, hi0, guess)
     return np.minimum(Z, hi0, out=Z)
 
 
-def _newton_climb(R, Q, gamma, guess=None):
+def _newton_climb(R, Q, gamma, hi0, guess):
     """Vectorised Newton on the scaled residual, flat arrays with R > 0, Q > 0.
 
     g is increasing and concave, so a Newton step from any z lands at or
@@ -206,11 +206,11 @@ def _newton_climb(R, Q, gamma, guess=None):
     Newton point. Stopped lanes keep their z, so a lane's root does not
     depend on the other lanes of the batch, and the loop ends once every
     lane has stopped. lo**(1-gamma) falls with the lane, so its check, like
-    the upper bracket's, reduces to one extreme.
+    the upper bracket's, reduces to one extreme. ``guess`` is clipped to
+    ``hi0``; the sweeps run outside ``errstate``, so their warnings surface.
     """
     with np.errstate(over="ignore"):
         lo = np.maximum(R, max(0.5, 0.5 ** (1.0 / gamma)) * np.power(Q, 1.0 / gamma))
-        hi0 = _upper_bracket(R, Q, gamma)
         # beyond gamma = 1 the scaled residual's z**(1-gamma) can overflow above lo
         if gamma > 1.0 and not lo.min() ** (1.0 - gamma) < math.inf:
             raise _overflow("residual z**(1-gamma) at the lower bracket", R, Q, lo ** (1.0 - gamma))
@@ -244,38 +244,7 @@ def _newton_climb(R, Q, gamma, guess=None):
                 bracket=bracket,
                 index=i,
             )
-    return np.minimum(z, hi0, out=z)
-
-
-def _solve_z_arrays(R, Q, gamma, guess, positive):
-    """Dispatch degenerate branches, then solve the rest. Flat arrays.
-
-    At gamma = 1/2 and gamma = 2 the rest takes the closed form, else
-    Newton. With ``positive`` (no lane of R or Q is 0) they take R and Q
-    whole. A ConvergenceError's ``index`` is the failing lane's index in R.
-    """
-    closed = gamma in (0.5, 2.0)
-    if positive:
-        return _closed_form_root(R, Q, gamma) if closed else _newton_climb(R, Q, gamma, guess)
-    Z = np.empty_like(R)
-    q_zero = Q == 0.0
-    r_zero = (R == 0.0) & ~q_zero
-    general = np.flatnonzero(~(q_zero | r_zero))
-    Z[q_zero] = R[q_zero]  # F(R) = 0 and F strictly increasing, so Z = R
-    with np.errstate(over="ignore"):
-        Z[r_zero] = root = np.power(Q[r_zero], 1.0 / gamma)
-    if not np.isfinite(root).all():
-        raise _overflow("root Q**(1/gamma)", R[r_zero], Q[r_zero], root)
-    if general.size and closed:
-        Z[general] = _closed_form_root(R[general], Q[general], gamma)
-    elif general.size:
-        start = None if guess is None else guess[general]
-        try:
-            Z[general] = _newton_climb(R[general], Q[general], gamma, start)
-        except ConvergenceError as err:
-            err.index = int(general[err.index])
-            raise
-    return Z
+    return z
 
 
 def _validate_inputs(R, Q) -> bool:
@@ -333,17 +302,34 @@ def solve_Z_field(
         if guess.shape != R.shape or not finite:
             raise DomainError(f"guess must be a finite array of shape {R.shape}")
         guess = guess.ravel()
+    r, q = R.ravel(), Q.ravel()
+    lanes = None  # the positive lanes, when some lane is not
+    if not positive:
+        Z = np.empty_like(r)
+        q_zero = q == 0.0
+        r_zero = (r == 0.0) & ~q_zero
+        Z[q_zero] = r[q_zero]  # F(R) = 0 and F strictly increasing, so Z = R
+        with np.errstate(over="ignore"):
+            Z[r_zero] = root = np.power(q[r_zero], 1.0 / params.gamma)
+        if not np.isfinite(root).all():
+            raise _overflow("root Q**(1/gamma)", r[r_zero], q[r_zero], root)
+        lanes = np.flatnonzero(~(q_zero | r_zero))
+        r, q = r[lanes], q[lanes]
+        guess = None if guess is None else guess[lanes]
     try:
-        Z = _solve_z_arrays(R.ravel(), Q.ravel(), params.gamma, guess, positive).reshape(R.shape)
+        root = _positive_root(r, q, params.gamma, guess) if r.size else r
     except ConvergenceError as err:
-        if err.index is not None and R.ndim > 0:
-            loc = np.unravel_index(err.index, R.shape)
-            raise ConvergenceError(
-                f"closure solve failed at grid index {tuple(int(k) for k in loc)}: {err}",
-                bracket=err.bracket,
-                index=tuple(int(k) for k in loc),
-            ) from err
-        raise
+        if R.ndim == 0:
+            raise
+        i = err.index if lanes is None else lanes[err.index]
+        loc = tuple(int(k) for k in np.unravel_index(i, R.shape))
+        msg = f"closure solve failed at grid index {loc}: {err}"
+        raise ConvergenceError(msg, bracket=err.bracket, index=loc) from err
+    if lanes is None:
+        Z = root
+    else:
+        Z[lanes] = root
+    Z = Z.reshape(R.shape)
     # Z >= R, and Z = 0 only where R = 0 too: 0/0 is the vacuum lanes' NaN
     with np.errstate(invalid="ignore"):
         alpha = np.divide(R, Z, out=np.empty_like(Z))
@@ -351,26 +337,28 @@ def solve_Z_field(
 
 
 def derivative_arrays(R, Z, gamma):
-    """dZ/dR = 1/s and dZ/dQ = Z**(1-gamma)/s on arrays with Z >= R, Z > 0.
+    """dZ/dR = 1/s and dZ/dQ = Z**(1-gamma)/s on arrays with Z >= R; NaN at Z = 0.
 
     s = gamma - (gamma-1)*alpha with alpha = R/Z in [0, 1], so s lies
     between min(1, gamma) and max(1, gamma) at every scale of R and Z, and
     both derivatives are positive. Rounding is monotone: for gamma <= 1,
     (gamma-1)*alpha rounds to at most 0, so s >= gamma and the bounds
-    dZ/dR <= 1/gamma and dZ/dQ <= Z**(1-gamma)/gamma hold exactly. dZ/dQ
-    past the float range (Z**(1-gamma) at a subnormal Z for gamma > 1, or
-    s = 0 at alpha = 1 beyond gamma = 2**53, where fl(gamma-1) = gamma) is a
-    DomainError naming the first such lane's R and Z.
+    dZ/dR <= 1/gamma and dZ/dQ <= Z**(1-gamma)/gamma hold exactly. Vacuum
+    lanes carry alpha's NaN into both. dZ/dQ past the float range
+    (Z**(1-gamma) at a subnormal Z for gamma > 1, or s = 0 at alpha = 1
+    beyond gamma = 2**53, where fl(gamma-1) = gamma) is a DomainError
+    naming the first such lane's R and Z; ``fmax`` skips the NaN.
     """
     R = np.asarray(R, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    s = gamma - (gamma - 1.0) * (R / Z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = gamma - (gamma - 1.0) * (R / Z)
         dzr = 1.0 / s
         dzq = np.power(Z, 1.0 - gamma) / s
-    if dzq.size and not dzq.max() < math.inf:
-        finite = np.isfinite(dzq)
-        i = np.unravel_index(int(np.argmin(finite)), finite.shape)
+    if not max(np.fmax.reduce(d, axis=None, initial=0.0) for d in (dzr, dzq)) < math.inf:
+        # s = 0 makes dZ/dR infinite and dZ/dQ infinite or 0/0
+        bad = np.isinf(dzr) | np.isinf(dzq)
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise DomainError(
             f"closure derivative overflows at R={float(R[i])}, Z={float(Z[i])}"
         )

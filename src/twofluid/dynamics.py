@@ -276,23 +276,17 @@ def stable_dt(state: State, params: SimParams, ev: Evaluation) -> float:
     sound-speed proxy c_max = max sqrt(gamma_plus Z^(gamma_plus-1)
     max(dZ/dR, dZ/dQ)) taken pointwise over the grid; both derivatives
     are positive. |u| is ``ev.speed``, which a ``Rows`` observer reads
-    again; vacuum points (Z = 0) are gathered out only where there
-    are some.
+    again. Vacuum points (Z = 0) carry the derivatives' NaN, which the
+    ``fmax`` reduction skips, so an all-vacuum state has c_max = 0.
     """
     g = state.grid
     umax = float(ev.speed.max())
 
-    Z, R = ev.Z, state.R
-    if not Z.all():
-        pos = Z > 0.0
-        Z, R = Z[pos], R[pos]
-    c_max = 0.0
-    if Z.size:
-        dzr, dzq = closure.derivative_arrays(R, Z, params.closure.gamma)
-        stiff = np.power(Z, params.closure.gamma_plus - 1.0)
-        stiff *= params.closure.gamma_plus
-        stiff *= np.maximum(dzr, dzq, out=dzr)
-        c_max = math.sqrt(stiff.max())
+    dzr, dzq = closure.derivative_arrays(state.R, ev.Z, params.closure.gamma)
+    stiff = np.power(ev.Z, params.closure.gamma_plus - 1.0)
+    stiff *= params.closure.gamma_plus
+    stiff *= np.maximum(dzr, dzq, out=dzr)
+    c_max = math.sqrt(np.fmax.reduce(stiff, axis=None, initial=0.0))
 
     rho_min = float((state.R + state.Q).min())
     nu_max = (2.0 * params.mu + params.lam) / max(params.density_floor, rho_min)

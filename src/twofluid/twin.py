@@ -320,6 +320,18 @@ def fit_gronwall_constant(diag: PairDiagnostics, ref: ReferenceSeries) -> float:
     return float(np.max(report.lhs[valid] / report.rhs[valid]))
 
 
+def unfittable_intervals(diag: PairDiagnostics, ref: ReferenceSeries) -> np.ndarray:
+    """Left ends of the intervals that no Gronwall constant can satisfy.
+
+    These are the intervals of the C = 1 trace with lhs > 0 and
+    rhs <= EPS_DIV, which ``fit_gronwall_constant`` skips: rhs scales
+    with C, so no finite C lifts it above lhs. A constant reference, whose
+    alpha and g vanish at t = 0, gives one at t = 0.
+    """
+    report = check_hypothesis(build_gronwall_trace(diag, ref, C=1.0))
+    return report.t[(report.lhs > 0.0) & (report.rhs <= EPS_DIV)]
+
+
 def build_gronwall_trace(diag: PairDiagnostics, ref: ReferenceSeries, C: float) -> GronwallTrace:
     """Assemble the Gronwall trace of the difference system.
 
@@ -347,14 +359,25 @@ class TwinResult:
 
 
 def _kept_run(
-    initial: State, params: SimParams, *observers, **kwargs
+    initial: State, params: SimParams, run: str, *observers, **kwargs
 ) -> tuple[Trajectory, list[State]]:
-    """``dynamics.run`` and every state it passes through, in order, which ``observers`` see too."""
+    """``dynamics.run`` and every state it passes through, in order, which ``observers`` see too.
+
+    A state whose density falls below the floor, which ``State.evaluate``
+    counts, fails ``run`` there: its velocity is m/floor, not m/(R+Q), so
+    the twin would leave the bounded densities the uniqueness result assumes.
+    """
     states: list[State] = []
-    traj = dynamics.run(
-        initial, params, observers=(lambda state, *_: states.append(state), *observers), **kwargs
-    )
-    return traj, states
+
+    def keep(state: State, ev: Evaluation, *_) -> None:
+        if ev.floor_hits:
+            raise DomainError(
+                f"{run} run: density R+Q falls below time.density_floor="
+                f"{params.density_floor:g} at t={state.t:g} ({ev.floor_hits} points)"
+            )
+        states.append(state)
+
+    return dynamics.run(initial, params, observers=(keep, *observers), **kwargs), states
 
 
 def _members(initial: State, params: SimParams, members: Sequence[Perturbation], *observers):
@@ -362,11 +385,12 @@ def _members(initial: State, params: SimParams, members: Sequence[Perturbation],
 
     Every member is perturbed before the strong run. A weak run replays its
     steps; one whose own realised CFL number exceeds 1 left the stable regime.
+    A run whose density falls below the floor fails as it steps.
     """
     weak_initials = [perturb_state(initial, p) for p in members]
-    strong, strong_states = _kept_run(initial, params, *observers)
+    strong, strong_states = _kept_run(initial, params, "reference", *observers)
     for p, weak_initial in zip(members, weak_initials):
-        weak, states = _kept_run(weak_initial, params, dt_schedule=strong.dts)
+        weak, states = _kept_run(weak_initial, params, f"delta={p.delta:g}", dt_schedule=strong.dts)
         cfl = weak.realised_cfl
         if cfl.size and cfl.max() > 1.0:
             k = int(np.argmax(cfl))

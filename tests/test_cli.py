@@ -107,10 +107,11 @@ class TestCompare:
         for zero_col in ("norm_frakR", "norm_calQ", "norm_wU", "norm_gradU", "norm_U6"):
             assert np.all(cols[:, names.index(zero_col)] == 0.0), zero_col
 
-    def test_perturbed_compare_verdicts_pass(self, tmp_path):
+    def test_perturbed_compare_verdicts_pass(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         code = cli.main(["compare", "--out", str(out), *FAST])
         assert code == 0
+        assert capsys.readouterr().err == ""  # every interval was fitted
         assert (out / "trace.csv").exists()
         trace = iofmt.read_trace_csv(out / "trace.csv")
         assert gronwall.check_conclusion(trace).verdict
@@ -138,6 +139,52 @@ class TestCompare:
         assert captured.err.startswith("runtime error: twin initial momenta differ by ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert list(out.iterdir()) == []
+
+    # every velocity is m/1e300, so each member would pass at distance 0
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare"], ["sweep", "--deltas", "1e-2,1e-3"]],
+        ids=["compare", "sweep"],
+    )
+    def test_floored_reference_exits_3_and_writes_no_csv(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        code = cli.main([*argv, "--out", str(out), "--set", "grid.n=16", "--set", "time.density_floor=1e300"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "runtime error: reference run: density R+Q falls below "
+            "time.density_floor=1e+300 at t=0 (16 points)\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_floored_weak_member_is_named(self, tmp_path, capsys):
+        # the reference's density stays above 1.717, and the delta = 0.5
+        # member's dips to 1.690 by t = 0.05
+        out = tmp_path / "o"
+        argv = ["sweep", "--out", str(out), *FAST, "--set", "time.density_floor=1.7"]
+        assert cli.main([*argv, "--deltas", "1e-3,0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "runtime error: delta=0.5 run: density R+Q falls below time.density_floor=1.7 at t="
+        )
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert list(out.iterdir()) == []
+        assert cli.main([*argv, "--deltas", "1e-3"]) == 0
+
+    def test_constant_reference_names_its_unfittable_interval(self, tmp_path, capsys):
+        # the 2D default drops the 1D modes, so the reference stays constant
+        # and the first interval's right side is 0 at any C
+        out = tmp_path / "o"
+        assert cli.main(["compare", "--out", str(out), "--set", "grid.dim=2", "--set", "grid.n=16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 4
+        assert "gronwall conclusion: max margin=4.052e-06 verdict=False" in captured.out
+        assert captured.err == (
+            "gronwall constant: no C satisfies 1 interval(s), the first at t=0: "
+            "lhs > 0 where rhs <= 1e-14 at C = 1\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["compare.csv", "trace.csv"]
 
 
 class TestSweep:

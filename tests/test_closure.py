@@ -270,6 +270,73 @@ def test_ratio_beyond_2_53_gives_one_derivative_error_and_no_warning():
     assert str(err.value) == "closure derivative overflows at R=1.0, Z=1.0"
 
 
+# One mesh with a vacuum corner, an R = 0 row, a Q = 0 column and positive
+# lanes, at the closed-form ratios 1/2 and 2 and the Newton ratio 3/4.
+MIXED_AXIS = np.array([0.0, 5e-324, 1e-3, 0.5, 1.0, 3.0, 1e3])
+MIXED_GAMMAS = [ClosureParams(1.5, 3.0), GAMMA_3_4, ClosureParams(3.0, 1.5)]
+
+
+class TestVacuumLanes:
+    @pytest.mark.parametrize("params", MIXED_GAMMAS, ids=["1/2", "3/4", "2"])
+    def test_whole_arrays_equal_the_gathered_positive_lanes(self, params):
+        R, Q = np.meshgrid(MIXED_AXIS, MIXED_AXIS, indexing="ij")
+        Z, _ = closure.solve_Z_field(R, Q, params)
+        gamma = params.gamma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if gamma > 1.0:  # Z**(1-gamma) overflows at Z = R = 5e-324
+                with pytest.raises(DomainError) as err:
+                    closure.derivative_arrays(R, Z, gamma)
+                assert str(err.value) == "closure derivative overflows at R=5e-324, Z=5e-324"
+                keep = (Z == 0.0) | (Z > 1e-300)
+                R, Q, Z = R[keep], Q[keep], Z[keep]
+            pos = Z > 0.0
+            assert 0 < pos.sum() < pos.size
+            dzr, dzq = closure.derivative_arrays(R, Z, gamma)
+            res = closure.closure_residual(R, Q, Z, params)
+        # the formulas on the gathered positive lanes
+        rp, zp = R[pos], Z[pos]
+        s = gamma - (gamma - 1.0) * (rp / zp)
+        assert np.array_equal(dzr[pos], 1.0 / s)
+        assert np.array_equal(dzq[pos], np.power(zp, 1.0 - gamma) / s)
+        assert np.array_equal(res[pos], (1.0 - rp / zp) * zp**gamma - Q[pos])
+        assert np.isnan(dzr[~pos]).all() and np.isnan(dzq[~pos]).all()
+        assert same_bits(res[~pos], 0.0 - Q[~pos])
+
+    def test_derivative_overflow_next_to_vacuum_is_named(self):
+        R = np.array([0.0, 5e-324, 1.0])
+        with pytest.raises(DomainError) as err:
+            closure.derivative_arrays(R, R.copy(), 2.0)
+        assert str(err.value) == "closure derivative overflows at R=5e-324, Z=5e-324"
+
+    def test_zero_slope_lane_next_to_vacuum_is_named(self):
+        # beyond 2**53, s = 0 at alpha = 1: dZ/dR is infinite and at Z = 2
+        # dZ/dQ is 0/0, a NaN that fmax alone would skip like the vacuum's
+        params = ClosureParams(1e17, 1.5)
+        R, Q = np.array([0.0, 2.0]), np.array([0.0, 0.0])
+        Z, _ = closure.solve_Z_field(R, Q, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                closure.derivative_arrays(R, Z, params.gamma)
+        assert str(err.value) == "closure derivative overflows at R=2.0, Z=2.0"
+
+    def test_all_vacuum_gives_nan_and_zero_residual(self):
+        zero = np.zeros((2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dzr, dzq = closure.derivative_arrays(zero, zero, 0.75)
+            res = closure.closure_residual(zero, zero, zero, GAMMA_3_4)
+        assert np.isnan(dzr).all() and np.isnan(dzq).all()
+        assert same_bits(res, zero)
+        assert same_bits(closure.closure_residual(0.0, 0.0, 0.0, GAMMA_3_4), 0.0)
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float arrays hold the same bits, signed zeros included."""
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
 class TestField:
     def test_constant_fields(self):
         R = np.full((8, 8), 1.0)

@@ -185,6 +185,38 @@ class TestStableDt:
             std1d_params.cfl * viscous, rel=1e-12
         )
 
+    @pytest.mark.parametrize("pair", [(1.5, 3.0), (1.5, 2.0), (3.0, 1.5)], ids=["1/2", "3/4", "2"])
+    def test_vacuum_lanes_give_the_gathered_limit(self, pair):
+        g = PeriodicGrid(1, 32)
+        # a floor of 1 keeps the vacuum from binding the viscous limit
+        params = SimParams(closure=ClosureParams(*pair), mu=0.01, lam=0.01, density_floor=1.0)
+        x = g.axis_coords()
+        R, Q = 1.0 + 0.5 * np.sin(x), 2.0 + 0.5 * np.cos(x)
+        R[[3, 4, 9]] = 0.0
+        Q[[4, 9, 20]] = 0.0  # vacuum at 4 and 9
+        state = State(g, R, Q, ((R + Q) * 0.3 * np.sin(2 * x))[None, :], 0.0)
+        ev = state.evaluate(params)
+        # the formula of stable_dt on the gathered Z > 0 lanes
+        pos = ev.Z > 0.0
+        assert 0 < pos.sum() < pos.size
+        Z, gp = ev.Z[pos], params.closure.gamma_plus
+        dzr, dzq = closure.derivative_arrays(R[pos], Z, params.closure.gamma)
+        c_max = math.sqrt((np.power(Z, gp - 1.0) * gp * np.maximum(dzr, dzq)).max())
+        umax = float(ev.speed.max())
+        nu_max = (2.0 * params.mu + params.lam) / max(params.density_floor, float((R + Q).min()))
+        advective, viscous = g.dx / (umax + c_max), g.dx**2 / (2.0 * nu_max)
+        assert advective < viscous
+        assert dynamics.stable_dt(state, params, ev) == params.cfl * advective
+
+    def test_all_vacuum_state_has_no_sound_speed(self):
+        # u = m / floor = 0.5 everywhere, so only c_max = 0 gives dt = cfl dx / 0.5
+        g = PeriodicGrid(1, 32)
+        params = SimParams(closure=ClosureParams(1.5, 2.0), mu=1e-6, density_floor=1.0)
+        state = uniform_state(g, R=0.0, Q=0.0)
+        state.m[:] = 0.5
+        dt = dynamics.stable_dt(state, params, state.evaluate(params))
+        assert dt == params.cfl * (g.dx / 0.5)
+
     def test_vanishing_dt_aborts(self):
         # dx = 3e-8 makes the viscous limit dx^2 / (2 nu) about 1e-14
         g = PeriodicGrid(1, 32, length=1e-6)

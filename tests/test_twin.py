@@ -93,8 +93,8 @@ class TestDensityStability:
         bump = 1e-3 * np.sin(2 * g.coordinates()[0])
         shifted = State(g, std1d_initial.R + bump, std1d_initial.Q + bump, std1d_initial.m, 0.0)
         params = SimParams(closure=std1d_params.closure, mu=std1d_params.mu, t_end=0.05)
-        strong, strong_states = twin._kept_run(std1d_initial, params)
-        weak_states = twin._kept_run(shifted, params, dt_schedule=strong.dts)[1]
+        strong, strong_states = twin._kept_run(std1d_initial, params, "reference")
+        weak_states = twin._kept_run(shifted, params, "shifted", dt_schedule=strong.dts)[1]
         diag = twin.compare(weak_states, strong_states, params)
         with pytest.raises(DomainError, match="identical initial densities"):
             twin.check_density_stability(diag)
@@ -532,7 +532,7 @@ class TestReferenceObserver:
         initial = config.build_initial_state(cfg_at(32))
         params = SimParams(closure=std1d_params.closure, mu=std1d_params.mu, t_end=0.2)
         result = twin.run_twin(initial, params, perturbation(1e-3))
-        strong, states = twin._kept_run(initial, params)
+        strong, states = twin._kept_run(initial, params, "reference")
         assert len(result.ref.t) == len(states) == len(strong.dts) + 1 > 3
         for name, want in per_sample_reference(states, params).items():
             assert getattr(result.ref, name).tobytes() == want.tobytes(), name

@@ -86,8 +86,8 @@ def cmd_compare(args) -> int:
     # every report before the first write, so a failed one leaves no CSV
     stability = twin.check_density_stability(result.diag)
     meanvel = twin.check_mean_velocity(result.diag)
-    C = max(stability.fitted_C, twin.fit_gronwall_constant(result.diag, result.ref))
-    unfittable = twin.unfittable_intervals(result.diag, result.ref)
+    fit = twin.fit_gronwall_constant(result.diag, result.ref)
+    C = max(stability.fitted_C, fit.C)
     trace = twin.build_gronwall_trace(result.diag, result.ref, C=C)
     conclusion = gronwall.check_conclusion(trace)
     iofmt.write_compare_csv(out / "compare.csv", result.diag)
@@ -96,10 +96,10 @@ def cmd_compare(args) -> int:
     print(f"gronwall constant: C={C:.6g}")
     print(f"mean velocity identity: max residual={np.max(meanvel.residual):.3e} verdict={meanvel.verdict}")
     print(f"gronwall conclusion: max margin={conclusion.max_margin:.3e} verdict={conclusion.verdict}")
-    if unfittable.size:
+    if fit.unfittable.size:
         print(
-            f"gronwall constant: no C satisfies {unfittable.size} interval(s), the first "
-            f"at t={unfittable[0]:g}: lhs > 0 where rhs <= {twin.EPS_DIV:g} at C = 1",
+            f"gronwall constant: no C satisfies {fit.unfittable.size} interval(s), the first "
+            f"at t={fit.unfittable[0]:g}: lhs > 0 where rhs <= {twin.EPS_DIV:g} at C = 1",
             file=sys.stderr,
         )
     ok = stability.verdict and meanvel.verdict and conclusion.verdict

@@ -18,9 +18,10 @@ DomainError, as is one whose power gamma overflows for gamma > 1 (the CSV
 residual could not be evaluated on it), an lo whose power 1 - gamma
 overflows for gamma > 1 (the scaled residual could not be evaluated on
 it; a subnormal Q from gamma ~ 21.5 up), and an R = 0 root Q**(1/gamma)
-that overflows. A lane stops once a step moves it by at most STEP_TOL =
-2 eps relative, a stop that holds at every scale of R and Q; only a point
-that runs out of ``MAX_ITER`` sweeps first raises ConvergenceError.
+that overflows, or that underflows to 0 at Q > 0. A lane stops once a
+step moves it by at most STEP_TOL = 2 eps relative, a stop that holds at
+every scale of R and Q; only a point that runs out of ``MAX_ITER`` sweeps
+first raises ConvergenceError.
 
 A cold solve starts at lo; a caller's ``guess`` (time integration passes the
 previous state's Z), clipped into [lo, hi0], replaces that start. The
@@ -313,6 +314,9 @@ def solve_Z_field(
             Z[r_zero] = root = np.power(q[r_zero], 1.0 / params.gamma)
         if not np.isfinite(root).all():
             raise _overflow("root Q**(1/gamma)", r[r_zero], q[r_zero], root)
+        if not root.all():  # Q > 0 on these lanes, so a zero root underflowed
+            Q0 = float(q[r_zero][np.argmin(root)])
+            raise DomainError(f"closure root Q**(1/gamma) underflows to 0 at R=0.0, Q={Q0}")
         lanes = np.flatnonzero(~(q_zero | r_zero))
         r, q = r[lanes], q[lanes]
         guess = None if guess is None else guess[lanes]

@@ -37,7 +37,7 @@ class FourierMode:
 @dataclass(frozen=True)
 class FieldSpec:
     constant: float
-    modes: tuple[FourierMode, ...] = ()
+    modes: tuple[FourierMode, ...]
 
 
 @dataclass(frozen=True)

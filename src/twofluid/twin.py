@@ -304,32 +304,30 @@ def check_mean_velocity(diag: PairDiagnostics) -> MeanVelocityReport:
     return MeanVelocityReport(residual=residual, scale=scale, rtol=MEANVEL_RTOL, verdict=verdict)
 
 
-def fit_gronwall_constant(diag: PairDiagnostics, ref: ReferenceSeries) -> float:
-    """Smallest C for which the trace satisfies the Gronwall hypothesis.
+@dataclass
+class GronwallFit:
+    """The fitted Gronwall constant and the intervals no constant can satisfy."""
+
+    C: float
+    unfittable: np.ndarray  # left ends of the intervals with lhs > 0, rhs <= EPS_DIV
+
+
+def fit_gronwall_constant(diag: PairDiagnostics, ref: ReferenceSeries) -> GronwallFit:
+    """Smallest C for which the trace satisfies the Gronwall hypothesis, and where none does.
 
     The paper's constant is existential and absorbs the viscosity
     normalization, so it cannot be taken from any single estimate; this fit
-    returns the max of lhs / rhs, (f' + (g')^2) / (alpha f + beta g g'), of
+    takes the max of lhs / rhs, (f' + (g')^2) / (alpha f + beta g g'), of
     ``check_hypothesis`` on the C = 1 trace, over the intervals with
-    rhs > EPS_DIV and lhs > 0. Identically zero traces fit C = 0.
+    rhs > EPS_DIV and lhs > 0; identically zero traces fit C = 0. rhs scales
+    with C, so no C covers an interval with lhs > 0 and rhs <= EPS_DIV:
+    ``unfittable`` holds their left ends, one at t = 0 for a constant reference.
     """
     report = check_hypothesis(build_gronwall_trace(diag, ref, C=1.0))
-    valid = (report.rhs > EPS_DIV) & (report.lhs > 0.0)
-    if not valid.any():
-        return 0.0
-    return float(np.max(report.lhs[valid] / report.rhs[valid]))
-
-
-def unfittable_intervals(diag: PairDiagnostics, ref: ReferenceSeries) -> np.ndarray:
-    """Left ends of the intervals that no Gronwall constant can satisfy.
-
-    These are the intervals of the C = 1 trace with lhs > 0 and
-    rhs <= EPS_DIV, which ``fit_gronwall_constant`` skips: rhs scales
-    with C, so no finite C lifts it above lhs. A constant reference, whose
-    alpha and g vanish at t = 0, gives one at t = 0.
-    """
-    report = check_hypothesis(build_gronwall_trace(diag, ref, C=1.0))
-    return report.t[(report.lhs > 0.0) & (report.rhs <= EPS_DIV)]
+    positive = report.lhs > 0.0
+    valid = positive & (report.rhs > EPS_DIV)
+    C = float(np.max(report.lhs[valid] / report.rhs[valid])) if valid.any() else 0.0
+    return GronwallFit(C, report.t[positive & (report.rhs <= EPS_DIV)])
 
 
 def build_gronwall_trace(diag: PairDiagnostics, ref: ReferenceSeries, C: float) -> GronwallTrace:
@@ -339,7 +337,7 @@ def build_gronwall_trace(diag: PairDiagnostics, ref: ReferenceSeries, C: float) 
     alpha = C (t ||Du~||_3 ||grad u~||_2 + ||grad u~||_inf) and
     beta = C (||Du~||_3 + 1), with Du~ the material derivative of the
     reference velocity. ``compare`` passes the larger of the fitted
-    density-stability constant and ``fit_gronwall_constant``.
+    density-stability constant and ``fit_gronwall_constant``'s C.
     """
     if C < 0.0:
         raise DomainError("Gronwall constant C must be nonnegative")

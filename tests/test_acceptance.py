@@ -256,7 +256,7 @@ def test_criterion_12_end_to_end_gronwall(twin128):
     stability = twin.check_density_stability(twin128.diag)
     C = max(
         stability.fitted_C,
-        twin.fit_gronwall_constant(twin128.diag, twin128.ref),
+        twin.fit_gronwall_constant(twin128.diag, twin128.ref).C,
     )
     trace = twin.build_gronwall_trace(twin128.diag, twin128.ref, C=C)
     rep = gronwall.check_conclusion(trace)

@@ -172,6 +172,20 @@ class TestCompare:
         assert list(out.iterdir()) == []
         assert cli.main([*argv, "--deltas", "1e-3"]) == 0
 
+    def test_one_hypothesis_check_per_compare(self, tmp_path, monkeypatch):
+        # the fit reads C and the unfittable intervals from one report
+        calls = []
+
+        def counted(trace):
+            calls.append(len(trace.t))
+            return check(trace)
+
+        check = gronwall.check_hypothesis
+        monkeypatch.setattr(gronwall, "check_hypothesis", counted)
+        monkeypatch.setattr(twin, "check_hypothesis", counted)
+        assert cli.main(["compare", "--out", str(tmp_path / "o"), *FAST]) == 0
+        assert len(calls) == 1
+
     def test_constant_reference_names_its_unfittable_interval(self, tmp_path, capsys):
         # the 2D default drops the 1D modes, so the reference stays constant
         # and the first interval's right side is 0 at any C
@@ -652,6 +666,20 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == (
             "runtime error: closure root Q**(1/gamma) overflows at R=0.0, Q=5e+307\n"
+        )
+        assert not any(out.iterdir())
+
+    def test_underflowing_r_zero_root_exits_3(self, tmp_path, capsys):
+        # at R = 0 and gamma = 3/4 the root Q**(4/3) of Q = 1e-170 underflows
+        # to 0, which would read as vacuum
+        argv = ["closure-table", "--r-min", "0", "--r-max", "0", "--r-count", "1"]
+        argv += ["--q-min", "1e-170", "--q-max", "1e-170", "--q-count", "1"]
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "runtime error: closure root Q**(1/gamma) underflows to 0 at R=0.0, Q=1e-170\n"
         )
         assert not any(out.iterdir())
 

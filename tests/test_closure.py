@@ -32,6 +32,21 @@ def bisect_oracle(R, Q, gamma, lo, hi, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def underflowing_lanes(R, Q, params):
+    """Lanes whose R = 0 root Q**(1/gamma) underflows to 0 at Q > 0.
+
+    The field solve of R and Q must then raise one DomainError naming the
+    first of them, which this checks.
+    """
+    R, Q = np.atleast_1d(R, Q)
+    bad = (R == 0.0) & (Q > 0.0) & (np.power(Q, 1.0 / params.gamma) == 0.0)
+    if bad.any():
+        with pytest.raises(DomainError) as err:
+            closure.solve_Z_field(R, Q, params)
+        assert str(err.value) == f"closure root Q**(1/gamma) underflows to 0 at R=0.0, Q={Q[bad][0]}"
+    return bad
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """A list that gains one entry per evaluation of the scaled residual."""
@@ -60,6 +75,15 @@ class TestSolveZ:
         point = closure.solve_Z(0.0, 4.0, ClosureParams(1.5, 3.0))
         assert point.Z == pytest.approx(16.0, rel=1e-14)
         assert point.alpha == 0.0
+
+    @pytest.mark.parametrize("Q", [1e-300, 5e-324])
+    def test_underflowing_r_zero_root_is_not_vacuum(self, Q):
+        # Q**(1/gamma) at gamma = 3/4 is below the smallest subnormal
+        with pytest.raises(DomainError, match=rf"underflows to 0 at R=0.0, Q={Q}$"):
+            closure.solve_Z(0.0, Q, GAMMA_3_4)
+        R, Q_lanes = np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 1e-200, 1.0, Q])
+        assert underflowing_lanes(R, Q_lanes, GAMMA_3_4).tolist() == [False, False, False, True]
+        assert closure.solve_Z(0.0, 1e-200, GAMMA_3_4).Z > 0.0
 
     def test_vacuum(self):
         point = closure.solve_Z(0.0, 0.0, ClosureParams(1.5, 3.0))
@@ -239,6 +263,7 @@ def test_every_lane_gives_a_root_or_one_domain_error(pair):
             try:
                 Z, _ = closure.solve_Z_field(np.array([R]), np.array([Q]), params)
                 assert np.isfinite(Z[0]) and Z[0] >= R
+                assert Z[0] > 0.0 or R == Q == 0.0  # a zero root is vacuum
                 if Z[0] > 0.0:
                     dzr, dzq = closure.derivative_arrays(np.array([R]), Z, params.gamma)
                     assert 0.0 < dzr[0] < math.inf and 0.0 <= dzq[0] < math.inf
@@ -280,8 +305,12 @@ class TestVacuumLanes:
     @pytest.mark.parametrize("params", MIXED_GAMMAS, ids=["1/2", "3/4", "2"])
     def test_whole_arrays_equal_the_gathered_positive_lanes(self, params):
         R, Q = np.meshgrid(MIXED_AXIS, MIXED_AXIS, indexing="ij")
-        Z, _ = closure.solve_Z_field(R, Q, params)
         gamma = params.gamma
+        if gamma < 1.0:  # the R = 0 root 5e-324**(1/gamma) underflows
+            keep = ~underflowing_lanes(R, Q, params)
+            assert keep.sum() == keep.size - 1
+            R, Q = R[keep], Q[keep]
+        Z, _ = closure.solve_Z_field(R, Q, params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if gamma > 1.0:  # Z**(1-gamma) overflows at Z = R = 5e-324
@@ -790,6 +819,8 @@ class TestProperties:
     @given(R=finite_density, Q=finite_density, pair=st.sampled_from(GAMMA_PAIRS))
     def test_residual_bracket_and_bounds(self, R, Q, pair):
         params = ClosureParams(*pair)
+        if underflowing_lanes(R, Q, params).any():
+            return
         point = closure.solve_Z(R, Q, params)
         assert R <= point.Z <= closure.z_upper_bound(R, Q, params)
         if point.Z > 0.0:
@@ -837,6 +868,8 @@ class TestProperties:
     def test_derivative_bounds_for_gamma_below_one(self, R, Q, pair):
         # no clip: rounding keeps the divisor gamma - (gamma-1)*alpha >= gamma
         params = ClosureParams(*pair)
+        if underflowing_lanes(R, Q, params).any():
+            return
         point = closure.solve_Z(R, Q, params)
         assume(point.Z > 0.0)
         gamma = params.gamma
@@ -855,6 +888,8 @@ class TestProperties:
         params = ClosureParams(*pair)
         R = np.array([r for r, _ in points])
         Q = np.array([q for _, q in points])
+        if underflowing_lanes(R, Q, params).any():
+            return
         Z, alpha = closure.solve_Z_field(R, Q, params)
         pos = Z > 0.0
         # dZ/dQ = Z**(1-gamma) / (gamma - (gamma-1) alpha), whose divisor
@@ -915,6 +950,8 @@ class TestProperties:
         # lane's root must not depend on which lanes it was solved with
         params = ClosureParams(*pair)
         R, Q, G = (np.array(col) for col in zip(*lanes))
+        if underflowing_lanes(R, Q, params).any():
+            return
         guess = G if warm else None
         Z, alpha = closure.solve_Z_field(R, Q, params, guess=guess)
         for k in range(len(lanes)):

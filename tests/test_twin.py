@@ -201,7 +201,7 @@ class TestGronwallPipeline:
         result = twin.run_twin(std1d_initial, std1d_params, perturbation(0.0))
         C = max(
             twin.check_density_stability(result.diag).fitted_C,
-            twin.fit_gronwall_constant(result.diag, result.ref),
+            twin.fit_gronwall_constant(result.diag, result.ref).C,
         )
         assert C == 0.0
         trace = twin.build_gronwall_trace(result.diag, result.ref, C=C)
@@ -217,11 +217,20 @@ class TestGronwallPipeline:
         assert not report.ok
 
     def test_fitted_constant_passes_conclusion(self, twin128):
-        C = twin.fit_gronwall_constant(twin128.diag, twin128.ref)
+        C = twin.fit_gronwall_constant(twin128.diag, twin128.ref).C
         assert np.isfinite(C) and C > 0.0
         trace = twin.build_gronwall_trace(twin128.diag, twin128.ref, C=C)
         assert gronwall.check_hypothesis(trace).ok
         assert gronwall.check_conclusion(trace).verdict
+
+    def test_constant_reference_reports_its_unfittable_interval(self):
+        # the 2D default drops the 1D modes, so the reference stays constant
+        # and the first interval's right side is 0 at any C
+        cfg = config.parse_config(config.apply_overrides("", ["grid.dim=2", "grid.n=16"]))
+        result = twin.run_twin(config.build_initial_state(cfg), cfg.params, cfg.perturbation)
+        fit = twin.fit_gronwall_constant(result.diag, result.ref)
+        assert fit.C == 13.62114582642676
+        assert fit.unfittable.tolist() == [0.0]
 
     def test_negative_constant_rejected(self, twin128):
         with pytest.raises(DomainError):
@@ -268,6 +277,27 @@ class TestRestrictedReference:
                 + grids.lp_norm(coarse_cfg.grid, coarse.final.Q - fine.final.Q[::2], 2)
             )
         assert math.log2(errs[0] / errs[1]) >= 1.5
+
+
+class TestConsistencyTwin:
+    def test_injected_fine_run_is_a_second_order_twin(self):
+        # the n-point run replays the 2n-point run's steps, and compare takes
+        # the fine states at the coarse points, so sup_distance is the coarse
+        # run's discretization error
+        sups = []
+        for n in (32, 64, 128):
+            coarse, fine = cfg_at(n), cfg_at(2 * n)
+            fine_traj, fine_states = twin._kept_run(
+                config.build_initial_state(fine), fine.params, "fine"
+            )
+            _, states = twin._kept_run(
+                config.build_initial_state(coarse), coarse.params, "coarse", dt_schedule=fine_traj.dts
+            )
+            g = coarse.grid
+            injected = [State(g, s.R[::2], s.Q[::2], s.m[:, ::2], s.t) for s in fine_states]
+            sups.append(twin.compare(states, injected, coarse.params).sup_distance)
+        orders = [math.log2(a / b) for a, b in zip(sups, sups[1:])]
+        assert min(orders) >= 1.9, orders
 
 
 class TestSweep:

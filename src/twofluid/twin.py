@@ -4,9 +4,12 @@ A "strong" reference trajectory and "weak" ones, whose initial velocities
 each carry one ``Perturbation``, run on one time-step schedule; the
 difference fields frakR = R - R~, calQ = Q - Q~ and U = u - u~ are reduced
 to the norm series that drive the stability estimates, the mean-velocity
-identity and the Gronwall trace assembly. The trace also needs the strong
-run's own norms, which an observer of that run reduces from each state's
-evaluation and stage-1 tendencies, so no state is evaluated twice.
+identity and the Gronwall trace assembly. The strong run keeps its states,
+which every member pairs with; a weak run keeps none, since its observer
+hands each block of states to ``compare`` as the run reaches it. The trace
+also needs the strong run's own norms, which an observer of that run
+reduces from each state's evaluation and stage-1 tendencies, so no state is
+evaluated twice.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import dynamics, grids
 from .dynamics import Evaluation, SimParams, State, Tendencies, Trajectory
-from .errors import ConfigError, ConsistencyError, DomainError
+from .errors import ConfigError, ConsistencyError, ConvergenceError, DomainError
 from .grids import PeriodicGrid
 from .gronwall import GronwallTrace, check_hypothesis, cumulative_trapezoid
 
@@ -28,7 +31,8 @@ EPS_DIV = 1e-14
 MEANVEL_RTOL = 1e-12
 
 # compare stacks this many grid points of samples at most, so a block's
-# arrays stay small; a 2D or 3D grid usually gives one-sample blocks.
+# arrays stay small, and a weak run buffers one such block of its states;
+# a 2D or 3D grid usually gives one-sample blocks.
 BLOCK_POINTS = 2048
 
 
@@ -150,13 +154,15 @@ def _vector_norms(ints: np.ndarray) -> list[float]:
 def compare(weak: Sequence[State], strong: Sequence[State], params: SimParams) -> PairDiagnostics:
     """Difference norms of two runs' states on matched grids and samples.
 
-    ``weak`` and ``strong`` are every state of each run, in order, and
-    ``params`` the runs' parameters. The twins must also start from the
-    same total mass, within 1e-10 relative: the mean-velocity identity,
-    whose two sides the same pass reduces for ``check_mean_velocity``,
-    encodes conservation. Samples are reduced in blocks of at most
-    BLOCK_POINTS grid points; every value equals that of a per-sample loop
-    over the grids reducers.
+    ``weak`` and ``strong`` are the states of each run at the same samples,
+    in order, and ``params`` the runs' parameters. The twins must also
+    start from the same total mass, within 1e-10 relative: the
+    mean-velocity identity, whose two sides the same pass reduces for
+    ``check_mean_velocity``, encodes conservation. Samples are reduced in
+    blocks of at most BLOCK_POINTS grid points; every value equals that of
+    a per-sample loop over the grids reducers. A twin hands it one block of
+    its weak run at a time, and ``_Pair`` joins those into ``compare`` of
+    the whole runs bit for bit.
     """
     if weak[0].grid != strong[0].grid:
         raise ConfigError("twin runs live on different grids")
@@ -201,6 +207,11 @@ def compare(weak: Sequence[State], strong: Sequence[State], params: SimParams) -
         cols["meanvel_scale"][k] = grids.integrate(g, rho_w * (mag_w + mag_s)) + grids.integrate(
             g, np.abs(diff) * mag_c
         )
+    return _finish(cols)
+
+
+def _finish(cols: dict[str, np.ndarray]) -> PairDiagnostics:
+    """The diagnostics of per-sample columns, with the two series that run over all samples."""
     cols["int_gradU"] = cumulative_trapezoid(cols["t"], cols["norm_gradU"])
     cols["M_bound"] = np.maximum.accumulate(cols["M_bound"])
     return PairDiagnostics(**cols)
@@ -356,48 +367,111 @@ class TwinResult:
     ref: ReferenceSeries
 
 
+def _check_floor(run: str, params: SimParams, state: State, ev: Evaluation) -> None:
+    """Fail ``run`` at a state whose density falls below the floor, which ``State.evaluate`` counts.
+
+    Its velocity is m/floor, not m/(R+Q), so the twin would leave the
+    bounded densities the uniqueness result assumes.
+    """
+    if ev.floor_hits:
+        raise DomainError(
+            f"{run} run: density R+Q falls below time.density_floor="
+            f"{params.density_floor:g} at t={state.t:g} ({ev.floor_hits} points)"
+        )
+
+
 def _kept_run(
     initial: State, params: SimParams, run: str, *observers, **kwargs
 ) -> tuple[Trajectory, list[State]]:
     """``dynamics.run`` and every state it passes through, in order, which ``observers`` see too.
 
-    A state whose density falls below the floor, which ``State.evaluate``
-    counts, fails ``run`` there: its velocity is m/floor, not m/(R+Q), so
-    the twin would leave the bounded densities the uniqueness result assumes.
+    Each state passes ``_check_floor`` first.
     """
     states: list[State] = []
 
     def keep(state: State, ev: Evaluation, *_) -> None:
-        if ev.floor_hits:
-            raise DomainError(
-                f"{run} run: density R+Q falls below time.density_floor="
-                f"{params.density_floor:g} at t={state.t:g} ({ev.floor_hits} points)"
-            )
+        _check_floor(run, params, state, ev)
         states.append(state)
 
     return dynamics.run(initial, params, observers=(keep, *observers), **kwargs), states
 
 
-def _members(initial: State, params: SimParams, members: Sequence[Perturbation], *observers):
-    """Yield each member's ``compare`` against one strong run, which ``observers`` see.
+class _Pair:
+    """Observer of a weak run that reduces it against the strong run's kept states.
 
-    Every member is perturbed before the strong run. A weak run replays its
-    steps; one whose own realised CFL number exceeds 1 left the stable regime.
-    A run whose density falls below the floor fails as it steps.
+    Each state passes ``_check_floor`` and joins a buffer of at most
+    ``max(1, BLOCK_POINTS // npoints)`` states, the block ``compare``
+    stacks; a full buffer goes to ``compare`` with the strong states of the
+    same samples, and is then dropped, so no weak state outlives its block.
+    ``diagnostics`` reduces the last, partial block. Blocks start at sample
+    0, as ``compare``'s own do, so the joined series equals ``compare`` of
+    the whole runs bit for bit.
+    """
+
+    def __init__(self, strong: Sequence[State], params: SimParams, run: str):
+        self.strong, self.params, self.run = strong, params, run
+        self.size = max(1, BLOCK_POINTS // strong[0].grid.npoints)
+        self.seen = 0  # states handed to the observer
+        self._block: list[State] = []
+        self._parts: list[PairDiagnostics] = []
+
+    def __call__(self, state: State, ev: Evaluation, *_) -> None:
+        _check_floor(self.run, self.params, state, ev)
+        self._block.append(state)
+        self.seen += 1
+        if len(self._block) == self.size:
+            self._reduce()
+
+    def _reduce(self) -> None:
+        block, self._block = self._block, []
+        strong = self.strong[self.seen - len(block) : self.seen]
+        self._parts.append(compare(block, strong, self.params))
+
+    def diagnostics(self) -> PairDiagnostics:
+        """``compare`` of every state observed against the strong states of the same samples.
+
+        It joins the blocks' series. A running max of the blocks' running
+        maxes is that of the samples, so only ``int_gradU`` takes new
+        arithmetic, the trapezoid over every ``t``.
+        """
+        if self._block:
+            self._reduce()
+        names = [f.name for f in fields(PairDiagnostics)]
+        return _finish({n: np.concatenate([getattr(d, n) for d in self._parts]) for n in names})
+
+
+def _members(initial: State, params: SimParams, members: Sequence[Perturbation], *observers):
+    """Yield each member's pair diagnostics against one strong run, which ``observers`` see.
+
+    Every member is perturbed before the strong run, which keeps its
+    states. Each weak run replays its steps under a ``_Pair`` observer,
+    which reduces the run block by block as it steps, so at most one
+    block of its states is alive. A weak run whose own realised CFL number
+    exceeds 1 left the stable regime; one whose own step limit vanishes,
+    or any of whose closure solves stalls, fails naming its member and the
+    time. A run whose density falls below the floor fails as it steps.
     """
     weak_initials = [perturb_state(initial, p) for p in members]
     strong, strong_states = _kept_run(initial, params, "reference", *observers)
     for p, weak_initial in zip(members, weak_initials):
-        weak, states = _kept_run(weak_initial, params, f"delta={p.delta:g}", dt_schedule=strong.dts)
+        pair = _Pair(strong_states, params, f"delta={p.delta:g}")
+        try:
+            weak = dynamics.run(weak_initial, params, dt_schedule=strong.dts, observers=(pair,))
+        except ConvergenceError as err:
+            # the failing state, or the stage stepping to it, follows the last one observed
+            t = strong_states[pair.seen].t
+            raise ConvergenceError(
+                f"weak run at delta={p.delta:g} fails at t={t:g}: {err}", err.bracket, err.index
+            ) from err
         cfl = weak.realised_cfl
         if cfl.size and cfl.max() > 1.0:
             k = int(np.argmax(cfl))
             raise ConsistencyError(
                 f"weak run at delta={p.delta:g} exceeds its own step limit at "
-                f"t={states[k].t:g}: realised CFL number {cfl[k]:.4g} > 1"
+                f"t={strong_states[k].t:g}: realised CFL number {cfl[k]:.4g} > 1"
             )
-        diag = compare(states, strong_states, params)
-        del weak, states  # else they outlive the yield into the next member's run
+        diag = pair.diagnostics()
+        del weak, pair  # else they outlive the yield into the next member's run
         yield diag
 
 
@@ -407,6 +481,8 @@ def run_twin(initial: State, params: SimParams, perturbation: Perturbation) -> T
     No twin output reads a diagnostics row, so neither run records them.
     The reference norms come from an observer of the strong run, so each
     run of N steps solves the closure 2N + 1 times and nothing else does.
+    The strong run's states are kept; the weak run's are reduced and
+    dropped block by block as it steps.
     """
     reference = _Reference(params)
     (diag,) = _members(initial, params, [perturbation], reference)
@@ -440,7 +516,8 @@ def stability_sweep(
 ) -> list[SweepRow]:
     """Twin experiments, one per perturbation of ``members``, sharing the reference.
 
-    A row needs no reference-run norms, so none are computed, and each
-    member's weak states are dropped once its ``compare`` is taken.
+    A row needs no reference-run norms, so none are computed. The strong
+    run's states are kept for every member; each weak run's are reduced
+    and dropped block by block as it steps.
     """
     return [_sweep_row(p.delta, d) for p, d in zip(members, _members(initial, params, members))]

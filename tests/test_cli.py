@@ -287,6 +287,23 @@ class TestDensityTargets:
         assert "realised CFL number 1.1" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("sweep", ["--deltas", "1e-3,1e300"]), ("compare", ["--set", "perturbation.delta=1e300"])],
+    )
+    def test_weak_run_whose_own_step_limit_vanishes_exits_3(self, tmp_path, capsys, command, extra):
+        # a velocity of 1e300 puts the weak run's own step limit at 1.6e-301,
+        # below DT_MIN, at its first state; the strong run steps as usual
+        out = tmp_path / "o"
+        assert cli.main([command, "--out", str(out), "--set", "grid.n=16", *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "runtime error: weak run at delta=1e+300 fails at t=0: vanishing time step: dt=1.5"
+        )
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not any(out.iterdir())
+
 
 class TestClosureTable:
     def test_golden_gamma_one_table(self, tmp_path):

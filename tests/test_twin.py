@@ -1,4 +1,7 @@
 import math
+import weakref
+from dataclasses import fields
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,7 @@ from conftest import cfg_at, perturbation
 from twofluid import closure, config, dynamics, grids, gronwall, twin
 from twofluid.closure import ClosureParams
 from twofluid.dynamics import SimParams, State
-from twofluid.errors import ConfigError, ConsistencyError, DomainError
+from twofluid.errors import ConfigError, ConsistencyError, ConvergenceError, DomainError
 from twofluid.grids import PeriodicGrid
 
 
@@ -508,6 +511,131 @@ class TestBlockReducers:
         assert [b.m.shape for _, b in blocks] == [(1, 2, 16)] * 3 + [(1, 1, 16)]
         with mock.patch.object(twin, "BLOCK_POINTS", 8):
             assert len(list(twin._blocks(snaps))) == 7
+
+
+def observed_pair(weak, strong, params):
+    """The pair observer of a weak run handed ``weak`` as ``run`` hands it,
+    and its joined diagnostics; it reads only the floor hits of ``ev``."""
+    pair = twin._Pair(strong, params, "weak")
+    for w in weak:
+        pair(w, SimpleNamespace(floor_hits=0), None, None, None)
+    return pair.diagnostics()
+
+
+def assert_same_diagnostics(got, want):
+    for f in fields(twin.PairDiagnostics):
+        assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+
+
+def wavy_initial(g):
+    """Densities and velocity with a mode along the first and the last axis."""
+    x = g.coordinates()
+    R, Q = 1 + 0.2 * np.sin(x[0]), 1 + 0.2 * np.cos(x[-1])
+    u = np.broadcast_to(0.1 * np.sin(x[-1]), (g.dim, *g.shape))
+    return State(g, R, Q, (R + Q) * u, 0.0)
+
+
+TWIN_PARAMS = SimParams(closure=ClosureParams(1.5, 3.0), mu=0.1, t_end=0.5)
+
+
+class TestPairObserver:
+    """A weak run reduced block by block as it steps equals compare of the whole runs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.sampled_from([(1, 8), (1, 16), (2, 8), (3, 8)]),
+        samples=st.integers(1, 11),
+        per_block=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(grid=(1, 16), samples=7, per_block=3, seed=1)  # blocks 3, 3, 1
+    @example(grid=(2, 8), samples=5, per_block=2, seed=2)  # blocks 2, 2, 1
+    @example(grid=(3, 8), samples=4, per_block=4, seed=3)  # one full block
+    def test_joined_blocks_equal_the_whole_series(self, grid, samples, per_block, seed):
+        g = PeriodicGrid(*grid)
+        weak, strong, params = random_pair(g, samples, seed)
+        with mock.patch.object(twin, "BLOCK_POINTS", per_block * g.npoints):
+            joined = observed_pair(weak, strong, params)
+        assert_same_diagnostics(joined, twin.compare(weak, strong, params))
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.0])
+    @pytest.mark.parametrize("grid", [(1, 32), (2, 8), (3, 8)])
+    def test_a_twin_equals_compare_of_both_kept_runs(self, grid, delta):
+        g = PeriodicGrid(*grid)
+        initial, params, member = wavy_initial(g), TWIN_PARAMS, perturbation(delta)
+        strong, strong_states = twin._kept_run(initial, params, "reference")
+        weak_states = twin._kept_run(
+            twin.perturb_state(initial, member), params, "weak", dt_schedule=strong.dts
+        )[1]
+        samples = len(strong_states)
+        # the smallest block that leaves a partial block at the end
+        per_block = next(k for k in range(2, samples) if samples % k)
+        with mock.patch.object(twin, "BLOCK_POINTS", per_block * g.npoints):
+            diag = twin.run_twin(initial, params, member).diag
+        assert_same_diagnostics(diag, twin.compare(weak_states, strong_states, params))
+        if delta == 0.0:
+            for name in ("norm_frakR", "norm_calQ", "norm_wU", "norm_gradU", "norm_divU",
+                         "norm_U6", "mean_U", "int_gradU", "meanvel_residual"):
+                assert not getattr(diag, name).any(), name
+
+    @pytest.mark.parametrize("driver", ["run_twin", "stability_sweep"])
+    def test_holds_one_block_and_frees_each_reduced_state(self, driver, monkeypatch):
+        g = PeriodicGrid(1, 32)
+        initial, params, size = wavy_initial(g), TWIN_PARAMS, 3
+        times = [s.t for s in twin._kept_run(initial, params, "reference")[1]]
+        compare, blocks, first = twin.compare, [], []
+
+        def recorded(weak, strong, params):
+            assert 0 < len(weak) <= size
+            assert [s.t for s in weak] == [s.t for s in strong]
+            # every weak state handed over before is freed, but the member's
+            # sample 0, which run keeps as its initial snapshot
+            alive = [r for _, refs in blocks for r in refs if r() is not None]
+            if weak[0].t == 0.0:
+                assert alive == []
+                first[:] = [weakref.ref(weak[0])]
+            else:
+                assert alive == first
+            blocks.append(([s.t for s in weak], [weakref.ref(s) for s in weak]))
+            return compare(weak, strong, params)
+
+        monkeypatch.setattr(twin, "compare", recorded)
+        monkeypatch.setattr(twin, "BLOCK_POINTS", size * g.npoints)
+        if driver == "run_twin":
+            deltas = [1e-3]
+            twin.run_twin(initial, params, perturbation(1e-3))
+        else:
+            deltas = [1e-2, 1e-3]
+            twin.stability_sweep(initial, params, [perturbation(d) for d in deltas])
+        assert all(r() is None for _, refs in blocks for r in refs)
+        # each member passes every sample once, in order, in full blocks but its last
+        starts = [i for i, (t, _) in enumerate(blocks) if t[0] == 0.0] + [len(blocks)]
+        assert len(starts) == len(deltas) + 1 and len(times) > 2 * size
+        for a, b in zip(starts, starts[1:]):
+            member = [t for t, _ in blocks[a:b]]
+            assert sum(member, []) == times
+            assert all(len(t) == size for t in member[:-1])
+
+    def test_a_vanishing_step_limit_of_a_weak_run_names_its_member_and_time(self, monkeypatch):
+        g = PeriodicGrid(1, 32)
+        initial, params = wavy_initial(g), TWIN_PARAMS
+        strong, states = twin._kept_run(initial, params, "reference")
+        stable_dt, calls = dynamics.stable_dt, []
+
+        def vanishing_at_weak_sample_2(state, params, ev):
+            calls.append(state.t)
+            if len(calls) == len(strong.dts) + 3:
+                raise ConvergenceError("vanishing time step: dt=1e-300 below 1e-12")
+            return stable_dt(state, params, ev)
+
+        monkeypatch.setattr(dynamics, "stable_dt", vanishing_at_weak_sample_2)
+        with pytest.raises(ConvergenceError) as err:
+            twin.run_twin(initial, params, perturbation(1e-3))
+        assert calls[-1] == states[2].t > 0.0
+        assert str(err.value) == (
+            f"weak run at delta=0.001 fails at t={states[2].t:g}: "
+            "vanishing time step: dt=1e-300 below 1e-12"
+        )
 
 
 def observed_reference(states, params):

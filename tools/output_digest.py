@@ -41,6 +41,9 @@ N_3D = 12
 # samples over 2 and 3 grid axes, several samples to a block.
 N_COMPARE_2D = 16
 N_COMPARE_3D = 8
+# The 2D sweep's grid: 48**2 points pass twin.BLOCK_POINTS, so each weak
+# member is reduced one sample to a block, over several blocks.
+N_SWEEP_2D = 48
 MODES_3D = [
     "initial_R.mode=0.2 1 0 1 0",
     "initial_Q.mode=0.2 0 1 0 1.5707963267948966",
@@ -78,6 +81,10 @@ def commands(n: int) -> list[tuple[str, list[str]]]:
         ("compare-2d", ["compare", "--out", "compare-2d", *twin2d]),
         ("compare-3d", ["compare", "--out", "compare-3d", *twin3d]),
         ("sweep", ["sweep", "--out", "sweep", *grid, "--deltas", "0,1e-2,1e-3,1e-4"]),
+        (
+            "sweep-2d",
+            ["sweep", "--out", "sweep-2d", "--set", f"grid.n={N_SWEEP_2D}", *mix2d, "--deltas", "1e-2,1e-3"],
+        ),
         ("closure-table", ["closure-table", "--out", "closure-table"]),
         # gamma = 3/4 at small densities, where the general-ratio solve is
         # accurate only with a relative stop
